@@ -40,9 +40,25 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
+_REFUSED = (
+    "a solver configuration fails its certificate (see summary.json); "
+    "pass --allow-uncertified to run it anyway"
+)
 
-def _default_workers():
-    return int(os.environ.get("NC_ADMM_WORKERS", "1"))
+
+def _resolve_workers(workers=None):
+    """Worker count from --workers, else NC_ADMM_WORKERS, else 1."""
+    if workers is None:
+        raw = os.environ.get("NC_ADMM_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ConfigError(
+                f"NC_ADMM_WORKERS must be an integer, got {raw!r}"
+            ) from None
+    if workers < 1:
+        raise ConfigError(f"worker count must be >= 1, got {workers}")
+    return workers
 
 
 def load_spec(path):
@@ -228,28 +244,38 @@ def _run_task(args):
 
 
 def run_experiment(spec, out_dir, allow_uncertified=False, workers=None, echo=print):
-    """Full cmd_run workflow; returns the process exit code."""
+    """Full cmd_run workflow; returns the process exit code.
+
+    Every solver is certified before any of them runs. A refusal writes
+    summary.json with the certificates and returns EXIT_CONFIG.
+    """
+    workers = _resolve_workers(workers)
     os.makedirs(out_dir, exist_ok=True)
     problem, test, info = build_problem(spec["problem"])
     L = params_mod.estimate_lipschitz(problem)
     reps = spec.get("repetitions", 1)
     seed_base = spec.get("seed_base", 0)
     stride = spec.get("trace_stride", 1)
-    workers = workers or _default_workers()
 
     summary = {"problem": info, "L": L, "solvers": {}}
     any_success = False
     all_diverged = True
 
+    planned = []
     for entry in spec["solvers"]:
         name = entry.get("name") or entry["variant"]
         base_cfg = solver_config_from_spec(entry, problem, trace_stride=stride)
-        cert = certificate_for(problem, base_cfg, L=L)
-        if not cert.accepted and not allow_uncertified:
-            echo(f"[{name}] refused: configuration fails its certificate")
-            echo(json.dumps(cert.to_dict(), indent=2, default=str))
-            return EXIT_CONFIG
+        planned.append((name, base_cfg, certificate_for(problem, base_cfg, L=L)))
+    if not allow_uncertified and not all(c.accepted for _, _, c in planned):
+        for name, _, cert in planned:
+            summary["solvers"][name] = {"certificate": cert.to_dict()}
+            if not cert.accepted:
+                echo(f"[{name}] refused: configuration fails its certificate")
+                echo(json.dumps(cert.to_dict(), indent=2, default=str))
+        _write_summary(out_dir, summary)
+        return EXIT_CONFIG
 
+    for name, base_cfg, cert in planned:
         tasks = []
         for rep in range(reps):
             cfg = solvers_mod.SolverConfig(
@@ -297,12 +323,15 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=None, echo=pr
         summary["solvers"][name] = solver_summary
         echo(f"[{name}] {len(rep_rows)}/{reps} repetitions completed")
 
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, default=str)
-
+    _write_summary(out_dir, summary)
     if not any_success and all_diverged:
         return EXIT_DIVERGED
     return EXIT_OK
+
+
+def _write_summary(out_dir, summary):
+    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2, default=str)
 
 
 def _aggregate_rows(rep_rows):
@@ -352,6 +381,8 @@ def cmd_run(ctx, spec_path, out_dir, seed, workers, allow_uncertified):
     except NcadmmError as exc:
         click.echo(f"error: {exc}", err=True)
         ctx.exit(EXIT_CONFIG)
+    if code == EXIT_CONFIG:
+        click.echo(f"error: {_REFUSED}", err=True)
     ctx.exit(code)
 
 
@@ -414,8 +445,10 @@ def cmd_rho_sweep(ctx, spec_path, out_dir, rhos, workers, allow_uncertified):
         spec = load_spec(spec_path)
         if any(rho <= 0 for rho in rhos):
             raise ConfigError("all rho values must be > 0")
+        workers = _resolve_workers(workers)
         table = []
         worst = EXIT_OK
+        refused = []
         for rho in rhos:
             sub = json.loads(json.dumps(spec))
             for entry in sub["solvers"]:
@@ -427,6 +460,8 @@ def cmd_rho_sweep(ctx, spec_path, out_dir, rhos, workers, allow_uncertified):
                 workers=workers, echo=click.echo,
             )
             worst = max(worst, code)
+            if code == EXIT_CONFIG:
+                refused.append(f"{rho:g}")
             with open(os.path.join(sub_dir, "summary.json")) as fh:
                 summary = json.load(fh)
             for name, solver in summary["solvers"].items():
@@ -447,6 +482,8 @@ def cmd_rho_sweep(ctx, spec_path, out_dir, rhos, workers, allow_uncertified):
     except NcadmmError as exc:
         click.echo(f"error: {exc}", err=True)
         ctx.exit(EXIT_CONFIG)
+    if refused:
+        click.echo(f"error: at rho={', '.join(refused)}: {_REFUSED}", err=True)
     ctx.exit(worst)
 
 

@@ -68,7 +68,7 @@ def stationarity(problem, x, y, lam, x_prev=None, rho=None):
     """Feasibility, dual and subgradient-distance residuals at (x, y, lam)."""
     cs = problem.constraints
     resid = cs.residual(x, y)
-    dual = problem.grad(x) - np.asarray(cs.A.T @ lam).ravel()
+    dual = problem.grad(x) - np.asarray(cs.AT @ lam).ravel()
     return StationarityReport(
         feasibility_sq=float(resid @ resid),
         dual_sq=float(dual @ dual),

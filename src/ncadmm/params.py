@@ -299,8 +299,11 @@ def saga_alpha_schedule(L, constraints, rho, n, M, T, beta):
     factor = (2.0 * n - M) / n + (n - M) * beta / n
     alpha = np.empty(T + 1)
     alpha[T] = 0.0
-    for t in range(T - 1, -1, -1):
-        alpha[t] = const + factor * alpha[t + 1]
+    # factor > 1 unless M = n, so long horizons overflow to inf;
+    # saga_feasible refuses such a schedule by name
+    with np.errstate(over="ignore"):
+        for t in range(T - 1, -1, -1):
+            alpha[t] = const + factor * alpha[t + 1]
     return alpha  # alpha[t-1] is the step-t weight; alpha[T] is the zero boundary
 
 
@@ -308,7 +311,10 @@ def saga_feasible(L, constraints, eta, rho, r, T, n, M, beta=1.0):
     """Certificate for mini-batch SAGA (alpha schedule plus Gamma sequence)."""
     alpha = saga_alpha_schedule(L, constraints, rho, n, M, T, beta)
     frac = (n - M) / n * (1.0 + 1.0 / beta)
-    alpha_hat = min(frac * alpha[t] for t in range(1, T + 1))
+    with np.errstate(over="ignore"):
+        shifts = [frac * alpha[t] for t in range(1, T + 1)]
+    overflow = not (np.isfinite(alpha).all() and np.isfinite(shifts).all())
+    alpha_hat = min(shifts)
     phi_max_H, phi_min_H, zeta, zeta1, phi_H = _base_constants(
         L, constraints, eta, rho, r
     )
@@ -323,11 +329,16 @@ def saga_feasible(L, constraints, eta, rho, r, T, n, M, beta=1.0):
         - (L + 1.0) / 2.0
         - (zeta + zeta1) / rho
     )
-    gammas = [base - frac * alpha[t] for t in range(1, T + 1)]
+    gammas = [base - shift for shift in shifts]
     gamma_min = min(gammas)
+    if overflow:
+        reasons.append(
+            f"alpha schedule overflows float64 within T={T} steps: "
+            "the backward recursion grows geometrically for M < n"
+        )
     if gamma_min <= 0:
         reasons.append(f"min Gamma = {gamma_min:g} <= 0")
-    accepted = ok and gamma_min > 0
+    accepted = ok and gamma_min > 0  # an overflow leaves gamma_min = -inf
     return Certificate(
         variant="saga",
         accepted=accepted,

@@ -55,7 +55,9 @@ class ConstraintSystem:
         if self.c.shape != (q,):
             raise ConfigError(f"c has shape {self.c.shape}, expected ({q},)")
         self._b_neg_eye = None
-        AtA = self.A.T @ self.A
+        # built once: scipy's .T makes a new matrix object on every access
+        self.AT = self.A.T
+        AtA = self.AT @ self.A
         if sp.issparse(AtA):
             AtA = AtA.toarray()
         self.AtA = np.asarray(AtA)
@@ -101,7 +103,7 @@ class ConstraintSystem:
     def require_neg_identity_B(self):
         if not self.b_is_neg_identity:
             raise UnsupportedConstraintError(
-                "closed-form y-update requires B = -I"
+                "the ADMM steps require B = -I (closed-form y-update)"
             )
 
 
@@ -112,6 +114,20 @@ def _check_index_set(index_set, n):
     if idx.min() < 0 or idx.max() >= n:
         raise InputError(f"sample index out of range [0, {n})")
     return idx
+
+
+def _select_rows(features, labels, index_set):
+    """Validated (features, labels) rows of an index set.
+
+    The full index set in order, arange(n), selects the stored arrays
+    themselves, without a copy; any other set is gathered once, so a caller
+    reuses the same rows for all of its products.
+    """
+    n = features.shape[0]
+    idx = _check_index_set(index_set, n)
+    if idx.size == n and np.array_equal(idx, np.arange(n)):
+        return features, labels
+    return features[idx], labels[idx]
 
 
 class SigmoidLoss:
@@ -136,31 +152,28 @@ class SigmoidLoss:
     def d(self):
         return self.features.shape[1]
 
-    def _margins(self, x, idx):
-        return self.labels[idx] * (self.features[idx] @ x)
+    def _coef(self, x, feats, labels):
+        """Per-row c_i with grad f_i(x) = c_i a_i."""
+        p = expit(-(labels * (feats @ x)))
+        return -labels * p * (1.0 - p)
 
     def value(self, x, index_set):
-        idx = _check_index_set(index_set, self.n)
+        feats, labels = _select_rows(self.features, self.labels, index_set)
         # 1/(1+e^u) = expit(-u), overflow safe on both tails
-        return float(np.mean(expit(-self._margins(x, idx))))
+        return float(np.mean(expit(-(labels * (feats @ x)))))
 
     def grad(self, x, index_set):
-        idx = _check_index_set(index_set, self.n)
-        u = self._margins(x, idx)
-        p = expit(-u)
-        coef = -self.labels[idx] * p * (1.0 - p)
-        return np.asarray(self.features[idx].T @ coef).ravel() / idx.size
+        feats, labels = _select_rows(self.features, self.labels, index_set)
+        coef = self._coef(x, feats, labels)
+        return np.asarray(feats.T @ coef).ravel() / labels.size
 
     def grad_matrix(self, x, index_set):
         """Per-sample gradients stacked as rows (|I| x d)."""
-        idx = _check_index_set(index_set, self.n)
-        u = self._margins(x, idx)
-        p = expit(-u)
-        coef = -self.labels[idx] * p * (1.0 - p)
-        rows = self.features[idx]
-        if sp.issparse(rows):
-            return rows.multiply(coef[:, None]).toarray()
-        return coef[:, None] * rows
+        feats, labels = _select_rows(self.features, self.labels, index_set)
+        coef = self._coef(x, feats, labels)
+        if sp.issparse(feats):
+            return feats.multiply(coef[:, None]).toarray()
+        return coef[:, None] * feats
 
 
 class SmoothedMultiTaskLoss:
@@ -217,44 +230,39 @@ class SmoothedMultiTaskLoss:
             self.beta / (self.theta + absX) - self.beta / self.theta
         )
 
-    def _logits(self, X, idx):
-        Z = self.features[idx] @ X.T
-        return np.asarray(Z)
-
     def value(self, x, index_set):
-        idx = _check_index_set(index_set, self.n)
+        feats, labels = _select_rows(self.features, self.labels, index_set)
         X = self._as_X(x)
-        Z = self._logits(X, idx)
+        Z = np.asarray(feats @ X.T)
         lse = logsumexp(Z, axis=1)
-        picked = Z[np.arange(idx.size), self.labels[idx]]
+        picked = Z[np.arange(labels.size), labels]
         return float(np.mean(lse - picked)) + self.penalty_value(X)
 
-    def _softmax_residual(self, X, idx):
-        Z = self._logits(X, idx)
+    def _softmax_residual(self, X, feats, labels):
+        Z = np.asarray(feats @ X.T)
         Z -= Z.max(axis=1, keepdims=True)
         P = np.exp(Z)
         P /= P.sum(axis=1, keepdims=True)
-        P[np.arange(idx.size), self.labels[idx]] -= 1.0
+        P[np.arange(labels.size), labels] -= 1.0
         return P
 
     def grad(self, x, index_set):
-        idx = _check_index_set(index_set, self.n)
+        feats, labels = _select_rows(self.features, self.labels, index_set)
         X = self._as_X(x)
-        P = self._softmax_residual(X, idx)
-        G = np.asarray(P.T @ self.features[idx]) / idx.size
+        P = self._softmax_residual(X, feats, labels)
+        G = np.asarray(P.T @ feats) / labels.size
         G += self.penalty_grad(X)
         return G.ravel()
 
     def grad_matrix(self, x, index_set):
-        idx = _check_index_set(index_set, self.n)
+        feats, labels = _select_rows(self.features, self.labels, index_set)
         X = self._as_X(x)
-        P = self._softmax_residual(X, idx)
-        feats = self.features[idx]
+        P = self._softmax_residual(X, feats, labels)
         if sp.issparse(feats):
             feats = feats.toarray()
         G = np.einsum("ic,ij->icj", P, feats)
         G += self.penalty_grad(X)[None, :, :]
-        return G.reshape(idx.size, self.d)
+        return G.reshape(labels.size, self.d)
 
 
 @dataclass(frozen=True)
@@ -413,23 +421,6 @@ class CompositeProblem:
         """f(x) + g(Ax). Only meaningful for B = -I, c = 0."""
         self.constraints.require_neg_identity_B()
         return self.smooth_value(x) + self.reg_value(self.constraints.A @ x)
-
-
-def sigmoid_loss_value(problem, x, index_set):
-    """Mini-batch mean sigmoid loss (1/|I|) sum_i 1/(1+exp(b_i a_i^T x))."""
-    return problem.loss.value(x, index_set)
-
-
-def sigmoid_loss_grad(problem, x, index_set):
-    """Mini-batch mean sigmoid-loss gradient with fixed summation order."""
-    return problem.loss.grad(x, index_set)
-
-
-def multitask_smoothed_grad(problem, X, index_set):
-    """Mini-batch mean gradient of the smoothed multi-task loss, as m x d."""
-    loss = problem.loss
-    g = loss.grad(np.asarray(X, dtype=float).ravel(), index_set)
-    return g.reshape(loss.classes, loss.d_features)
 
 
 def build_graph_guided_A(precision_support):

@@ -112,39 +112,56 @@ class RunResult:
     dual_identity_max: float = 0.0
 
 
-def y_update(problem, x_t, lambda_t, rho):
-    """argmin_y L_rho(x_t, y, lambda_t), blockwise prox (B = -I only)."""
+def y_update(problem, x_t, lambda_t, rho, Ax_t=None):
+    """argmin_y L_rho(x_t, y, lambda_t), blockwise prox (B = -I only).
+
+    Ax_t, when given, is A x_t already computed by the caller.
+    """
     cs = problem.constraints
     cs.require_neg_identity_B()
-    v = cs.A @ x_t - cs.c - lambda_t / rho
+    if Ax_t is None:
+        Ax_t = cs.A @ x_t
+    v = Ax_t - cs.c - lambda_t / rho
     return problem.regularizer.prox(np.asarray(v).ravel(), 1.0 / rho)
 
 
-def x_update_uzawa(problem, x_t, y_new, lambda_t, g_hat, eta, rho, r):
+def x_update_uzawa(problem, x_t, y_new, lambda_t, g_hat, eta, rho, r, Ax_t=None):
     """Single inexact-Uzawa step; equals the minimizer of the linearized
-    surrogate with H = rI - rho*eta*A^T A."""
+    surrogate with H = rI - rho*eta*A^T A (B = -I only).
+
+    Ax_t, when given, is A x_t already computed by the caller.
+    """
     g_hat = np.asarray(g_hat, dtype=float)
     if g_hat.shape != x_t.shape:
         raise InputError("gradient estimate has the wrong dimension")
     cs = problem.constraints
-    resid = cs.A @ x_t + cs.B @ y_new - cs.c - lambda_t / rho
-    return x_t - (eta / r) * (g_hat + rho * (cs.A.T @ resid))
+    cs.require_neg_identity_B()
+    if Ax_t is None:
+        Ax_t = cs.A @ x_t
+    resid = Ax_t - y_new - cs.c - lambda_t / rho
+    return x_t - (eta / r) * (g_hat + rho * (cs.AT @ resid))
 
 
-def lambda_update(x_new, y_new, lambda_t, rho, constraints):
-    """lambda_{t+1} = lambda_t - rho * (A x_{t+1} + B y_{t+1} - c)."""
-    return lambda_t - rho * constraints.residual(x_new, y_new)
+def lambda_update(x_new, y_new, lambda_t, rho, constraints, Ax_new=None):
+    """lambda_{t+1} = lambda_t - rho * (A x_{t+1} - y_{t+1} - c) (B = -I only).
+
+    Ax_new, when given, is A x_{t+1} already computed by the caller.
+    """
+    constraints.require_neg_identity_B()
+    if Ax_new is None:
+        Ax_new = constraints.A @ x_new
+    return lambda_t - rho * (Ax_new - y_new - constraints.c)
 
 
 def apply_H_over_eta(constraints, v, eta, rho, r):
     """(H / eta) v with H = rI - rho*eta*A^T A, without forming H."""
-    return (r / eta) * v - rho * (constraints.A.T @ (constraints.A @ v))
+    return (r / eta) * v - rho * (constraints.AT @ (constraints.A @ v))
 
 
 def dual_identity_residual(problem, g_hat, x_old, x_new, lam_new, eta, rho, r):
     """||A^T lam_{t+1} - g_hat + (H/eta)(x_t - x_{t+1})|| / (1 + ||g_hat||)."""
     cs = problem.constraints
-    lhs = cs.A.T @ lam_new - g_hat + apply_H_over_eta(
+    lhs = cs.AT @ lam_new - g_hat + apply_H_over_eta(
         cs, x_old - x_new, eta, rho, r
     )
     return float(np.linalg.norm(lhs)) / (1.0 + float(np.linalg.norm(g_hat)))
@@ -224,16 +241,22 @@ def run(problem, config, callback=None):
 
     callback, when given, is invoked as callback(record, state) as each
     TraceRecord is recorded.
-    Raises DivergenceError on NaN/Inf state or runaway norms.
+    Raises DivergenceError on NaN/Inf state or runaway norms, and
+    UnsupportedConstraintError before any work unless B = -I.
+
+    Each iteration makes two products with A: A x_{t+1}, carried into the
+    next iteration's y- and x-steps, and A^T times the x-step residual.
     """
     config.validate_against(problem)
     n = problem.n
     cs = problem.constraints
+    cs.require_neg_identity_B()
     eta, rho, r = config.eta, config.rho, config.r
     variant = config.variant
     all_idx = problem.full_index_set()
 
     state, rng_batch, rng_out = init_state(problem, config)
+    Ax = cs.A @ state.x
     ifo = 0
 
     if variant == "saga":
@@ -260,7 +283,7 @@ def run(problem, config, callback=None):
             state.epoch = t // config.m
             ifo += n
 
-        y_new = y_update(problem, state.x, state.lam, rho)
+        y_new = y_update(problem, state.x, state.lam, rho, Ax)
 
         if variant == "dete":
             g_hat = problem.grad(state.x, all_idx)
@@ -281,9 +304,10 @@ def run(problem, config, callback=None):
             ifo += config.M
 
         x_new = x_update_uzawa(
-            problem, state.x, y_new, state.lam, g_hat, eta, rho, r
+            problem, state.x, y_new, state.lam, g_hat, eta, rho, r, Ax
         )
-        lam_new = lambda_update(x_new, y_new, state.lam, rho, cs)
+        Ax = cs.A @ x_new
+        lam_new = lambda_update(x_new, y_new, state.lam, rho, cs, Ax)
 
         if variant == "saga":
             saga_table_update(problem, state, batch, x_new, n)

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -155,6 +158,83 @@ class TestRhoSweep:
         assert rows[0] == ["rho", "solver", "final_objective",
                            "final_feas_sq", "certified"]
         assert {r[0] for r in rows[1:]} == {"40.0", "80.0"}
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_cli(args, env_extra=None):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    env = dict(os.environ, **(env_extra or {}))
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "ncadmm.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestFailClosed:
+    @pytest.fixture
+    def refused_spec(self, tmp_path):
+        # graph-guided certificates are refused at rho=1
+        spec = tmp_path / "exp.json"
+        write_spec(
+            spec,
+            problem={"kind": "graph_guided", "n": 400, "d": 20, "seed": 0},
+            solvers=[{"name": "stoc", "variant": "stoc", "eta": 1.0,
+                      "rho": 1.0, "M": 20, "T": 10}],
+            repetitions=1,
+        )
+        return spec
+
+    def assert_one_line_error(self, proc):
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+        errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and proc.stderr.strip() == errors[0]
+
+    def test_rho_sweep_refusal_writes_summary(self, refused_spec, tmp_path):
+        out = tmp_path / "sweep"
+        proc = run_cli(["rho-sweep", "--spec", str(refused_spec), "--out",
+                        str(out), "--rho", "1"])
+        self.assert_one_line_error(proc)
+        summary = json.loads((out / "rho_1" / "summary.json").read_text())
+        cert = summary["solvers"]["stoc"]["certificate"]
+        assert cert["accepted"] is False and cert["reasons"]
+        rows = read_csv(out / "sweep_table.csv")
+        assert rows[1][:2] == ["1.0", "stoc"] and rows[1][-1] == "False"
+
+    def test_run_refusal_runs_no_solver(self, refused_spec, tmp_path):
+        good = {"name": "dete", "variant": "dete", "eta": 1.0, "rho": 60.0, "T": 5}
+        spec = json.loads(refused_spec.read_text())
+        spec["solvers"].insert(0, good)
+        refused_spec.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        proc = run_cli(["run", "--spec", str(refused_spec), "--out", str(out)])
+        self.assert_one_line_error(proc)
+        assert sorted(os.listdir(out)) == ["summary.json"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["solvers"]) == {"dete", "stoc"}
+
+    @pytest.mark.parametrize("command", ["run", "rho-sweep"])
+    def test_non_integer_workers_env(self, command, refused_spec, tmp_path):
+        args = [command, "--spec", str(refused_spec), "--out",
+                str(tmp_path / "o"), "--allow-uncertified"]
+        if command == "rho-sweep":
+            args += ["--rho", "1"]
+        proc = run_cli(args, {"NC_ADMM_WORKERS": "abc"})
+        self.assert_one_line_error(proc)
+        assert "NC_ADMM_WORKERS" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["run", "rho-sweep"])
+    def test_zero_workers_rejected(self, command, refused_spec, tmp_path):
+        args = [command, "--spec", str(refused_spec), "--out",
+                str(tmp_path / "o"), "--allow-uncertified", "--workers", "0"]
+        if command == "rho-sweep":
+            args += ["--rho", "1"]
+        proc = run_cli(args)
+        self.assert_one_line_error(proc)
+        assert not (tmp_path / "o").exists()
 
 
 class TestDataCommands:

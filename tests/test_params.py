@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,17 @@ class TestSchedules:
         # factor collapses to 1 at M = n, so the recursion is arithmetic
         diffs = np.diff(alpha)
         assert np.allclose(diffs, diffs[0])
+
+    def test_saga_overflow_refused_without_warnings(self):
+        cs = identity_constraints(2)
+        eta, rho = 0.5, 5.0
+        r = params.min_admissible_r(cs, eta, rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = params.saga_feasible(1.0, cs, eta, rho, r, T=2000, n=1000, M=10)
+        assert not cert.accepted
+        assert cert.gamma == -math.inf
+        assert any("overflows" in reason for reason in cert.reasons)
 
     def test_invalid_arguments(self):
         cs = identity_constraints(2)

@@ -134,6 +134,60 @@ class TestMultiTaskLoss:
             )
 
 
+class TestFullIndexSet:
+    """The full index set reads the stored rows in place; every result must
+    be bitwise what the same formulas give on an explicitly gathered copy."""
+
+    @staticmethod
+    def make(kind, layout, rng, n=60, d=9, classes=3):
+        feats = rng.standard_normal((n, d))
+        # losses store features below 10% density as csr, others dense
+        feats[rng.random((n, d)) < (0.95 if layout == "csr" else 0.5)] = 0.0
+        if layout == "csr":
+            feats = sp.csr_matrix(feats)
+        if kind == "sigmoid":
+            labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            return problems.SigmoidLoss(feats, labels)
+        labels = rng.integers(0, classes, size=n)
+        return problems.SmoothedMultiTaskLoss(feats, labels, classes, 1e-3)
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "multitask"])
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_bitwise_equal_to_gathered_rows(self, kind, layout, rng, monkeypatch):
+        loss = self.make(kind, layout, rng)
+        assert sp.issparse(loss.features) == (layout == "csr")
+        x = rng.standard_normal(loss.d)
+        full = np.arange(loss.n)
+        fast = (loss.value(x, full), loss.grad(x, full), loss.grad_matrix(x, full))
+
+        def gather(features, labels, index_set):
+            idx = np.asarray(index_set, dtype=int)
+            return features[idx], labels[idx]
+
+        monkeypatch.setattr(problems, "_select_rows", gather)
+        ref = (loss.value(x, full), loss.grad(x, full), loss.grad_matrix(x, full))
+        assert fast[0] == ref[0]
+        assert np.array_equal(fast[1], ref[1])
+        assert np.array_equal(fast[2], ref[2])
+
+    def test_full_set_selects_stored_rows(self, rng):
+        loss = self.make("sigmoid", "dense", rng)
+        feats, labels = problems._select_rows(
+            loss.features, loss.labels, np.arange(loss.n)
+        )
+        assert feats is loss.features and labels is loss.labels
+        # a reordered or repeated set of the same size is gathered
+        perm = np.arange(loss.n)[::-1]
+        feats, _ = problems._select_rows(loss.features, loss.labels, perm)
+        assert feats is not loss.features
+        assert np.array_equal(feats, loss.features[perm])
+
+    def test_full_set_still_validated(self, rng):
+        loss = self.make("sigmoid", "dense", rng)
+        with pytest.raises(InputError):
+            loss.grad(np.zeros(loss.d), np.arange(loss.n) + 1)
+
+
 class TestRegularizer:
     def test_blocks_must_be_contiguous(self):
         with pytest.raises(ConfigError):

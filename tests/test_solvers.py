@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from ncadmm import params, problems, solvers
-from ncadmm.exceptions import ConfigError, DivergenceError
+from ncadmm.exceptions import (
+    ConfigError,
+    DivergenceError,
+    UnsupportedConstraintError,
+)
 
 from conftest import make_graph_guided_problem, make_overlap_problem
 
@@ -240,3 +244,86 @@ class TestRun:
             gg_problem, build(gg_problem, "saga", T=20, check_dual_identity=True)
         )
         assert res.dual_identity_max < 1e-10
+
+
+def reference_run(problem, config):
+    """run()'s iterates rebuilt from the public step functions, with every
+    product with A recomputed inside the step that uses it."""
+    n, cs = problem.n, problem.constraints
+    eta, rho, r = config.eta, config.rho, config.r
+    state, rng_batch, _ = solvers.init_state(problem, config)
+    all_idx = problem.full_index_set()
+    if config.variant == "saga":
+        state.grad_table = problem.grad_matrix(state.x, all_idx)
+        state.psi = state.grad_table.mean(axis=0)
+    iterates = []
+    for t in range(config.T):
+        if config.variant == "svrg" and t % config.m == 0:
+            state.x_snap = state.x.copy()
+            state.snap_grad = problem.grad(state.x_snap, all_idx)
+        y = solvers.y_update(problem, state.x, state.lam, rho)
+        if config.variant == "dete":
+            g = problem.grad(state.x, all_idx)
+        else:
+            batch = solvers._draw_batch(rng_batch, n, config.M)
+            if config.variant == "stoc":
+                g = solvers.stoc_gradient(problem, state.x, batch)
+            elif config.variant == "svrg":
+                g = solvers.svrg_gradient(
+                    problem, state.x, batch, state.x_snap, state.snap_grad
+                )
+            else:
+                g = solvers.saga_gradient(problem, state, batch)
+        x = solvers.x_update_uzawa(problem, state.x, y, state.lam, g, eta, rho, r)
+        lam = solvers.lambda_update(x, y, state.lam, rho, cs)
+        if config.variant == "saga":
+            solvers.saga_table_update(problem, state, batch, x, n)
+        state.x, state.y, state.lam = x, y, lam
+        iterates.append((x, y, lam))
+    return iterates
+
+
+class TestCarriedProducts:
+    @pytest.mark.parametrize("variant", solvers.VARIANTS)
+    @pytest.mark.parametrize("make", [make_graph_guided_problem, make_overlap_problem])
+    def test_run_matches_step_by_step_reference(self, variant, make):
+        prob = make()
+        cfg = build(prob, variant, T=30, record_iterates=True)
+        res = solvers.run(prob, cfg)
+        ref = reference_run(prob, cfg)
+        assert len(res.iterates) == len(ref) == 30
+        for got, want in zip(res.iterates, ref):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", solvers.VARIANTS)
+    def test_non_neg_identity_B_refused_before_first_iteration(self, variant):
+        calls = []
+
+        class CountingLoss:
+            n = 6
+            d = 3
+
+            def value(self, x, idx):
+                calls.append("value")
+                return 0.0
+
+            def grad(self, x, idx):
+                calls.append("grad")
+                return np.zeros(3)
+
+            def grad_matrix(self, x, idx):
+                calls.append("grad_matrix")
+                return np.zeros((len(idx), 3))
+
+        cs = problems.ConstraintSystem(np.eye(3), 2.0 * np.eye(3), np.zeros(3))
+        prob = problems.CompositeProblem(
+            loss=CountingLoss(),
+            regularizer=problems.BlockSeparableRegularizer.l1(3, 1e-5),
+            constraints=cs,
+        )
+        seen = []
+        cfg = build(prob, variant, eta=1.0, rho=1.0, M=2, T=5, m=2)
+        with pytest.raises(UnsupportedConstraintError):
+            solvers.run(prob, cfg, callback=lambda rec, state: seen.append(rec))
+        assert calls == [] and seen == []
