@@ -61,19 +61,54 @@ def _resolve_workers(workers=None):
     return workers
 
 
-def load_spec(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+# keys build_problem reads without a default, per problem kind
+_PROBLEM_KEYS = {
+    "graph_guided": ("n", "d"),
+    "overlap": ("n",),
+    "libsvm": ("path",),
+    "multitask": ("path",),
+}
+_SOLVER_KEYS = ("variant", "rho")
+
+
+def _require(entry, keys, where):
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    for key in keys:
+        if key not in entry:
+            raise ConfigError(f"{where} lacks required key {key!r}")
+
+
+def _check_problem_spec(problem):
+    """Refuse a problem spec that build_problem could not assemble."""
+    _require(problem, ("kind",), "problem")
+    kind = problem["kind"]
+    if kind not in _PROBLEM_KEYS:
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    _require(problem, _PROBLEM_KEYS[kind], f"{kind} problem")
+    return problem
+
+
+def _check_spec(spec, solver_keys=_SOLVER_KEYS):
+    """Refuse an experiment spec with a wrong version or a missing key."""
+    _require(spec, ("problem",), "experiment spec")
     if spec.get("version") != "v1":
         raise ConfigError(f"unsupported spec version {spec.get('version')!r}")
+    _check_problem_spec(spec["problem"])
     if not spec.get("solvers"):
         raise ConfigError("experiment spec lists no solvers")
+    for i, entry in enumerate(spec["solvers"]):
+        _require(entry, solver_keys, f"solver entry {i}")
     names = [s.get("name") or s["variant"] for s in spec["solvers"]]
     if len(set(names)) != len(names):
         raise ConfigError("solver names must be distinct")
     if spec.get("repetitions", 1) < 1:
         raise ConfigError("repetitions must be >= 1")
     return spec
+
+
+def load_spec(path, solver_keys=_SOLVER_KEYS):
+    return _check_spec(_load_json(path), solver_keys)
 
 
 def build_problem(problem_spec):
@@ -400,8 +435,11 @@ def cmd_run(ctx, spec_path, out_dir, seed, workers, allow_uncertified):
 def cmd_check_params(ctx, spec_path, variant, eta, rho, r_val, M, m, T):
     """Evaluate the feasibility certificate for one configuration."""
     try:
-        spec = load_spec(spec_path) if _is_experiment_spec(spec_path) else None
-        problem_spec = spec["problem"] if spec else _load_json(spec_path)
+        raw = _load_json(spec_path)
+        if isinstance(raw, dict) and raw.get("version") == "v1":
+            problem_spec = _check_spec(raw)["problem"]
+        else:
+            problem_spec = _check_problem_spec(raw)
         problem, _, _ = build_problem(problem_spec)
         L = params_mod.estimate_lipschitz(problem)
         if r_val is None:
@@ -422,14 +460,10 @@ def cmd_check_params(ctx, spec_path, variant, eta, rho, r_val, M, m, T):
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _is_experiment_spec(path):
-    try:
-        return _load_json(path).get("version") == "v1"
-    except (json.JSONDecodeError, OSError):
-        return False
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
 
 
 @main.command("rho-sweep")
@@ -442,7 +476,8 @@ def _is_experiment_spec(path):
 def cmd_rho_sweep(ctx, spec_path, out_dir, rhos, workers, allow_uncertified):
     """Rerun the spec's solvers across a rho grid; emit per-rho aggregates."""
     try:
-        spec = load_spec(spec_path)
+        # the sweep sets every solver's rho itself
+        spec = load_spec(spec_path, solver_keys=("variant",))
         if any(rho <= 0 for rho in rhos):
             raise ConfigError("all rho values must be > 0")
         workers = _resolve_workers(workers)

@@ -23,8 +23,10 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        dense = self.features.toarray() if sp.issparse(self.features) else self.features
-        if not np.isfinite(dense).all():
+        # a sparse matrix is finite iff its stored values are
+        feats = self.features
+        values = feats.tocsr().data if sp.issparse(feats) else feats
+        if not np.isfinite(values).all():
             raise ConfigError("dataset features contain NaN/Inf")
 
     @property

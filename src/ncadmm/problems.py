@@ -36,11 +36,20 @@ def _as_matrix(A):
     return A
 
 
+def _dense(M):
+    return M.toarray() if sp.issparse(M) else np.asarray(M)
+
+
 class ConstraintSystem:
     """The linear coupling Ax + By = c with cached spectral data of A^T A.
 
     A must have full column rank; construction fails otherwise because every
     theory constant downstream divides by the smallest eigenvalue of A^T A.
+
+    A^T A is formed in A's own format. When it has no nonzero off-diagonal
+    entry (stacked identities, column scalings of them) its eigenvalues are
+    its diagonal, read in O(nnz); any other A^T A goes through a dense
+    eigvalsh. The dense A^T A itself is built only when `AtA` is read.
     """
 
     def __init__(self, A, B, c):
@@ -55,20 +64,33 @@ class ConstraintSystem:
         if self.c.shape != (q,):
             raise ConfigError(f"c has shape {self.c.shape}, expected ({q},)")
         self._b_neg_eye = None
+        self._AtA = None
         # built once: scipy's .T makes a new matrix object on every access
         self.AT = self.A.T
         AtA = self.AT @ self.A
-        if sp.issparse(AtA):
-            AtA = AtA.toarray()
-        self.AtA = np.asarray(AtA)
-        evals = np.linalg.eigvalsh(self.AtA)
-        self.phi_min_A = float(evals[0])
-        self.norm_AtA = float(evals[-1])
+        diag = AtA.diagonal()
+        nnz = AtA.count_nonzero() if sp.issparse(AtA) else np.count_nonzero(AtA)
+        if nnz == np.count_nonzero(diag):
+            # eigvalsh returns the diagonal of a diagonal matrix exactly
+            self.phi_min_A = float(diag.min())
+            self.norm_AtA = float(diag.max())
+        else:
+            self._AtA = _dense(AtA)
+            evals = np.linalg.eigvalsh(self._AtA)
+            self.phi_min_A = float(evals[0])
+            self.norm_AtA = float(evals[-1])
         if self.phi_min_A <= 1e-10 * max(1.0, self.norm_AtA):
             raise ConfigError(
                 "A is (numerically) column rank deficient: "
                 f"smallest eigenvalue of A^T A is {self.phi_min_A:.3e}"
             )
+
+    @property
+    def AtA(self):
+        """Dense A^T A, built on first read and cached."""
+        if self._AtA is None:
+            self._AtA = _dense(self.AT @ self.A)
+        return self._AtA
 
     @property
     def q(self):

@@ -236,6 +236,61 @@ class TestFailClosed:
         self.assert_one_line_error(proc)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section, key", [
+        ("solver", "rho"), ("solver", "variant"), ("problem", "kind"),
+        ("problem", "n"), ("problem", "d"), ("spec", "problem"),
+    ])
+    def test_missing_spec_key(self, section, key, refused_spec, tmp_path):
+        spec = json.loads(refused_spec.read_text())
+        owner = {"solver": spec["solvers"][0], "problem": spec["problem"],
+                 "spec": spec}[section]
+        del owner[key]
+        refused_spec.write_text(json.dumps(spec))
+        proc = run_cli(["run", "--spec", str(refused_spec), "--out",
+                        str(tmp_path / "o"), "--allow-uncertified"])
+        self.assert_one_line_error(proc)
+        assert repr(key) in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["libsvm", "multitask"])
+    def test_missing_path(self, kind, refused_spec, tmp_path):
+        spec = json.loads(refused_spec.read_text())
+        spec["problem"] = {"kind": kind}
+        refused_spec.write_text(json.dumps(spec))
+        proc = run_cli(["run", "--spec", str(refused_spec), "--out",
+                        str(tmp_path / "o"), "--allow-uncertified"])
+        self.assert_one_line_error(proc)
+        assert "'path'" in proc.stderr
+
+    def test_check_params_problem_without_kind(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"n": 200, "d": 10}))
+        proc = run_cli(["check-params", "--spec", str(path), "--variant",
+                        "stoc", "--eta", "1", "--rho", "1"])
+        self.assert_one_line_error(proc)
+        assert "'kind'" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["run", "check-params"])
+    def test_invalid_json(self, command, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text("{not json")
+        args = [command, "--spec", str(path)]
+        args += (["--out", str(tmp_path / "o")] if command == "run" else
+                 ["--variant", "stoc", "--eta", "1", "--rho", "1"])
+        proc = run_cli(args)
+        self.assert_one_line_error(proc)
+        assert "not valid JSON" in proc.stderr
+
+    def test_rho_sweep_needs_no_rho(self, refused_spec, tmp_path):
+        spec = json.loads(refused_spec.read_text())
+        del spec["solvers"][0]["rho"]
+        refused_spec.write_text(json.dumps(spec))
+        out = tmp_path / "sweep"
+        proc = run_cli(["rho-sweep", "--spec", str(refused_spec), "--out",
+                        str(out), "--rho", "1", "--allow-uncertified"])
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "sweep_table.csv").exists()
+
 
 class TestDataCommands:
     def test_gen_and_parse(self, runner, tmp_path):

@@ -1,7 +1,12 @@
 import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ncadmm import data
 from ncadmm.exceptions import ConfigError, ParseError
@@ -140,6 +145,63 @@ class TestParseLibsvm:
     def test_nan_features_rejected(self):
         with pytest.raises(ConfigError):
             data.Dataset(features=np.array([[np.nan]]), labels=np.array([1.0]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dense=hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 12), st.integers(1, 8)),
+            elements=st.one_of(
+                st.just(0.0),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+        ),
+        data_=st.data(),
+    )
+    def test_round_trip_property(self, dense, data_):
+        feats = sp.csr_matrix(dense)
+        labels = np.asarray(data_.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=dense.shape[0], max_size=dense.shape[0],
+        )))
+        ds = data.Dataset(features=feats, labels=labels)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.libsvm")
+            data.write_libsvm(ds, path)
+            back = data.parse_libsvm(
+                path, n_features=dense.shape[1], label_mode="raw"
+            )
+        assert back.features.shape == feats.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(
+                getattr(back.features, attr), getattr(feats, attr)
+            )
+        assert np.array_equal(back.labels, labels)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+class TestSparseFiniteCheck:
+    """Sparse features are checked through their stored values only."""
+
+    def test_dataset(self, bad):
+        feats = sp.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        feats.data[1] = bad
+        with pytest.raises(ConfigError, match="NaN/Inf"):
+            data.Dataset(features=feats, labels=np.array([1.0, -1.0]))
+        with pytest.raises(ConfigError, match="NaN/Inf"):
+            data.Dataset(features=feats.tocoo(), labels=np.array([1.0, -1.0]))
+
+    def test_parse_libsvm(self, bad):
+        text = f"1 1:0.5\n-1 2:{bad!r}\n"
+        with pytest.raises(ConfigError, match="NaN/Inf"):
+            data.parse_libsvm(io.StringIO(text))
+
+    def test_split(self, bad):
+        feats = sp.random(20, 6, density=0.3, format="csr", random_state=0)
+        ds = data.Dataset(features=feats, labels=np.ones(20))
+        ds.features.data[3] = bad
+        with pytest.raises(ConfigError, match="NaN/Inf"):
+            data.split(ds, 0.5, seed=0)
 
 
 class TestSplit:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from ncadmm import problems
 from ncadmm.exceptions import (
@@ -244,6 +247,93 @@ class TestConstraintSystem:
         x = rng.standard_normal(3)
         y = rng.standard_normal(6)
         assert np.allclose(cs.residual(x, y), np.tile(x, 2) - y)
+
+
+def stacked(scales, k):
+    """[D; ...; D] (k copies) with D = diag(scales), as csr."""
+    return sp.vstack([sp.diags(scales, format="csr")] * k, format="csr")
+
+
+class TestDiagonalSpectrum:
+    """A diagonal A^T A gives its spectral data without a dense eigvalsh."""
+
+    @staticmethod
+    def dense_reference(A):
+        return np.linalg.eigvalsh((A.T @ A).toarray())[[0, -1]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 60), k=st.integers(1, 6))
+    def test_stacked_identity_bitwise(self, d, k):
+        A = stacked(np.ones(d), k)
+        cs = problems.ConstraintSystem(A, -sp.identity(k * d), np.zeros(k * d))
+        lo, hi = self.dense_reference(A)
+        assert (cs.phi_min_A, cs.norm_AtA) == (lo, hi) == (k, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scales=st.lists(st.floats(1e-2, 1e2), min_size=1, max_size=60),
+        k=st.integers(1, 6),
+    )
+    def test_column_scaled_stack_bitwise(self, scales, k):
+        A = stacked(scales, k)
+        q = A.shape[0]
+        for system in (A, A.toarray()):
+            cs = problems.ConstraintSystem(system, -np.eye(q), np.zeros(q))
+            # cs.AtA is the product in cs.A's own format, as eigvalsh saw it
+            lo, hi = np.linalg.eigvalsh(cs.AtA)[[0, -1]]
+            assert (cs.phi_min_A, cs.norm_AtA) == (lo, hi)
+            if sp.issparse(cs.A):
+                assert (lo, hi) == tuple(self.dense_reference(A))
+
+    def test_stored_zeros_are_not_off_diagonal(self, monkeypatch):
+        # an explicit zero off the diagonal leaves A^T A diagonal
+        A = stacked(np.arange(1.0, 21.0), 2).tolil()
+        A[0, 5] = 1.0
+        A = A.tocsr()
+        A.data[A.indices == 5] *= np.array([0.0, 1.0, 1.0])
+        assert A.nnz == 41 and A.count_nonzero() == 40
+
+        def no_eigvalsh(M):
+            raise AssertionError("dense eigvalsh on a diagonal A^T A")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        cs = problems.ConstraintSystem(A, -np.eye(40), np.zeros(40))
+        assert sp.issparse(cs.A) and cs.A.nnz == 41
+        assert (cs.phi_min_A, cs.norm_AtA) == (2.0, 800.0)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_zero_column_rank_deficient(self, dense):
+        scales = np.ones(30)
+        scales[7] = 0.0
+        A = stacked(scales, 2)
+        with pytest.raises(ConfigError, match="column rank deficient"):
+            problems.ConstraintSystem(
+                A.toarray() if dense else A, -np.eye(60), np.zeros(60)
+            )
+
+    def test_overlap_setup_is_linear_in_d(self):
+        # a dense A^T A at d = 20000 would take 3.2 GB
+        tracemalloc.start()
+        try:
+            cs = problems.build_overlap_A(20000, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert (cs.phi_min_A, cs.norm_AtA) == (2.0, 2.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: problems.build_overlap_A(30, 3),
+        lambda: problems.build_overlap_A(3, 2),
+        lambda: make_graph_guided_problem(d=30).constraints,
+        lambda: make_graph_guided_problem(d=8, empty_support=True).constraints,
+    ], ids=["overlap-sparse", "overlap-dense", "graph", "graph-empty"])
+    def test_lazy_AtA_equals_product(self, build):
+        cs = build()
+        # entries of A are 0 and +-1, so every product is exact
+        A = cs.A.toarray() if sp.issparse(cs.A) else cs.A
+        assert np.array_equal(cs.AtA, A.T @ A)
+        assert cs.AtA is cs.AtA
 
 
 class TestBuilders:
