@@ -186,26 +186,24 @@ def make_test_evaluator(problem, test):
     if isinstance(loss, SigmoidLoss):
         test_loss = SigmoidLoss(test.features, test.labels)
         feats, labels = test_loss.features, test_loss.labels
-        idx = np.arange(test.n)
 
         def evaluate(x):
             scores = np.asarray(feats @ x).ravel()
             pred = np.where(scores >= 0, 1.0, -1.0)
             err = float(np.mean(pred != labels))
-            return err, test_loss.value(x, idx)
+            return err, test_loss.value_from_scores(x, scores)
     else:
         test_loss = SmoothedMultiTaskLoss(
             test.features, test.labels.astype(int), loss.classes, loss.nu1,
             beta=loss.beta, theta=loss.theta,
         )
-        idx = np.arange(test.n)
 
         def evaluate(x):
             X = x.reshape(loss.classes, loss.d_features)
             scores = np.asarray(test_loss.features @ X.T)
             pred = scores.argmax(axis=1)
             err = float(np.mean(pred != test_loss.labels))
-            return err, test_loss.value(x, idx)
+            return err, test_loss.value_from_scores(x, scores)
 
     return evaluate
 
@@ -284,6 +282,7 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=None, echo=pr
     Every solver is certified before any of them runs. A refusal writes
     summary.json with the certificates and returns EXIT_CONFIG.
     """
+    _check_spec(spec)
     workers = _resolve_workers(workers)
     os.makedirs(out_dir, exist_ok=True)
     problem, test, info = build_problem(spec["problem"])

@@ -64,11 +64,17 @@ def subgrad_dist_sq(problem, y, lam, x=None, x_prev=None, rho=None):
     return total
 
 
-def stationarity(problem, x, y, lam, x_prev=None, rho=None):
-    """Feasibility, dual and subgradient-distance residuals at (x, y, lam)."""
+def stationarity(problem, x, y, lam, x_prev=None, rho=None, grad=None):
+    """Feasibility, dual and subgradient-distance residuals at (x, y, lam).
+
+    grad, when given, is the full gradient at x already computed by the
+    caller.
+    """
     cs = problem.constraints
     resid = cs.residual(x, y)
-    dual = problem.grad(x) - np.asarray(cs.AT @ lam).ravel()
+    if grad is None:
+        grad = problem.grad(x)
+    dual = grad - np.asarray(cs.AT @ lam).ravel()
     return StationarityReport(
         feasibility_sq=float(resid @ resid),
         dual_sq=float(dual @ dual),
@@ -139,10 +145,12 @@ def lyapunov_theta(records, alpha_schedule, zeta, rho):
 
 
 def variance_diagnostics(problem, variant, x, L, M=1, snapshot_x=None,
-                         snapshot_grad=None, grad_table=None, psi=None,
-                         point_table=None, n_draws=2000, rng=None):
+                         snapshot_grad=None, psi=None, point_table=None,
+                         n_draws=2000, rng=None):
     """Empirical gradient-estimator variance vs. its closed-form bound.
 
+    saga builds its table from point_table (row i stored at point_table[i]);
+    psi defaults to the table's mean.
     Exhaustive enumeration over single-index batches when n <= 8 and M = 1,
     Monte-Carlo with n_draws otherwise.
     """
@@ -162,14 +170,14 @@ def variance_diagnostics(problem, variant, x, L, M=1, snapshot_x=None,
                 problem, x, batch, snapshot_x, snapshot_grad
             )
     elif variant == "saga":
-        if grad_table is None or psi is None or point_table is None:
-            raise CapabilityError(
-                "saga variance diagnostics need grad_table, psi and point_table"
-            )
+        if point_table is None:
+            raise CapabilityError("saga variance diagnostics need point_table")
         diffs = x[None, :] - point_table
         bound = (L**2 / (M * n)) * float(np.einsum("ij,ij->i", diffs, diffs).sum())
+        table = solvers.SagaTable.from_points(problem, point_table)
         state = solvers.SolverState(
-            x=x, y=None, lam=None, grad_table=grad_table, psi=psi
+            x=x, y=None, lam=None, grad_table=table,
+            psi=table.mean() if psi is None else psi,
         )
 
         def estimate(batch):

@@ -448,9 +448,15 @@ def suggest_params(problem, variant, M=None, T=1000, m=None, beta=1.0):
 def empirical_sigma_sq(problem, x):
     """max_i ||grad f_i(x) - grad f(x)||^2, a surrogate for the oracle variance.
 
-    An estimate only, never a certified bound.
+    An estimate only, never a certified bound. The rows are built about 1 MB
+    at a time, never as one n x d array.
     """
-    G = problem.grad_matrix(x, problem.full_index_set())
+    from .solvers import SagaTable  # local import to avoid a cycle
+
+    table = SagaTable.at(problem, x)
     g = problem.grad(x)
-    diffs = G - g[None, :]
-    return float(np.max(np.einsum("ij,ij->i", diffs, diffs)))
+    worst = -np.inf
+    for G in table.blocks(problem.loss.gather(problem.full_index_set())):
+        diffs = G - g[None, :]
+        worst = max(worst, float(np.max(np.einsum("ij,ij->i", diffs, diffs))))
+    return worst

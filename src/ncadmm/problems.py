@@ -138,21 +138,95 @@ def _check_index_set(index_set, n):
     return idx
 
 
-def _select_rows(features, labels, index_set):
-    """Validated (features, labels) rows of an index set.
+class Rows:
+    """Feature and label rows of a validated index set, gathered once.
+
+    Pass it wherever an index set goes to reuse the same rows across calls;
+    len() is its row count.
+    """
+
+    __slots__ = ("index", "features", "labels")
+
+    def __init__(self, index, features, labels):
+        self.index = index
+        self.features = features
+        self.labels = labels
+
+    def __len__(self):
+        return self.index.size
+
+    def take(self, positions):
+        """Rows at `positions` (a slice or an index array) of this set.
+
+        Positions 0..len-1 in order return this set itself, not a copy.
+        """
+        if not isinstance(positions, slice) and np.array_equal(
+            positions, np.arange(len(self))
+        ):
+            return self
+        return Rows(
+            self.index[positions],
+            self.features[positions],
+            self.labels[positions],
+        )
+
+
+def _gather(features, labels, index_set):
+    """Rows of an index set; already gathered Rows pass through.
 
     The full index set in order, arange(n), selects the stored arrays
-    themselves, without a copy; any other set is gathered once, so a caller
-    reuses the same rows for all of its products.
+    themselves, without a copy; any other set is gathered once.
     """
+    if isinstance(index_set, Rows):
+        return index_set
     n = features.shape[0]
     idx = _check_index_set(index_set, n)
     if idx.size == n and np.array_equal(idx, np.arange(n)):
-        return features, labels
-    return features[idx], labels[idx]
+        return Rows(idx, features, labels)
+    return Rows(idx, features[idx], labels[idx])
 
 
-class SigmoidLoss:
+def _select_rows(features, labels, index_set):
+    """Validated (features, labels) rows of an index set or of Rows."""
+    rows = _gather(features, labels, index_set)
+    return rows.features, rows.labels
+
+
+class _LinearModelLoss:
+    """Row handling shared by losses of a linear model.
+
+    A component gradient is grad f_i(x) = c_i (x) a_i + s(x): per-sample
+    coefficients c_i times the sample's feature row, plus a term s shared by
+    every sample (None when the loss has none). `coefficients` gives (c, s),
+    `component_rows` rebuilds the rows from them, and `grad_matrix` is the
+    two composed, so a row rebuilt later from stored coefficients is
+    bitwise the row `grad_matrix` gave.
+    """
+
+    @property
+    def n(self):
+        return self.features.shape[0]
+
+    def gather(self, index_set):
+        return _gather(self.features, self.labels, index_set)
+
+    def coefficients(self, x, index_set):
+        feats, labels = _select_rows(self.features, self.labels, index_set)
+        return self._coefficients(x, feats, labels)
+
+    def grad_matrix(self, x, index_set):
+        """Per-sample gradients stacked as rows (|I| x d)."""
+        feats, labels = _select_rows(self.features, self.labels, index_set)
+        coef, shared = self._coefficients(x, feats, labels)
+        return self.component_rows(coef, feats, shared)
+
+
+def _sigmoid_losses(scores, labels):
+    # 1/(1+e^u) = expit(-u), overflow safe on both tails
+    return expit(-(labels * scores))
+
+
+class SigmoidLoss(_LinearModelLoss):
     """Average of per-sample sigmoid losses 1 / (1 + exp(b_i a_i^T x)).
 
     Nonconvex and smooth; values lie in (0, 1) for every sample.
@@ -167,43 +241,55 @@ class SigmoidLoss:
             raise ConfigError("feature/label count mismatch")
 
     @property
-    def n(self):
-        return self.features.shape[0]
-
-    @property
     def d(self):
         return self.features.shape[1]
 
-    def _coef(self, x, feats, labels):
+    @staticmethod
+    def _coef_from_losses(p, labels):
         """Per-row c_i with grad f_i(x) = c_i a_i."""
-        p = expit(-(labels * (feats @ x)))
         return -labels * p * (1.0 - p)
 
-    def value(self, x, index_set):
-        feats, labels = _select_rows(self.features, self.labels, index_set)
-        # 1/(1+e^u) = expit(-u), overflow safe on both tails
-        return float(np.mean(expit(-(labels * (feats @ x)))))
+    def _coefficients(self, x, feats, labels):
+        p = _sigmoid_losses(feats @ x, labels)
+        return self._coef_from_losses(p, labels), None
 
-    def grad(self, x, index_set):
-        feats, labels = _select_rows(self.features, self.labels, index_set)
-        coef = self._coef(x, feats, labels)
-        return np.asarray(feats.T @ coef).ravel() / labels.size
-
-    def grad_matrix(self, x, index_set):
-        """Per-sample gradients stacked as rows (|I| x d)."""
-        feats, labels = _select_rows(self.features, self.labels, index_set)
-        coef = self._coef(x, feats, labels)
+    def component_rows(self, coef, feats, shared=None):
         if sp.issparse(feats):
             return feats.multiply(coef[:, None]).toarray()
         return coef[:, None] * feats
 
+    def value(self, x, index_set):
+        feats, labels = _select_rows(self.features, self.labels, index_set)
+        return float(np.mean(_sigmoid_losses(feats @ x, labels)))
 
-class SmoothedMultiTaskLoss:
+    def value_from_scores(self, x, scores):
+        """value over every stored sample, given scores = features @ x."""
+        return float(np.mean(_sigmoid_losses(scores, self.labels)))
+
+    def grad(self, x, index_set):
+        feats, labels = _select_rows(self.features, self.labels, index_set)
+        coef, _ = self._coefficients(x, feats, labels)
+        return np.asarray(feats.T @ coef).ravel() / labels.size
+
+    def value_and_grad(self, x, index_set):
+        """(value, grad), both from one product with the rows."""
+        feats, labels = _select_rows(self.features, self.labels, index_set)
+        p = _sigmoid_losses(feats @ x, labels)
+        coef = self._coef_from_losses(p, labels)
+        grad = np.asarray(feats.T @ coef).ravel() / labels.size
+        return float(np.mean(p)), grad
+
+
+class SmoothedMultiTaskLoss(_LinearModelLoss):
     """Multinomial logistic loss plus the smoothed log-sum sparsity penalty.
 
     Operates on x = vec(X) with X of shape (classes, d_features); the penalty
     nu1 * (sum kappa(|X_ij|) - kappa0 ||X||_1) with kappa(a) = beta*log(1+a/theta)
     is concave, nonpositive, and C^1 with gradient 0 at X = 0.
+
+    A component gradient is P_i (x) a_i + penalty_grad(X): the softmax
+    residual P_i of the sample, one coefficient per class, and the penalty
+    gradient as the term every sample shares.
     """
 
     def __init__(self, features, labels, classes, nu1, beta=1.0, theta=1.0):
@@ -227,10 +313,6 @@ class SmoothedMultiTaskLoss:
         return self.beta / self.theta
 
     @property
-    def n(self):
-        return self.features.shape[0]
-
-    @property
     def d_features(self):
         return self.features.shape[1]
 
@@ -252,39 +334,64 @@ class SmoothedMultiTaskLoss:
             self.beta / (self.theta + absX) - self.beta / self.theta
         )
 
-    def value(self, x, index_set):
-        feats, labels = _select_rows(self.features, self.labels, index_set)
-        X = self._as_X(x)
-        Z = np.asarray(feats @ X.T)
+    @staticmethod
+    def _mean_nll(Z, labels):
         lse = logsumexp(Z, axis=1)
         picked = Z[np.arange(labels.size), labels]
-        return float(np.mean(lse - picked)) + self.penalty_value(X)
+        return float(np.mean(lse - picked))
 
-    def _softmax_residual(self, X, feats, labels):
-        Z = np.asarray(feats @ X.T)
+    @staticmethod
+    def _softmax_residual(Z, labels):
+        """softmax(Z) - onehot(labels); shifts Z in place."""
         Z -= Z.max(axis=1, keepdims=True)
         P = np.exp(Z)
         P /= P.sum(axis=1, keepdims=True)
         P[np.arange(labels.size), labels] -= 1.0
         return P
 
-    def grad(self, x, index_set):
-        feats, labels = _select_rows(self.features, self.labels, index_set)
+    def _coefficients(self, x, feats, labels):
         X = self._as_X(x)
-        P = self._softmax_residual(X, feats, labels)
-        G = np.asarray(P.T @ feats) / labels.size
-        G += self.penalty_grad(X)
-        return G.ravel()
+        P = self._softmax_residual(np.asarray(feats @ X.T), labels)
+        return P, self.penalty_grad(X)
 
-    def grad_matrix(self, x, index_set):
-        feats, labels = _select_rows(self.features, self.labels, index_set)
-        X = self._as_X(x)
-        P = self._softmax_residual(X, feats, labels)
+    def component_rows(self, P, feats, shared):
+        """Rows P_i (x) a_i + shared; shared is one (classes, d_features)
+        term for every row or one per row."""
         if sp.issparse(feats):
             feats = feats.toarray()
         G = np.einsum("ic,ij->icj", P, feats)
-        G += self.penalty_grad(X)[None, :, :]
-        return G.reshape(labels.size, self.d)
+        G += shared
+        return G.reshape(len(P), self.d)
+
+    def value(self, x, index_set):
+        feats, labels = _select_rows(self.features, self.labels, index_set)
+        X = self._as_X(x)
+        Z = np.asarray(feats @ X.T)
+        return self._mean_nll(Z, labels) + self.penalty_value(X)
+
+    def value_from_scores(self, x, scores):
+        """value over every stored sample, given scores = features @ X^T."""
+        return self._mean_nll(scores, self.labels) + self.penalty_value(
+            self._as_X(x)
+        )
+
+    def grad(self, x, index_set):
+        feats, labels = _select_rows(self.features, self.labels, index_set)
+        P, shared = self._coefficients(x, feats, labels)
+        G = np.asarray(P.T @ feats) / labels.size
+        G += shared
+        return G.ravel()
+
+    def value_and_grad(self, x, index_set):
+        """(value, grad), both from one product with the rows."""
+        feats, labels = _select_rows(self.features, self.labels, index_set)
+        X = self._as_X(x)
+        Z = np.asarray(feats @ X.T)
+        value = self._mean_nll(Z, labels) + self.penalty_value(X)
+        P = self._softmax_residual(Z, labels)
+        G = np.asarray(P.T @ feats) / labels.size
+        G += self.penalty_grad(X)
+        return value, G.ravel()
 
 
 @dataclass(frozen=True)
@@ -428,6 +535,14 @@ class CompositeProblem:
         if index_set is None:
             index_set = self.full_index_set()
         return self.loss.grad(x, index_set)
+
+    def value_and_grad(self, x, index_set=None):
+        if index_set is None:
+            index_set = self.full_index_set()
+        return self.loss.value_and_grad(x, index_set)
+
+    def gather(self, index_set):
+        return self.loss.gather(index_set)
 
     def grad_matrix(self, x, index_set):
         return self.loss.grad_matrix(x, index_set)

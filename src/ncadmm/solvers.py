@@ -22,6 +22,9 @@ VARIANTS = ("dete", "stoc", "svrg", "saga")
 
 _DIVERGENCE_NORM = 1e12
 
+# rows of the full SAGA table are rebuilt about this many bytes at a time
+_BLOCK_BYTES = 1 << 20
+
 
 @dataclass
 class SolverConfig:
@@ -79,7 +82,7 @@ class SolverState:
     snap_grad: np.ndarray = None
     epoch: int = 0
     # saga
-    grad_table: np.ndarray = None
+    grad_table: "SagaTable" = None
     psi: np.ndarray = None
     point_table: np.ndarray = None
 
@@ -178,32 +181,194 @@ def stoc_gradient(problem, x, batch):
 def svrg_gradient(problem, x, batch, snapshot_x, snapshot_grad):
     """Snapshot-corrected gradient estimate.
 
-    Grouped as batch-mean + (snapshot - batch-mean-at-snapshot) so the
-    correction cancels exactly (bitwise) when the batch is the full set.
+    The batch rows are gathered once and serve both gradients. Grouped as
+    batch-mean + (snapshot - batch-mean-at-snapshot) so the correction
+    cancels exactly (bitwise) when the batch is the full set.
     """
-    g = problem.grad(x, batch)
-    g_snap_batch = problem.grad(snapshot_x, batch)
+    rows = problem.gather(batch)
+    g = problem.grad(x, rows)
+    g_snap_batch = problem.grad(snapshot_x, rows)
     return g + (snapshot_grad - g_snap_batch)
 
 
+class SagaTable:
+    """SAGA's stored component gradients grad f_i(phi_i), one per sample.
+
+    A linear model's component gradient is a per-sample coefficient times
+    the sample's feature row, plus, for some losses, a term shared by every
+    sample that depends only on the point phi_i. The table keeps the
+    coefficients (n x 1 or n x classes) and a pool of shared terms: all
+    samples written in one step point at one pool slot, and a slot is reused
+    once no sample points at it, so at most min(n, writes + 1) are live.
+    Rows are rebuilt by the loss's own `component_rows` only where they are
+    read, bitwise equal to the rows `grad_matrix` gave when they were stored.
+
+    It reads like the n x d array it stands for: `table[i]`,
+    `table.mean(axis=0)` and `table.nbytes`.
+    """
+
+    def __init__(self, loss, coef, shared=None, slot=None):
+        self.loss = loss
+        self.coef = coef
+        self.pool = shared
+        self.slot = slot
+        if shared is not None:
+            self.refs = np.bincount(slot, minlength=len(shared))
+            self.free = np.flatnonzero(self.refs == 0)[::-1].tolist()
+        self._kept = None
+
+    @classmethod
+    def at(cls, problem, x):
+        """Every sample stored at the one point x, as SAGA starts."""
+        loss = problem.loss
+        coef, shared = loss.coefficients(x, problem.full_index_set())
+        if shared is None:
+            return cls(loss, coef)
+        return cls(loss, coef, shared[None], np.zeros(loss.n, dtype=np.intp))
+
+    @classmethod
+    def from_points(cls, problem, points):
+        """Sample i stored at points[i]."""
+        loss = problem.loss
+        if len(points) != loss.n:
+            raise InputError(f"need one stored point per sample, n={loss.n}")
+        parts = [loss.coefficients(p, [i]) for i, p in enumerate(points)]
+        coef = np.concatenate([c for c, _ in parts])
+        if parts[0][1] is None:
+            return cls(loss, coef)
+        shared = np.stack([s for _, s in parts])
+        return cls(loss, coef, shared, np.arange(loss.n))
+
+    @property
+    def n(self):
+        return self.loss.n
+
+    @property
+    def d(self):
+        return self.loss.d
+
+    @property
+    def nbytes(self):
+        size = self.coef.nbytes
+        if self.pool is not None:
+            size += self.pool.nbytes + self.slot.nbytes + self.refs.nbytes
+        return size
+
+    def rows(self, rows):
+        """Stored gradients of gathered Rows, as a len(rows) x d array."""
+        idx = rows.index
+        shared = None
+        if self.pool is not None:
+            slots = self.slot[idx]
+            if (slots == slots[0]).all():
+                shared = self.pool[slots[0]]
+            else:
+                shared = self.pool[slots]
+        return self.loss.component_rows(self.coef[idx], rows.features, shared)
+
+    def __getitem__(self, index):
+        index = np.asarray(index)
+        out = self.rows(self.loss.gather(np.atleast_1d(index)))
+        return out[0] if index.ndim == 0 else out
+
+    def blocks(self, rows, rows_per_block=None):
+        """Stored gradients of `rows` in order, about 1 MB at a time."""
+        if rows_per_block is None:
+            rows_per_block = max(1, _BLOCK_BYTES // (8 * self.d))
+        for start in range(0, len(rows), rows_per_block):
+            yield self.rows(rows.take(slice(start, start + rows_per_block)))
+
+    def mean(self, rows=None, axis=0):
+        """Row mean over `rows` (every sample by default), bitwise what
+        `.mean(axis=0)` of the dense rows gives.
+
+        A batch smaller than n is rebuilt at once and kept for the
+        `kept_rows` of the next write. Anything larger goes in blocks:
+        numpy sums wider than one column row by row in order, and adding
+        the running total into each block's first row keeps that order.
+        A single column it sums pairwise, so that goes in one block.
+        """
+        if axis != 0:
+            raise InputError("a SAGA table has row means only (axis=0)")
+        if rows is None:
+            rows = self.loss.gather(np.arange(self.n))
+        if len(rows) < self.n:
+            block = self.rows(rows)
+            self._kept = (rows, block)
+            return block.mean(axis=0)
+        total = None
+        per_block = len(rows) if self.d == 1 else None
+        for block in self.blocks(rows, per_block):
+            if total is not None:
+                block[0] += total
+            total = block.sum(axis=0)
+        return total / len(rows)
+
+    def kept_rows(self, rows, positions):
+        """Stored gradients at `positions` of `rows`, taken from what `mean`
+        rebuilt for the same Rows object when it did."""
+        if self._kept is not None and self._kept[0] is rows:
+            return self._kept[1][positions]
+        return self.rows(rows.take(positions))
+
+    def write(self, index, coef, shared=None):
+        """Store the samples of the unique `index` at one new point: their
+        coefficients and, when the loss has one, the point's shared term."""
+        self._kept = None
+        self.coef[index] = coef
+        if self.pool is None:
+            return
+        old, counts = np.unique(self.slot[index], return_counts=True)
+        self.refs[old] -= counts
+        self.free.extend(old[self.refs[old] == 0].tolist())
+        if not self.free:
+            self._grow()
+        s = self.free.pop()
+        self.pool[s] = shared
+        self.slot[index] = s
+        self.refs[s] = index.size
+
+    def _grow(self):
+        # with every slot live some sample sits outside this write, so fewer
+        # than n slots are live and n slots always suffice
+        cap = len(self.pool)
+        new_cap = min(2 * cap, self.n)
+        pool = np.empty((new_cap,) + self.pool.shape[1:])
+        pool[:cap] = self.pool
+        self.pool = pool
+        self.refs = np.concatenate([self.refs, np.zeros(new_cap - cap, int)])
+        self.free.extend(range(new_cap - 1, cap - 1, -1))
+
+
 def saga_gradient(problem, state, batch):
-    """Table-corrected gradient estimate at state.x; does not mutate tables."""
-    g = problem.grad(state.x, batch)
-    table_mean = state.grad_table[np.asarray(batch, dtype=int)].mean(axis=0)
-    return g + (state.psi - table_mean)
+    """Table-corrected gradient estimate at state.x; does not mutate tables.
+
+    The batch rows are gathered once, for the gradient and the stored rows;
+    passing the same gathered Rows on to saga_table_update reuses both.
+    """
+    rows = problem.gather(batch)
+    g = problem.grad(state.x, rows)
+    return g + (state.psi - state.grad_table.mean(rows))
 
 
 def saga_table_update(problem, state, batch, x_new, n):
-    """Write grad f_i(x_{t+1}) for deduplicated batch indices, update psi."""
-    uniq = np.unique(np.asarray(batch, dtype=int))
-    new_grads = problem.grad_matrix(x_new, uniq)
+    """Write grad f_i(x_{t+1}) for deduplicated batch indices, update psi.
+
+    The new coefficients are computed on exactly the unique rows.
+    """
+    table = state.grad_table
+    rows = problem.gather(batch)
+    uniq, first = np.unique(rows.index, return_index=True)
+    new = rows.take(first)
+    coef, shared = problem.loss.coefficients(x_new, new)
     if uniq.size == n:
-        state.grad_table[:] = new_grads
-        state.psi = state.grad_table.mean(axis=0)
+        table.write(uniq, coef, shared)
+        state.psi = table.mean()
     else:
-        old = state.grad_table[uniq]
+        old = table.kept_rows(rows, first)
+        new_grads = problem.loss.component_rows(coef, new.features, shared)
         state.psi = state.psi - (old - new_grads).sum(axis=0) / n
-        state.grad_table[uniq] = new_grads
+        table.write(uniq, coef, shared)
     if state.point_table is not None:
         state.point_table[uniq] = x_new
 
@@ -260,8 +425,8 @@ def run(problem, config, callback=None):
     ifo = 0
 
     if variant == "saga":
-        state.grad_table = problem.grad_matrix(state.x, all_idx)
-        state.psi = state.grad_table.mean(axis=0)
+        state.grad_table = SagaTable.at(problem, state.x)
+        state.psi = state.grad_table.mean()
         if config.store_saga_points:
             state.point_table = np.tile(state.x, (n, 1))
         ifo += n
@@ -299,7 +464,8 @@ def run(problem, config, callback=None):
             )
             ifo += config.M
         else:
-            batch = _draw_batch(rng_batch, n, config.M)
+            # gathered once for the estimate and the table write
+            batch = problem.gather(_draw_batch(rng_batch, n, config.M))
             g_hat = saga_gradient(problem, state, batch)
             ifo += config.M
 
@@ -360,10 +526,11 @@ def run(problem, config, callback=None):
 
 def _record(problem, config, state, t, wall_time, ifo, rho):
     cs = problem.constraints
-    obj = problem.objective(state.x, state.y)
+    f, grad = problem.value_and_grad(state.x)
+    obj = f + problem.reg_value(state.y)
     report = metrics.stationarity(
         problem, state.x, state.y, state.lam,
-        x_prev=state.x_prev, rho=rho,
+        x_prev=state.x_prev, rho=rho, grad=grad,
     )
     rec = TraceRecord(
         t=t,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ncadmm import data, problems
 
@@ -18,6 +19,20 @@ def make_overlap_problem(n=100, grid=4, k=2, seed=1, nu=1e-5):
     cs = problems.build_overlap_A(ds.d, k)
     loss = problems.SigmoidLoss(ds.features, ds.labels)
     reg = problems.BlockSeparableRegularizer.l1(cs.p, nu)
+    return problems.CompositeProblem(loss=loss, regularizer=reg, constraints=cs)
+
+
+def make_multitask_problem(n=60, features=30, classes=3, density=0.06,
+                           seed=2, nu1=1e-2, nu2=1e-3):
+    """Multi-task problem on csr features (stored sparse below 10% density)."""
+    rng = np.random.default_rng(seed)
+    feats = sp.random(n, features, density=density, format="csr", random_state=rng,
+                      data_rvs=rng.standard_normal)
+    labels = rng.integers(0, classes, size=n)
+    loss = problems.SmoothedMultiTaskLoss(feats, labels, classes, nu1)
+    cs, reg = problems.build_multitask_constraints(
+        classes, features, nu1, nu2, loss.kappa0
+    )
     return problems.CompositeProblem(loss=loss, regularizer=reg, constraints=cs)
 
 

@@ -80,9 +80,7 @@ def test_criterion_01_unbiasedness():
         worst = max(worst, np.linalg.norm(np.mean(svrg, 0) - full) / scale)
 
         pts = snap[None, :] + 0.2 * rng.standard_normal((n, prob.d))
-        table = np.vstack(
-            [prob.grad_matrix(pts[i], np.array([i])) for i in range(n)]
-        )
+        table = solvers.SagaTable.from_points(prob, pts)
         state = solvers.SolverState(
             x=x, y=None, lam=None, grad_table=table, psi=table.mean(axis=0)
         )
@@ -109,12 +107,8 @@ def test_criterion_02_variance_bounds():
         worst = max(worst, out["empirical_var"] / max(out["bound"], 1e-300))
 
         pts = x[None, :] + 0.4 * rng.standard_normal((n, prob.d))
-        table = np.vstack(
-            [prob.grad_matrix(pts[i], np.array([i])) for i in range(n)]
-        )
         out = metrics.variance_diagnostics(
-            prob, "saga", x, L, M=1,
-            grad_table=table, psi=table.mean(axis=0), point_table=pts,
+            prob, "saga", x, L, M=1, point_table=pts,
         )
         worst = max(worst, out["empirical_var"] / max(out["bound"], 1e-300))
     _report(2, "enumerated estimator variance within the closed-form bounds",

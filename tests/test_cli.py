@@ -331,3 +331,15 @@ class TestBuildProblem:
 
         with pytest.raises(ConfigError):
             cli.build_problem({"kind": "mystery"})
+
+    def test_dict_spec_checked_like_a_file(self, tmp_path):
+        from ncadmm.exceptions import ConfigError
+
+        spec = {
+            "version": "v1",
+            "problem": {"kind": "graph_guided", "n": 200, "d": 10},
+            "solvers": [{"variant": "stoc", "T": 5}],
+        }
+        with pytest.raises(ConfigError, match="rho"):
+            cli.run_experiment(spec, str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()

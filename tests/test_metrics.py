@@ -113,6 +113,23 @@ class TestLyapunov:
             metrics.lyapunov_phi(res.trace, [1.0, 2.0], 5, 1.0, cfg.rho)
 
 
+class TestOnePassRecord:
+    @pytest.mark.parametrize("variant", ["dete", "saga"])
+    def test_trace_record_equals_separate_passes(self, variant):
+        prob = make_graph_guided_problem()
+        eta, rho = 0.5, 2.0
+        r = params.min_admissible_r(prob.constraints, eta, rho)
+        cfg = solvers.SolverConfig(variant=variant, eta=eta, rho=rho, r=r, M=10, T=5)
+        res = solvers.run(prob, cfg)
+        rec, st = res.trace[-1], res.state
+        report = metrics.stationarity(
+            prob, st.x, st.y, st.lam, x_prev=st.x_prev, rho=rho
+        )
+        assert rec.objective == prob.objective(st.x, st.y)
+        assert rec.dual_sq == report.dual_sq
+        assert rec.subgrad_dist_sq == report.subgrad_dist_sq
+
+
 class TestVarianceDiagnostics:
     def test_svrg_bound_holds_by_enumeration(self, rng):
         prob = make_graph_guided_problem(n=6, d=3)
@@ -130,12 +147,8 @@ class TestVarianceDiagnostics:
         L = params.estimate_lipschitz(prob)
         x = rng.standard_normal(3)
         pts = x[None, :] + 0.3 * rng.standard_normal((6, 3))
-        table = np.vstack(
-            [prob.grad_matrix(pts[i], np.array([i])) for i in range(6)]
-        )
         out = metrics.variance_diagnostics(
-            prob, "saga", x, L, M=1,
-            grad_table=table, psi=table.mean(axis=0), point_table=pts,
+            prob, "saga", x, L, M=1, point_table=pts,
         )
         assert out["empirical_var"] <= out["bound"] * (1 + 1e-12)
 

@@ -191,6 +191,63 @@ class TestFullIndexSet:
             loss.grad(np.zeros(loss.d), np.arange(loss.n) + 1)
 
 
+class TestOnePass:
+    """value_and_grad, value_from_scores and gathered Rows give bitwise the
+    numbers of the separate calls they replace."""
+
+    make = staticmethod(TestFullIndexSet.make)
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "multitask"])
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_value_and_grad_equal_separate_calls(self, kind, layout, rng):
+        loss = self.make(kind, layout, rng)
+        x = rng.standard_normal(loss.d)
+        for idx in (np.arange(loss.n), rng.integers(0, loss.n, size=17)):
+            value, grad = loss.value_and_grad(x, idx)
+            assert value == loss.value(x, idx)
+            assert np.array_equal(grad, loss.grad(x, idx))
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "multitask"])
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_value_from_scores_equals_value(self, kind, layout, rng):
+        loss = self.make(kind, layout, rng)
+        x = rng.standard_normal(loss.d)
+        if kind == "sigmoid":
+            scores = np.asarray(loss.features @ x).ravel()
+        else:
+            scores = np.asarray(loss.features @ x.reshape(loss.classes, -1).T)
+        assert loss.value_from_scores(x, scores) == loss.value(x, np.arange(loss.n))
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "multitask"])
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_gathered_rows_serve_every_call(self, kind, layout, rng):
+        loss = self.make(kind, layout, rng)
+        x = rng.standard_normal(loss.d)
+        idx = np.array([4, 4, 0, 17, 3])
+        rows = loss.gather(idx)
+        assert len(rows) == idx.size and loss.gather(rows) is rows
+        assert loss.value(x, rows) == loss.value(x, idx)
+        assert np.array_equal(loss.grad(x, rows), loss.grad(x, idx))
+        assert np.array_equal(loss.grad_matrix(x, rows), loss.grad_matrix(x, idx))
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "multitask"])
+    def test_component_rows_rebuild_grad_matrix(self, kind, rng):
+        loss = self.make(kind, "csr", rng)
+        x = rng.standard_normal(loss.d)
+        rows = loss.gather(rng.integers(0, loss.n, size=9))
+        coef, shared = loss.coefficients(x, rows)
+        assert np.array_equal(
+            loss.component_rows(coef, rows.features, shared),
+            loss.grad_matrix(x, rows),
+        )
+
+    def test_take_in_order_is_the_same_rows(self, rng):
+        loss = self.make("sigmoid", "dense", rng)
+        rows = loss.gather(np.array([5, 2, 9]))
+        assert rows.take(np.arange(3)) is rows
+        assert np.array_equal(rows.take(np.array([2, 0])).index, [9, 5])
+
+
 class TestRegularizer:
     def test_blocks_must_be_contiguous(self):
         with pytest.raises(ConfigError):

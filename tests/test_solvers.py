@@ -1,5 +1,9 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncadmm import params, problems, solvers
 from ncadmm.exceptions import (
@@ -8,7 +12,11 @@ from ncadmm.exceptions import (
     UnsupportedConstraintError,
 )
 
-from conftest import make_graph_guided_problem, make_overlap_problem
+from conftest import (
+    make_graph_guided_problem,
+    make_multitask_problem,
+    make_overlap_problem,
+)
 
 
 def small_config(variant="dete", **kw):
@@ -125,9 +133,7 @@ class TestSagaTable:
         state = solvers.SolverState(
             x=rng.standard_normal(gg_problem.d), y=None, lam=None
         )
-        state.grad_table = gg_problem.grad_matrix(
-            state.x, gg_problem.full_index_set()
-        )
+        state.grad_table = solvers.SagaTable.at(gg_problem, state.x)
         state.psi = state.grad_table.mean(axis=0)
         for _ in range(10):
             batch = rng.integers(0, n, size=7)
@@ -139,7 +145,7 @@ class TestSagaTable:
         n = gg_problem.n
         x0 = rng.standard_normal(gg_problem.d)
         state = solvers.SolverState(x=x0, y=None, lam=None)
-        state.grad_table = gg_problem.grad_matrix(x0, gg_problem.full_index_set())
+        state.grad_table = solvers.SagaTable.at(gg_problem, x0)
         state.psi = state.grad_table.mean(axis=0)
         x_new = rng.standard_normal(gg_problem.d)
         batch = np.array([3, 3, 3, 5])
@@ -248,14 +254,15 @@ class TestRun:
 
 def reference_run(problem, config):
     """run()'s iterates rebuilt from the public step functions, with every
-    product with A recomputed inside the step that uses it."""
+    product with A recomputed inside the step that uses it. saga keeps the
+    dense n x d table of component gradients the paper describes."""
     n, cs = problem.n, problem.constraints
     eta, rho, r = config.eta, config.rho, config.r
     state, rng_batch, _ = solvers.init_state(problem, config)
     all_idx = problem.full_index_set()
     if config.variant == "saga":
-        state.grad_table = problem.grad_matrix(state.x, all_idx)
-        state.psi = state.grad_table.mean(axis=0)
+        table = problem.grad_matrix(state.x, all_idx)
+        psi = table.mean(axis=0)
     iterates = []
     for t in range(config.T):
         if config.variant == "svrg" and t % config.m == 0:
@@ -273,28 +280,43 @@ def reference_run(problem, config):
                     problem, state.x, batch, state.x_snap, state.snap_grad
                 )
             else:
-                g = solvers.saga_gradient(problem, state, batch)
+                g = problem.grad(state.x, batch) + (psi - table[batch].mean(axis=0))
         x = solvers.x_update_uzawa(problem, state.x, y, state.lam, g, eta, rho, r)
         lam = solvers.lambda_update(x, y, state.lam, rho, cs)
         if config.variant == "saga":
-            solvers.saga_table_update(problem, state, batch, x, n)
+            uniq = np.unique(batch)
+            new = problem.grad_matrix(x, uniq)
+            if uniq.size == n:
+                table[:] = new
+                psi = table.mean(axis=0)
+            else:
+                psi = psi - (table[uniq] - new).sum(axis=0) / n
+                table[uniq] = new
         state.x, state.y, state.lam = x, y, lam
         iterates.append((x, y, lam))
     return iterates
 
 
+PROBLEM_MAKERS = [
+    make_graph_guided_problem, make_overlap_problem, make_multitask_problem,
+]
+
+
+def assert_same_iterates(res, ref, T):
+    assert len(res.iterates) == len(ref) == T
+    for got, want in zip(res.iterates, ref):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
 class TestCarriedProducts:
     @pytest.mark.parametrize("variant", solvers.VARIANTS)
-    @pytest.mark.parametrize("make", [make_graph_guided_problem, make_overlap_problem])
+    @pytest.mark.parametrize("make", PROBLEM_MAKERS)
     def test_run_matches_step_by_step_reference(self, variant, make):
         prob = make()
         cfg = build(prob, variant, T=30, record_iterates=True)
         res = solvers.run(prob, cfg)
-        ref = reference_run(prob, cfg)
-        assert len(res.iterates) == len(ref) == 30
-        for got, want in zip(res.iterates, ref):
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+        assert_same_iterates(res, reference_run(prob, cfg), 30)
 
     @pytest.mark.parametrize("variant", solvers.VARIANTS)
     def test_non_neg_identity_B_refused_before_first_iteration(self, variant):
@@ -327,3 +349,129 @@ class TestCarriedProducts:
         with pytest.raises(UnsupportedConstraintError):
             solvers.run(prob, cfg, callback=lambda rec, state: seen.append(rec))
         assert calls == [] and seen == []
+
+
+class TestCompactSagaTable:
+    """The coefficient table must reproduce the dense n x d table bitwise."""
+
+    @pytest.mark.parametrize("make", PROBLEM_MAKERS)
+    def test_run_matches_dense_table_with_duplicate_indices(self, make):
+        prob = make()
+        cfg = build(prob, "saga", M=10, T=30, record_iterates=True)
+        _, rng_batch, _ = solvers.init_state(prob, cfg)
+        batches = [solvers._draw_batch(rng_batch, prob.n, 10) for _ in range(30)]
+        assert any(np.unique(b).size < b.size for b in batches)
+        res = solvers.run(prob, cfg)
+        assert_same_iterates(res, reference_run(prob, cfg), 30)
+
+    @pytest.mark.parametrize("make", PROBLEM_MAKERS)
+    def test_run_matches_dense_table_at_full_batch(self, make):
+        prob = make()
+        cfg = build(prob, "saga", M=prob.n, T=8, record_iterates=True)
+        res = solvers.run(prob, cfg)
+        assert_same_iterates(res, reference_run(prob, cfg), 8)
+
+    @pytest.mark.parametrize("make", PROBLEM_MAKERS)
+    def test_blocked_mean_equals_dense_mean(self, make, monkeypatch, rng):
+        prob = make()
+        x = rng.standard_normal(prob.d)
+        dense = prob.grad_matrix(x, prob.full_index_set()).mean(axis=0)
+        for rows_per_block in (1, 3, 7, prob.n):
+            monkeypatch.setattr(solvers, "_BLOCK_BYTES", 8 * prob.d * rows_per_block)
+            assert np.array_equal(solvers.SagaTable.at(prob, x).mean(), dense)
+
+    def test_pool_reuses_slots(self):
+        prob = make_multitask_problem(n=40)
+        cfg = build(prob, "saga", M=10, T=200)
+        res = solvers.run(prob, cfg)
+        table = res.state.grad_table
+        live = np.count_nonzero(table.refs)
+        assert live <= prob.n and len(table.pool) <= prob.n
+        assert table.refs.sum() == prob.n
+        assert np.array_equal(np.flatnonzero(table.refs), np.unique(table.slot))
+
+    def test_write_drops_rows_kept_for_the_batch(self, gg_problem, rng):
+        n = gg_problem.n
+        state = solvers.SolverState(
+            x=rng.standard_normal(gg_problem.d), y=None, lam=None
+        )
+        state.grad_table = solvers.SagaTable.at(gg_problem, state.x)
+        state.psi = state.grad_table.mean()
+        rows = gg_problem.gather(rng.integers(0, n, size=7))
+        solvers.saga_gradient(gg_problem, state, rows)
+        for _ in range(2):
+            x_new = rng.standard_normal(gg_problem.d)
+            solvers.saga_table_update(gg_problem, state, rows, x_new, n)
+        assert np.allclose(state.psi, state.grad_table.mean(axis=0), atol=1e-12)
+
+    def test_table_is_small(self, gg_problem):
+        res = solvers.run(gg_problem, build(gg_problem, "saga", T=5))
+        assert res.state.grad_table.nbytes == gg_problem.n * 8
+
+    def test_saga_memory_is_a_fraction_of_a_dense_table(self):
+        prob = make_multitask_problem(n=4000, features=400, classes=5, density=0.03)
+        cfg = build(prob, "saga", M=50, T=40, trace_stride=40)
+        tracemalloc.start()
+        try:
+            solvers.run(prob, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < prob.n * prob.d * 8 / 8
+
+
+_SMALL = {
+    "sigmoid": make_graph_guided_problem(n=12, d=4),
+    "multitask": make_multitask_problem(n=12, features=20, classes=3, density=0.08),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SMALL))
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows_per_block=st.integers(1, 13),
+    steps=st.lists(
+        st.one_of(
+            st.just(None),  # the full set, as M = n draws it
+            st.lists(st.integers(0, 11), min_size=1, max_size=12),
+        ),
+        min_size=1, max_size=8,
+    ),
+)
+def test_saga_table_follows_dense_reference(kind, seed, rows_per_block, steps):
+    """Under any batch sequence psi equals the table's blocked mean, and every
+    rebuilt row equals, bitwise, the row grad_matrix gave at its stored point."""
+    prob = _SMALL[kind]
+    n, full = prob.n, prob.full_index_set()
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(prob.d)
+    with mock.patch.object(solvers, "_BLOCK_BYTES", 8 * prob.d * rows_per_block):
+        state = solvers.SolverState(x=x, y=None, lam=None)
+        state.grad_table = solvers.SagaTable.at(prob, x)
+        state.psi = state.grad_table.mean()
+        dense = prob.grad_matrix(x, full)
+        psi = dense.mean(axis=0)
+        assert np.array_equal(state.psi, psi)
+        for k, batch in enumerate(steps, start=1):
+            batch = full if batch is None else np.array(batch)
+            state.x = rng.standard_normal(prob.d)
+            x_new = rng.standard_normal(prob.d)
+            rows = prob.gather(batch)
+            g = solvers.saga_gradient(prob, state, rows)
+            want = prob.grad(state.x, batch) + (psi - dense[batch].mean(axis=0))
+            assert np.array_equal(g, want)
+            solvers.saga_table_update(prob, state, rows, x_new, n)
+            uniq = np.unique(batch)
+            new = prob.grad_matrix(x_new, uniq)
+            if uniq.size == n:
+                dense[:] = new
+                psi = dense.mean(axis=0)
+            else:
+                psi = psi - (dense[uniq] - new).sum(axis=0) / n
+                dense[uniq] = new
+            assert np.array_equal(state.psi, psi)
+            assert np.array_equal(state.grad_table[full], dense)
+            assert np.allclose(state.psi, state.grad_table.mean(axis=0), atol=1e-12)
+            if state.grad_table.pool is not None:
+                assert np.count_nonzero(state.grad_table.refs) <= min(n, k + 1)
