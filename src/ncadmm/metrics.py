@@ -145,12 +145,12 @@ def lyapunov_theta(records, alpha_schedule, zeta, rho):
 
 
 def variance_diagnostics(problem, variant, x, L, M=1, snapshot_x=None,
-                         snapshot_grad=None, psi=None, point_table=None,
-                         n_draws=2000, rng=None):
+                         snapshot_grad=None, point_table=None, n_draws=2000,
+                         rng=None):
     """Empirical gradient-estimator variance vs. its closed-form bound.
 
-    saga builds its table from point_table (row i stored at point_table[i]);
-    psi defaults to the table's mean.
+    saga builds its table, and psi as the table's mean, from point_table
+    (row i stored at point_table[i]).
     Exhaustive enumeration over single-index batches when n <= 8 and M = 1,
     Monte-Carlo with n_draws otherwise.
     """
@@ -176,8 +176,7 @@ def variance_diagnostics(problem, variant, x, L, M=1, snapshot_x=None,
         bound = (L**2 / (M * n)) * float(np.einsum("ij,ij->i", diffs, diffs).sum())
         table = solvers.SagaTable.from_points(problem, point_table)
         state = solvers.SolverState(
-            x=x, y=None, lam=None, grad_table=table,
-            psi=table.mean() if psi is None else psi,
+            x=x, y=None, lam=None, grad_table=table, psi=table.mean()
         )
 
         def estimate(batch):

@@ -214,6 +214,11 @@ class _LinearModelLoss:
         feats, labels = _select_rows(self.features, self.labels, index_set)
         return self._coefficients(x, feats, labels)
 
+    def grad(self, x, index_set):
+        feats, labels = _select_rows(self.features, self.labels, index_set)
+        coef, shared = self._coefficients(x, feats, labels)
+        return self.component_mean(coef, feats, shared)
+
     def grad_matrix(self, x, index_set):
         """Per-sample gradients stacked as rows (|I| x d)."""
         feats, labels = _select_rows(self.features, self.labels, index_set)
@@ -258,6 +263,11 @@ class SigmoidLoss(_LinearModelLoss):
             return feats.multiply(coef[:, None]).toarray()
         return coef[:, None] * feats
 
+    @staticmethod
+    def component_mean(coef, feats, shared=None):
+        """Mean of the component rows, from one product with the features."""
+        return np.asarray(feats.T @ coef).ravel() / coef.size
+
     def value(self, x, index_set):
         feats, labels = _select_rows(self.features, self.labels, index_set)
         return float(np.mean(_sigmoid_losses(feats @ x, labels)))
@@ -266,17 +276,11 @@ class SigmoidLoss(_LinearModelLoss):
         """value over every stored sample, given scores = features @ x."""
         return float(np.mean(_sigmoid_losses(scores, self.labels)))
 
-    def grad(self, x, index_set):
-        feats, labels = _select_rows(self.features, self.labels, index_set)
-        coef, _ = self._coefficients(x, feats, labels)
-        return np.asarray(feats.T @ coef).ravel() / labels.size
-
     def value_and_grad(self, x, index_set):
         """(value, grad), both from one product with the rows."""
         feats, labels = _select_rows(self.features, self.labels, index_set)
         p = _sigmoid_losses(feats @ x, labels)
-        coef = self._coef_from_losses(p, labels)
-        grad = np.asarray(feats.T @ coef).ravel() / labels.size
+        grad = self.component_mean(self._coef_from_losses(p, labels), feats)
         return float(np.mean(p)), grad
 
 
@@ -363,6 +367,14 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
         G += shared
         return G.reshape(len(P), self.d)
 
+    @staticmethod
+    def component_mean(P, feats, shared):
+        """Mean of the component rows, from one product with the features;
+        shared is one (classes, d_features) term, the rows' mean one."""
+        G = np.asarray(P.T @ feats) / len(P)
+        G += shared
+        return G.ravel()
+
     def value(self, x, index_set):
         feats, labels = _select_rows(self.features, self.labels, index_set)
         X = self._as_X(x)
@@ -375,13 +387,6 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
             self._as_X(x)
         )
 
-    def grad(self, x, index_set):
-        feats, labels = _select_rows(self.features, self.labels, index_set)
-        P, shared = self._coefficients(x, feats, labels)
-        G = np.asarray(P.T @ feats) / labels.size
-        G += shared
-        return G.ravel()
-
     def value_and_grad(self, x, index_set):
         """(value, grad), both from one product with the rows."""
         feats, labels = _select_rows(self.features, self.labels, index_set)
@@ -389,9 +394,7 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
         Z = np.asarray(feats @ X.T)
         value = self._mean_nll(Z, labels) + self.penalty_value(X)
         P = self._softmax_residual(Z, labels)
-        G = np.asarray(P.T @ feats) / labels.size
-        G += self.penalty_grad(X)
-        return value, G.ravel()
+        return value, self.component_mean(P, feats, self.penalty_grad(X))
 
 
 @dataclass(frozen=True)

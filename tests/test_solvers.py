@@ -9,6 +9,7 @@ from ncadmm import params, problems, solvers
 from ncadmm.exceptions import (
     ConfigError,
     DivergenceError,
+    InternalInvariantError,
     UnsupportedConstraintError,
 )
 
@@ -403,6 +404,17 @@ class TestCompactSagaTable:
             x_new = rng.standard_normal(gg_problem.d)
             solvers.saga_table_update(gg_problem, state, rows, x_new, n)
         assert np.allclose(state.psi, state.grad_table.mean(axis=0), atol=1e-12)
+
+    @pytest.mark.parametrize("make", PROBLEM_MAKERS)
+    def test_psi_check_uses_an_independent_product(self, make):
+        prob = make()
+        res = solvers.run(prob, build(prob, "saga", M=10, T=30))
+        table = res.state.grad_table
+        assert np.allclose(table.product_mean(), table.mean(), rtol=1e-12, atol=1e-15)
+        solvers._check_saga_psi(res.state)
+        res.state.psi = res.state.psi + 1e-6 * np.abs(res.state.psi).max()
+        with pytest.raises(InternalInvariantError):
+            solvers._check_saga_psi(res.state)
 
     def test_table_is_small(self, gg_problem):
         res = solvers.run(gg_problem, build(gg_problem, "saga", T=5))
