@@ -9,10 +9,12 @@ summary. CSV column order is fixed:
 """
 
 import csv
+import dataclasses
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import click
 import numpy as np
@@ -102,8 +104,9 @@ def _check_spec(spec, solver_keys=_SOLVER_KEYS):
     names = [s.get("name") or s["variant"] for s in spec["solvers"]]
     if len(set(names)) != len(names):
         raise ConfigError("solver names must be distinct")
-    if spec.get("repetitions", 1) < 1:
-        raise ConfigError("repetitions must be >= 1")
+    reps = spec.get("repetitions", 1)
+    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
+        raise ConfigError(f"repetitions must be an integer >= 1, got {reps!r}")
     return spec
 
 
@@ -209,30 +212,16 @@ def make_test_evaluator(problem, test):
 
 
 def solver_config_from_spec(entry, problem, trace_stride=1):
+    variant = entry["variant"]
     eta = entry.get("eta", 1.0)
     rho = entry["rho"]
-    r = entry.get("r")
-    if r is None:
-        r = params_mod.min_admissible_r(problem.constraints, eta, rho)
-    variant = entry["variant"]
-    M = entry.get("M", problem.n if variant == "dete" else 100)
-    M = min(M, problem.n)
-    m = entry.get("m")
-    if variant == "svrg" and m is None:
-        m = max(1, problem.n // M)
+    r, M, m = solvers_mod.config_defaults(
+        problem, variant, eta, rho, entry.get("r"), entry.get("M"), entry.get("m")
+    )
     return solvers_mod.SolverConfig(
         variant=variant, eta=eta, rho=rho, r=r, M=M,
         T=entry.get("T", 1000), m=m, seed=entry.get("seed", 0),
         trace_stride=trace_stride, diagnostics=True,
-    )
-
-
-def certificate_for(problem, config, L=None):
-    if L is None:
-        L = params_mod.estimate_lipschitz(problem)
-    return params_mod.check_feasible(
-        config.variant, L, problem.constraints, config.eta, config.rho,
-        config.r, n=problem.n, M=config.M, m=config.m, T=max(1, config.T),
     )
 
 
@@ -293,13 +282,16 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=None, echo=pr
 
     summary = {"problem": info, "L": L, "solvers": {}}
     any_success = False
-    all_diverged = True
 
     planned = []
     for entry in spec["solvers"]:
         name = entry.get("name") or entry["variant"]
-        base_cfg = solver_config_from_spec(entry, problem, trace_stride=stride)
-        planned.append((name, base_cfg, certificate_for(problem, base_cfg, L=L)))
+        cfg = solver_config_from_spec(entry, problem, trace_stride=stride)
+        cert = params_mod.check_feasible(
+            cfg.variant, L, problem.constraints, cfg.eta, cfg.rho, cfg.r,
+            n=problem.n, M=cfg.M, m=cfg.m, T=max(1, cfg.T),
+        )
+        planned.append((name, cfg, cert))
     if not allow_uncertified and not all(c.accepted for _, _, c in planned):
         for name, _, cert in planned:
             summary["solvers"][name] = {"certificate": cert.to_dict()}
@@ -312,11 +304,7 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=None, echo=pr
     for name, base_cfg, cert in planned:
         tasks = []
         for rep in range(reps):
-            cfg = solvers_mod.SolverConfig(
-                variant=base_cfg.variant, eta=base_cfg.eta, rho=base_cfg.rho,
-                r=base_cfg.r, M=base_cfg.M, T=base_cfg.T, m=base_cfg.m,
-                seed=seed_base + rep, trace_stride=stride, diagnostics=True,
-            )
+            cfg = dataclasses.replace(base_cfg, seed=seed_base + rep)
             tasks.append((problem, test, cfg, cert.constants.zeta))
 
         if workers > 1:
@@ -335,7 +323,6 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=None, echo=pr
             _write_csv_atomic(os.path.join(out_dir, f"{name}_rep{rep}.csv"), rows)
             rep_rows.append(rows)
             any_success = True
-            all_diverged = False
 
         solver_summary = {
             "certificate": cert.to_dict(),
@@ -358,7 +345,7 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=None, echo=pr
         echo(f"[{name}] {len(rep_rows)}/{reps} repetitions completed")
 
     _write_summary(out_dir, summary)
-    if not any_success and all_diverged:
+    if not any_success:
         return EXIT_DIVERGED
     return EXIT_OK
 
@@ -369,24 +356,34 @@ def _write_summary(out_dir, summary):
 
 
 def _aggregate_rows(rep_rows):
-    """Across-repetition mean of every numeric column, aligned on t."""
-    lengths = {len(rows) for rows in rep_rows}
-    n_rows = min(lengths)
-    out = []
-    for i in range(n_rows):
-        acc = []
-        for col in range(len(CSV_COLUMNS)):
-            vals = []
-            for rows in rep_rows:
-                v = rows[i][col]
-                if v == "":
-                    vals = None
-                    break
-                vals.append(float(v))
-            acc.append("" if vals is None else float(np.mean(vals)))
-        acc[0] = int(acc[0])
-        out.append(acc)
+    """Across-repetition mean of every numeric column, aligned on t.
+
+    Repetitions are cut to the shortest. A cell empty in any repetition is
+    empty in the mean. Each mean is taken over a contiguous axis, so it is
+    bitwise the `np.mean` of that cell's values.
+    """
+    n_rows = min(len(rows) for rows in rep_rows)
+    cells = np.array([rows[:n_rows] for rows in rep_rows], dtype=object)
+    cells = cells.reshape(len(rep_rows), n_rows, len(CSV_COLUMNS))
+    blank = cells == ""
+    values = np.where(blank, 0.0, cells).astype(float)
+    means = np.ascontiguousarray(np.moveaxis(values, 0, -1)).mean(axis=-1)
+    out = means.tolist()
+    for row, empty in zip(out, blank.any(axis=0)):
+        for col in np.flatnonzero(empty):
+            row[col] = ""
+        row[0] = int(row[0])
     return out
+
+
+@contextmanager
+def _fail_closed(ctx):
+    """End a command on a NcadmmError with one `error:` line and exit 2."""
+    try:
+        yield
+    except NcadmmError as exc:
+        click.echo(f"error: {exc}", err=True)
+        ctx.exit(EXIT_CONFIG)
 
 
 @click.group()
@@ -404,7 +401,7 @@ def main():
 @click.pass_context
 def cmd_run(ctx, spec_path, out_dir, seed, workers, allow_uncertified):
     """Run an experiment spec and emit CSV traces plus a JSON summary."""
-    try:
+    with _fail_closed(ctx):
         spec = load_spec(spec_path)
         if seed is not None:
             spec["seed_base"] = seed
@@ -412,9 +409,6 @@ def cmd_run(ctx, spec_path, out_dir, seed, workers, allow_uncertified):
             spec, out_dir, allow_uncertified=allow_uncertified,
             workers=workers, echo=click.echo,
         )
-    except NcadmmError as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(EXIT_CONFIG)
     if code == EXIT_CONFIG:
         click.echo(f"error: {_REFUSED}", err=True)
     ctx.exit(code)
@@ -427,13 +421,14 @@ def cmd_run(ctx, spec_path, out_dir, seed, workers, allow_uncertified):
 @click.option("--eta", type=float, required=True)
 @click.option("--rho", type=float, required=True)
 @click.option("--r", "r_val", type=float, default=None)
-@click.option("--batch", "M", type=int, default=100)
+@click.option("--batch", "M", type=int, default=None,
+              help="Mini-batch size; n for dete, else min(100, n).")
 @click.option("--epoch-length", "m", type=int, default=None)
 @click.option("--iterations", "T", type=int, default=1000)
 @click.pass_context
 def cmd_check_params(ctx, spec_path, variant, eta, rho, r_val, M, m, T):
     """Evaluate the feasibility certificate for one configuration."""
-    try:
+    with _fail_closed(ctx):
         raw = _load_json(spec_path)
         if isinstance(raw, dict) and raw.get("version") == "v1":
             problem_spec = _check_spec(raw)["problem"]
@@ -441,18 +436,13 @@ def cmd_check_params(ctx, spec_path, variant, eta, rho, r_val, M, m, T):
             problem_spec = _check_problem_spec(raw)
         problem, _, _ = build_problem(problem_spec)
         L = params_mod.estimate_lipschitz(problem)
-        if r_val is None:
-            r_val = params_mod.min_admissible_r(problem.constraints, eta, rho)
-        M_eff = min(M, problem.n)
-        if variant == "svrg" and m is None:
-            m = max(1, problem.n // M_eff)
+        r_val, M, m = solvers_mod.config_defaults(
+            problem, variant, eta, rho, r_val, M, m
+        )
         cert = params_mod.check_feasible(
             variant, L, problem.constraints, eta, rho, r_val,
-            n=problem.n, M=M_eff, m=m, T=T,
+            n=problem.n, M=M, m=m, T=T,
         )
-    except NcadmmError as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(EXIT_CONFIG)
     click.echo(json.dumps(cert.to_dict(), indent=2, default=str))
     ctx.exit(EXIT_OK if cert.accepted else EXIT_CONFIG)
 
@@ -474,7 +464,7 @@ def _load_json(path):
 @click.pass_context
 def cmd_rho_sweep(ctx, spec_path, out_dir, rhos, workers, allow_uncertified):
     """Rerun the spec's solvers across a rho grid; emit per-rho aggregates."""
-    try:
+    with _fail_closed(ctx):
         # the sweep sets every solver's rho itself
         spec = load_spec(spec_path, solver_keys=("variant",))
         if any(rho <= 0 for rho in rhos):
@@ -513,9 +503,6 @@ def cmd_rho_sweep(ctx, spec_path, out_dir, rhos, workers, allow_uncertified):
                              "final_feas_sq", "certified"])
             writer.writerows(table)
         os.replace(tmp, os.path.join(out_dir, "sweep_table.csv"))
-    except NcadmmError as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(EXIT_CONFIG)
     if refused:
         click.echo(f"error: at rho={', '.join(refused)}: {_REFUSED}", err=True)
     ctx.exit(worst)
@@ -530,15 +517,12 @@ def cmd_rho_sweep(ctx, spec_path, out_dir, rhos, workers, allow_uncertified):
 @click.pass_context
 def cmd_gen_data(ctx, kind, n, d, seed, out_path):
     """Generate a synthetic dataset and persist it as LIBSVM + JSON sidecar."""
-    try:
+    with _fail_closed(ctx):
         if kind == "graph_guided":
             ds, _, _ = data_mod.gen_graph_guided(n, d, seed)
         else:
             ds, _ = data_mod.gen_overlap(n, seed)
         data_mod.write_libsvm(ds, out_path, sidecar=f"{out_path}.meta.json")
-    except NcadmmError as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(EXIT_CONFIG)
     click.echo(f"wrote {ds.n} samples x {ds.d} features to {out_path}")
 
 
@@ -547,11 +531,8 @@ def cmd_gen_data(ctx, kind, n, d, seed, out_path):
 @click.pass_context
 def cmd_parse(ctx, path):
     """Validate a LIBSVM file and print its shape."""
-    try:
+    with _fail_closed(ctx):
         ds = data_mod.parse_libsvm(path)
-    except NcadmmError as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(EXIT_CONFIG)
     click.echo(json.dumps(ds.meta, default=str))
 
 

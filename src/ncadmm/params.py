@@ -4,8 +4,10 @@ All certificate arithmetic is pure float evaluation of the closed-form
 constants; nothing here runs a solver.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -16,21 +18,12 @@ from .problems import SigmoidLoss, SmoothedMultiTaskLoss
 _RHO_STAR_RTOL = 1e-9
 
 
+@functools.cache
 def sigmoid_curvature_bound():
     """sup_u |d^2/du^2 1/(1+e^u)|, found by a dense 1-D scan (about 0.0962)."""
     u = np.linspace(-8.0, 8.0, 200001)
     p = expit(-u)
     return float(np.max(p * (1.0 - p) * np.abs(1.0 - 2.0 * p)))
-
-
-_C_SIG = None
-
-
-def _c_sig():
-    global _C_SIG
-    if _C_SIG is None:
-        _C_SIG = sigmoid_curvature_bound()
-    return _C_SIG
 
 
 def estimate_lipschitz(problem):
@@ -43,7 +36,7 @@ def estimate_lipschitz(problem):
         sq_norms = np.einsum("ij,ij->i", feats, feats)
     max_sq = float(sq_norms.max()) if sq_norms.size else 0.0
     if isinstance(loss, SigmoidLoss):
-        return max_sq * _c_sig()
+        return max_sq * sigmoid_curvature_bound()
     if isinstance(loss, SmoothedMultiTaskLoss):
         # softmax hessian norm <= ||a||^2 / 2; penalty curvature <= nu1*beta/theta^2
         return max_sq * 0.5 + loss.nu1 * loss.beta / loss.theta**2
@@ -92,33 +85,25 @@ class Certificate:
         return out
 
 
-def _h_spectrum(constraints, eta, rho, r):
-    """Eigen-range of H = r I - rho*eta*A^T A."""
-    phi_max_H = r - rho * eta * constraints.phi_min_A
-    phi_min_H = r - rho * eta * constraints.norm_AtA
-    return phi_max_H, phi_min_H
+class _Interval(NamedTuple):
+    """Outcome of the three-case (eta, rho) admissibility condition."""
 
-
-def _base_constants(L, constraints, eta, rho, r):
-    if eta <= 0 or rho <= 0 or r <= 0:
-        raise ConfigError("eta, rho and r must all be > 0")
-    phi_max_H, phi_min_H = _h_spectrum(constraints, eta, rho, r)
-    pa = constraints.phi_min_A
-    zeta = 5.0 * (L**2 * eta**2 + phi_max_H**2) / (pa * eta**2)
-    zeta1 = 5.0 * phi_max_H**2 / (pa * eta**2)
-    phi_H = phi_min_H**2 + 20.0 * phi_max_H**2
-    return phi_max_H, phi_min_H, zeta, zeta1, phi_H
+    ok: bool
+    case: int
+    lo: float
+    hi: float
+    rho_star: float
+    rho_0: float
+    delta: float
+    reason: str  # why the condition fails; read only when ok is false
 
 
 def _interval_case(L, L_eff, constraints, eta, rho, r, phi_max_H, phi_min_H, phi_H):
     """Evaluate the three-case (eta, rho) admissibility condition.
 
-    L_eff is the shifted smoothness constant (L+1 for the plain stochastic
-    case, L+1+2*h_hat / L+1+2*alpha_hat for the variance-reduced ones).
-    Returns (in_interval, case, lo, hi, rho_star, rho_0, delta, reasons).
+    L_eff is the shifted smoothness constant L + 1 + 2*shift.
     """
     pa = constraints.phi_min_A
-    reasons = []
     rho_star = (L_eff + math.sqrt(40.0 * L**2 + L_eff**2)) / (2.0 * pa)
     varphi = (L_eff + 10.0 * L**2 / (rho * pa)) - pa * rho
     delta = phi_min_H**2 + (20.0 * phi_max_H**2 / (rho * pa)) * (
@@ -137,93 +122,26 @@ def _interval_case(L, L_eff, constraints, eta, rho, r, phi_max_H, phi_min_H, phi
         lo = 10.0 * phi_max_H**2 / (rho * pa * phi_min_H)
         hi = eta_cap
         ok = lo < eta <= hi * (1.0 + 1e-12)
-        if not ok:
-            reasons.append(f"eta={eta:g} outside ({lo:g}, {hi:g}] at rho=rho*")
-    elif rho < rho_star:
-        case = 1
-        if rho <= rho_0:
-            reasons.append(f"rho={rho:g} <= rho_0={rho_0:g} in the rho < rho* case")
-            return False, case, math.nan, math.nan, rho_star, rho_0, delta, reasons
-        if delta < 0:
-            reasons.append("discriminant is negative; no admissible eta exists")
-            return False, case, math.nan, math.nan, rho_star, rho_0, delta, reasons
-        sd = math.sqrt(delta)
-        lo = (phi_min_H - sd) / varphi
-        hi = (phi_min_H + sd) / varphi
-        ok = lo < eta < hi
-        if not ok:
-            reasons.append(f"eta={eta:g} outside ({lo:g}, {hi:g})")
+        reason = f"eta={eta:g} outside ({lo:g}, {hi:g}] at rho=rho*"
+        return _Interval(ok, case, lo, hi, rho_star, rho_0, delta, reason)
+    case = 1 if rho < rho_star else 3
+    if case == 1 and rho <= rho_0:
+        reason = f"rho={rho:g} <= rho_0={rho_0:g} in the rho < rho* case"
+    elif delta < 0:
+        reason = "discriminant is negative; no admissible eta exists"
     else:
-        case = 3
-        if delta < 0:
-            reasons.append("discriminant is negative; no admissible eta exists")
-            return False, case, math.nan, math.nan, rho_star, rho_0, delta, reasons
         sd = math.sqrt(delta)
         lo = (phi_min_H - sd) / varphi
-        hi = eta_cap
-        ok = lo < eta <= hi * (1.0 + 1e-12)
-        if not ok:
-            reasons.append(f"eta={eta:g} outside ({lo:g}, {hi:g}]")
-    return ok, case, lo, hi, rho_star, rho_0, delta, reasons
-
-
-def _gamma_base(L, constraints, eta, rho, phi_max_H, phi_min_H):
-    pa = constraints.phi_min_A
-    return (
-        phi_min_H / eta
-        + pa * rho / 2.0
-        - (L + 1.0) / 2.0
-        - 5.0 * (L**2 * eta**2 + 2.0 * phi_max_H**2) / (rho * pa * eta**2)
-    )
-
-
-def _make_constants(L, constraints, eta, rho, r, rho_star, rho_0, delta, gamma):
-    phi_max_H, phi_min_H, zeta, zeta1, phi_H = _base_constants(
-        L, constraints, eta, rho, r
-    )
-    return TheoryConstants(
-        L=L,
-        L_tilde=L + 1.0,
-        phi_min_A=constraints.phi_min_A,
-        norm_AtA=constraints.norm_AtA,
-        phi_max_H=phi_max_H,
-        phi_min_H=phi_min_H,
-        zeta=zeta,
-        zeta1=zeta1,
-        phi_H=phi_H,
-        rho_star=rho_star,
-        rho_0=rho_0,
-        delta=delta,
-        gamma=gamma,
-    )
-
-
-def stoc_feasible(L, constraints, eta, rho, r):
-    """Certificate for the plain mini-batch stochastic (and deterministic) case."""
-    phi_max_H, phi_min_H, zeta, zeta1, phi_H = _base_constants(
-        L, constraints, eta, rho, r
-    )
-    ok, case, lo, hi, rho_star, rho_0, delta, reasons = _interval_case(
-        L, L + 1.0, constraints, eta, rho, r, phi_max_H, phi_min_H, phi_H
-    )
-    gamma = _gamma_base(L, constraints, eta, rho, phi_max_H, phi_min_H)
-    if gamma <= 0:
-        reasons.append(f"gamma={gamma:g} <= 0")
-    accepted = ok and gamma > 0
-    return Certificate(
-        variant="stoc",
-        accepted=accepted,
-        gamma=gamma,
-        rho_star=rho_star,
-        rho_0=rho_0,
-        delta=delta,
-        case=case,
-        eta_interval=(lo, hi),
-        constants=_make_constants(
-            L, constraints, eta, rho, r, rho_star, rho_0, delta, gamma
-        ),
-        reasons=reasons,
-    )
+        if case == 1:
+            hi = (phi_min_H + sd) / varphi
+            ok = lo < eta < hi
+            reason = f"eta={eta:g} outside ({lo:g}, {hi:g})"
+        else:
+            hi = eta_cap
+            ok = lo < eta <= hi * (1.0 + 1e-12)
+            reason = f"eta={eta:g} outside ({lo:g}, {hi:g}]"
+        return _Interval(ok, case, lo, hi, rho_star, rho_0, delta, reason)
+    return _Interval(False, case, math.nan, math.nan, rho_star, rho_0, delta, reason)
 
 
 def svrg_h_schedule(L, constraints, rho, M, m, beta):
@@ -241,51 +159,6 @@ def svrg_h_schedule(L, constraints, rho, M, m, beta):
     return h
 
 
-def svrg_feasible(L, constraints, eta, rho, r, m, M, beta=1.0):
-    """Certificate for mini-batch SVRG (epoch schedule h plus Gamma sequence)."""
-    h = svrg_h_schedule(L, constraints, rho, M, m, beta)
-    # steady-state schedule: h_1 of the next epoch equals h[0]
-    candidates = [(1.0 + 1.0 / beta) * h[t + 1] for t in range(m - 1)]
-    candidates.append(float(h[0]))
-    h_hat = min(candidates)
-    phi_max_H, phi_min_H, zeta, zeta1, phi_H = _base_constants(
-        L, constraints, eta, rho, r
-    )
-    ok, case, lo, hi, rho_star, rho_0, delta, reasons = _interval_case(
-        L, L + 1.0 + 2.0 * h_hat, constraints, eta, rho, r,
-        phi_max_H, phi_min_H, phi_H,
-    )
-    pa = constraints.phi_min_A
-    base = (
-        phi_min_H / eta
-        + pa * rho / 2.0
-        - (L + 1.0) / 2.0
-        - (zeta + zeta1) / rho
-    )
-    gammas = [base - (1.0 + 1.0 / beta) * h[t + 1] for t in range(m - 1)]
-    gammas.append(base - float(h[0]))
-    gamma_min = min(gammas)
-    if gamma_min <= 0:
-        reasons.append(f"min Gamma = {gamma_min:g} <= 0")
-    accepted = ok and gamma_min > 0
-    return Certificate(
-        variant="svrg",
-        accepted=accepted,
-        gamma=gamma_min,
-        rho_star=rho_star,
-        rho_0=rho_0,
-        delta=delta,
-        case=case,
-        eta_interval=(lo, hi),
-        constants=_make_constants(
-            L, constraints, eta, rho, r, rho_star, rho_0, delta, gamma_min
-        ),
-        schedule=[float(v) for v in h],
-        gamma_sequence=[float(v) for v in gammas],
-        reasons=reasons,
-    )
-
-
 def saga_alpha_schedule(L, constraints, rho, n, M, T, beta):
     """Backward recursion alpha_T, ..., alpha_1 with alpha_{T+1} = 0."""
     if T < 1:
@@ -300,78 +173,105 @@ def saga_alpha_schedule(L, constraints, rho, n, M, T, beta):
     alpha = np.empty(T + 1)
     alpha[T] = 0.0
     # factor > 1 unless M = n, so long horizons overflow to inf;
-    # saga_feasible refuses such a schedule by name
+    # check_feasible refuses such a schedule by name
     with np.errstate(over="ignore"):
         for t in range(T - 1, -1, -1):
             alpha[t] = const + factor * alpha[t + 1]
     return alpha  # alpha[t-1] is the step-t weight; alpha[T] is the zero boundary
 
 
-def saga_feasible(L, constraints, eta, rho, r, T, n, M, beta=1.0):
-    """Certificate for mini-batch SAGA (alpha schedule plus Gamma sequence)."""
-    alpha = saga_alpha_schedule(L, constraints, rho, n, M, T, beta)
-    frac = (n - M) / n * (1.0 + 1.0 / beta)
-    with np.errstate(over="ignore"):
-        shifts = [frac * alpha[t] for t in range(1, T + 1)]
-    overflow = not (np.isfinite(alpha).all() and np.isfinite(shifts).all())
-    alpha_hat = min(shifts)
-    phi_max_H, phi_min_H, zeta, zeta1, phi_H = _base_constants(
-        L, constraints, eta, rho, r
-    )
-    ok, case, lo, hi, rho_star, rho_0, delta, reasons = _interval_case(
-        L, L + 1.0 + 2.0 * alpha_hat, constraints, eta, rho, r,
-        phi_max_H, phi_min_H, phi_H,
-    )
-    pa = constraints.phi_min_A
-    base = (
-        phi_min_H / eta
-        + pa * rho / 2.0
-        - (L + 1.0) / 2.0
-        - (zeta + zeta1) / rho
-    )
-    gammas = [base - shift for shift in shifts]
-    gamma_min = min(gammas)
-    if overflow:
-        reasons.append(
-            f"alpha schedule overflows float64 within T={T} steps: "
-            "the backward recursion grows geometrically for M < n"
-        )
-    if gamma_min <= 0:
-        reasons.append(f"min Gamma = {gamma_min:g} <= 0")
-    accepted = ok and gamma_min > 0  # an overflow leaves gamma_min = -inf
-    return Certificate(
-        variant="saga",
-        accepted=accepted,
-        gamma=gamma_min,
-        rho_star=rho_star,
-        rho_0=rho_0,
-        delta=delta,
-        case=case,
-        eta_interval=(lo, hi),
-        constants=_make_constants(
-            L, constraints, eta, rho, r, rho_star, rho_0, delta, gamma_min
-        ),
-        schedule=[float(v) for v in alpha[:T]],
-        gamma_sequence=[float(v) for v in gammas],
-        reasons=reasons,
-    )
+def _shift_sequence(variant, L, constraints, rho, n, M, m, T, beta):
+    """The variant's schedule and the shifts it adds to L~, one per step.
+
+    None and None for dete and stoc. svrg shifts by (1+1/beta) h_{t+1} and,
+    in the steady state where h_1 of the next epoch equals h[0], by h[0] at
+    the epoch's end; saga by ((n-M)/n)(1+1/beta) alpha_t.
+    """
+    if variant in ("dete", "stoc"):
+        return None, None
+    if variant == "svrg":
+        if m is None or M is None:
+            raise ConfigError("svrg certificate needs m and M")
+        h = svrg_h_schedule(L, constraints, rho, M, m, beta)
+        shifts = [(1.0 + 1.0 / beta) * h[t + 1] for t in range(m - 1)]
+        return h, shifts + [float(h[0])]
+    if variant == "saga":
+        if T is None or n is None or M is None:
+            raise ConfigError("saga certificate needs T, n and M")
+        alpha = saga_alpha_schedule(L, constraints, rho, n, M, T, beta)
+        frac = (n - M) / n * (1.0 + 1.0 / beta)
+        with np.errstate(over="ignore"):
+            return alpha[:T], [frac * alpha[t] for t in range(1, T + 1)]
+    raise ConfigError(f"unknown variant {variant!r}")
 
 
 def check_feasible(variant, L, constraints, eta, rho, r, *, n=None, M=None,
                    m=None, T=None, beta=1.0):
-    """Dispatch to the per-variant certificate."""
+    """Certificate for one (eta, rho, r) configuration of any variant.
+
+    All variants share the interval condition and Gamma; they differ only in
+    the shift sequence added to L~ (see `_shift_sequence`). The interval uses
+    L + 1 + 2*min(shift) and Gamma_t is the base minus shift_t. dete and
+    stoc, with no shift, keep their own closed form of Gamma.
+    svrg needs m and M, saga needs T, n and M.
+    """
     variant = variant.lower()
-    if variant in ("dete", "stoc"):
-        return stoc_feasible(L, constraints, eta, rho, r)
-    if variant == "svrg":
-        if m is None or M is None:
-            raise ConfigError("svrg certificate needs m and M")
-        return svrg_feasible(L, constraints, eta, rho, r, m, M, beta=beta)
-    if variant == "saga":
-        if T is None or n is None or M is None:
-            raise ConfigError("saga certificate needs T, n and M")
-        return saga_feasible(L, constraints, eta, rho, r, T, n, M, beta=beta)
-    raise ConfigError(f"unknown variant {variant!r}")
+    if eta <= 0 or rho <= 0 or r <= 0:
+        raise ConfigError("eta, rho and r must all be > 0")
+    schedule, shifts = _shift_sequence(
+        variant, L, constraints, rho, n, M, m, T, beta
+    )
+    pa = constraints.phi_min_A
+    phi_max_H = r - rho * eta * pa
+    phi_min_H = r - rho * eta * constraints.norm_AtA
+    zeta = 5.0 * (L**2 * eta**2 + phi_max_H**2) / (pa * eta**2)
+    zeta1 = 5.0 * phi_max_H**2 / (pa * eta**2)
+    phi_H = phi_min_H**2 + 20.0 * phi_max_H**2
+
+    shift = 0.0 if shifts is None else min(shifts)
+    interval = _interval_case(
+        L, L + 1.0 + 2.0 * shift, constraints, eta, rho, r,
+        phi_max_H, phi_min_H, phi_H,
+    )
+    reasons = [] if interval.ok else [interval.reason]
+    head = phi_min_H / eta + pa * rho / 2.0 - (L + 1.0) / 2.0
+    if shifts is None:
+        gammas = None
+        gamma = head - 5.0 * (L**2 * eta**2 + 2.0 * phi_max_H**2) / (rho * pa * eta**2)
+        if gamma <= 0:
+            reasons.append(f"gamma={gamma:g} <= 0")
+    else:
+        base = head - (zeta + zeta1) / rho
+        gammas = [float(base - s) for s in shifts]
+        gamma = min(gammas)  # an overflowed shift leaves -inf
+        overflow = not (np.isfinite(schedule).all() and np.isfinite(shifts).all())
+        if variant == "saga" and overflow:
+            reasons.append(
+                f"alpha schedule overflows float64 within T={T} steps: "
+                "the backward recursion grows geometrically for M < n"
+            )
+        if gamma <= 0:
+            reasons.append(f"min Gamma = {gamma:g} <= 0")
+    return Certificate(
+        variant="stoc" if shifts is None else variant,
+        accepted=bool(interval.ok and gamma > 0),
+        gamma=float(gamma),
+        rho_star=interval.rho_star,
+        rho_0=interval.rho_0,
+        delta=interval.delta,
+        case=interval.case,
+        eta_interval=(interval.lo, interval.hi),
+        constants=TheoryConstants(
+            L=L, L_tilde=L + 1.0, phi_min_A=pa,
+            norm_AtA=constraints.norm_AtA, phi_max_H=phi_max_H,
+            phi_min_H=phi_min_H, zeta=zeta, zeta1=zeta1, phi_H=phi_H,
+            rho_star=interval.rho_star, rho_0=interval.rho_0,
+            delta=interval.delta, gamma=gamma,
+        ),
+        schedule=None if schedule is None else [float(v) for v in schedule],
+        gamma_sequence=gammas,
+        reasons=reasons,
+    )
 
 
 def min_admissible_r(constraints, eta, rho):
@@ -387,10 +287,11 @@ def suggest_params(problem, variant, M=None, T=1000, m=None, beta=1.0):
     """Search for a certified (eta, rho, r) and return it with its certificate.
 
     Starts from rho = 2*rho* (third interval case) with r at its minimum and
-    falls back to a log grid over (eta, rho). Raises ConfigError with the
-    evaluated grid when nothing certifies.
+    falls back to a log grid over (eta, rho). M, m and r take the defaults of
+    `solvers.config_defaults`. Raises ConfigError with the evaluated grid
+    when nothing certifies.
     """
-    from .solvers import SolverConfig  # local import to avoid a cycle
+    from .solvers import SolverConfig, config_defaults  # local import to avoid a cycle
 
     L = estimate_lipschitz(problem)
     if L <= 0:
@@ -398,51 +299,44 @@ def suggest_params(problem, variant, M=None, T=1000, m=None, beta=1.0):
     cs = problem.constraints
     n = problem.n
     variant = variant.lower()
-    if M is None:
-        M = n if variant == "dete" else max(1, min(n, 100))
-    if variant == "svrg" and m is None:
-        m = max(1, n // M)
     rho_star_base = (L + 1.0 + math.sqrt(40.0 * L**2 + (L + 1.0) ** 2)) / (
         2.0 * cs.phi_min_A
     )
-    # the svrg epoch schedule grows geometrically in m and the saga schedule
-    # in T unless M = n, so fall back to shorter epochs / full batches when
-    # the requested sizes never certify
-    if variant == "svrg":
-        mm, batch_sizes = m, [M]
-        epoch_lengths = []
-        while mm >= 1:
-            epoch_lengths.append(mm)
-            mm //= 2
-    elif variant == "saga":
-        epoch_lengths = [None]
-        batch_sizes = [M] if M == n else [M, n]
-    else:
-        epoch_lengths, batch_sizes = [None], [M]
-
     tried = []
     for mult in _RHO_MULTS:
         rho = mult * rho_star_base
         for eta in _ETA_GRID:
-            r = min_admissible_r(cs, eta, rho)
-            for M_try in batch_sizes:
-                for m_try in epoch_lengths:
-                    cert = check_feasible(
-                        variant, L, cs, eta, rho, r,
-                        n=n, M=M_try, m=m_try, T=T, beta=beta,
+            r, M_def, m_def = config_defaults(problem, variant, eta, rho, M=M, m=m)
+            for M_try, m_try in _size_fallbacks(variant, n, M_def, m_def):
+                cert = check_feasible(
+                    variant, L, cs, eta, rho, r,
+                    n=n, M=M_try, m=m_try, T=T, beta=beta,
+                )
+                tried.append((eta, rho, cert.accepted))
+                if cert.accepted:
+                    cfg = SolverConfig(
+                        variant=variant, eta=eta, rho=rho, r=r,
+                        M=M_try, T=T, m=m_try,
                     )
-                    tried.append((eta, rho, cert.accepted))
-                    if cert.accepted:
-                        cfg = SolverConfig(
-                            variant=variant, eta=eta, rho=rho, r=r,
-                            M=M_try, T=T,
-                            m=m_try if variant == "svrg" else None,
-                        )
-                        return cfg, cert
+                    return cfg, cert
     grid = ", ".join(f"(eta={e:g}, rho={p:g})" for e, p, _ in tried)
     raise ConfigError(
         f"no feasible (eta, rho) found for variant {variant!r}; tried {grid}"
     )
+
+
+def _size_fallbacks(variant, n, M, m):
+    """(M, m) pairs to certify in turn, the requested sizes first.
+
+    The svrg schedule grows geometrically in m, and the saga schedule in T
+    unless M = n, so svrg falls back to epochs m, m//2, ..., 1 and saga to
+    the full batch. m is None for every variant but svrg.
+    """
+    if variant == "svrg":
+        return [(M, m >> k) for k in range(max(m, 0).bit_length())]
+    if variant == "saga" and M != n:
+        return [(M, None), (n, None)]
+    return [(M, None)]
 
 
 def empirical_sigma_sq(problem, x):

@@ -16,7 +16,7 @@ from .exceptions import (
     InputError,
     InternalInvariantError,
 )
-from . import metrics
+from . import metrics, params
 
 VARIANTS = ("dete", "stoc", "svrg", "saga")
 
@@ -59,8 +59,7 @@ class SolverConfig:
             raise ConfigError("trace_stride must be >= 1")
 
     def validate_against(self, problem):
-        cs = problem.constraints
-        r_min = self.eta * self.rho * cs.norm_AtA + 1.0
+        r_min = params.min_admissible_r(problem.constraints, self.eta, self.rho)
         if self.r < r_min * (1.0 - 1e-12):
             raise ConfigError(
                 f"r={self.r:g} below the H >= I bound "
@@ -68,6 +67,26 @@ class SolverConfig:
             )
         if self.M > problem.n:
             raise ConfigError(f"M={self.M} exceeds sample count n={problem.n}")
+
+
+def config_defaults(problem, variant, eta, rho, r=None, M=None, m=None):
+    """(r, M, m) of a SolverConfig for `problem`, each filled in when None.
+
+    M: n for dete, else min(100, n); a given M is clamped to n, refused
+    below 1. m: max(1, n // M) for svrg. r: `params.min_admissible_r`.
+    """
+    n = problem.n
+    variant = variant.lower()
+    if M is None:
+        M = n if variant == "dete" else min(100, n)
+    elif M < 1:
+        raise ConfigError("mini-batch size M must be >= 1")
+    M = min(M, n)
+    if m is None and variant == "svrg":
+        m = max(1, n // M)
+    if r is None:
+        r = params.min_admissible_r(problem.constraints, eta, rho)
+    return r, M, m
 
 
 @dataclass

@@ -270,12 +270,12 @@ def test_criterion_07_desk_scale_speedup():
 def test_criterion_08_parameter_certificates():
     # closed-form penalty threshold, frozen oracle at L = 1, phi_min = 1
     cs1 = problems.build_graph_guided_A(np.zeros((3, 3), dtype=bool))
-    cert = params.stoc_feasible(1.0, cs1, 1.0, 10.0, r=11.0)
+    cert = params.check_feasible("stoc", 1.0, cs1, 1.0, 10.0, r=11.0)
     oracle = (2.0 + np.sqrt(44.0)) / 2.0
     resid_ok = abs(cert.rho_star - oracle) <= 1e-9
     quad_worst = 0.0
     for L, cs in [(1.0, cs1), (3.5, problems.build_overlap_A(4, 2))]:
-        c = params.stoc_feasible(L, cs, 0.5, 8.0, r=9.0)
+        c = params.check_feasible("stoc", L, cs, 0.5, 8.0, r=9.0)
         pa = cs.phi_min_A
         resid = pa * c.rho_star**2 - (L + 1) * c.rho_star - 10 * L**2 / pa
         quad_worst = max(quad_worst, abs(resid) / max(1.0, c.rho_star**2))

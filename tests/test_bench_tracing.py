@@ -1,0 +1,57 @@
+"""The benchmark's tracer wraps package attributes by name.
+
+`ncbench/tracing.py` installs its wrappers on module and class attributes of
+ncadmm that the package looks up at call time. Renaming or deleting one, or
+binding it at import, breaks `ncbench/run.py --trace 1`; these tests catch
+that in the unit suite. They read `ncbench/` and change nothing there.
+"""
+
+import importlib.util
+import os
+
+from ncadmm import cli, params, solvers
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_tracing():
+    path = os.path.join(ROOT, "ncbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("ncbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores():
+    tracing = load_tracing()
+    names = [(params, "check_feasible"), (params, "min_admissible_r"),
+             (params, "suggest_params"), (cli, "_aggregate_rows"),
+             (cli, "build_problem"), (solvers, "svrg_gradient"),
+             (solvers, "saga_gradient"), (solvers, "stoc_gradient")]
+    before = [getattr(owner, attr) for owner, attr in names]
+    with tracing.Tracer().installed():
+        during = [getattr(owner, attr) for owner, attr in names]
+    after = [getattr(owner, attr) for owner, attr in names]
+    assert all(a is not b for a, b in zip(during, before))
+    assert all(a is b for a, b in zip(after, before))
+
+
+def test_traced_run_reaches_every_layer(tmp_path):
+    tracing = load_tracing()
+    spec = {
+        "version": "v1",
+        "problem": {"kind": "graph_guided", "n": 120, "d": 6, "seed": 3,
+                    "empty_support": True},
+        "solvers": [{"variant": v, "eta": 1.0, "rho": 60.0, "M": 20, "T": 4}
+                    for v in ("dete", "stoc", "svrg", "saga")],
+        "repetitions": 2,
+    }
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        code = cli.run_experiment(spec, str(tmp_path), allow_uncertified=True,
+                                  echo=lambda *a: None)
+    assert code == cli.EXIT_OK
+    seen = {span[0] for span in tracer.spans}
+    assert {"params.certify", "params.suggest", "solvers.grad_estimate",
+            "cli.build_problem", "cli.output"} <= seen
+    assert tracer.counts["params.cert_attempts"] == 4

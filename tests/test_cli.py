@@ -137,6 +137,30 @@ class TestCheckParams:
         )
         assert bad.exit_code == 2
 
+    @pytest.mark.parametrize("variant, batch, extra, accepted", [
+        ("svrg", "20", ["--epoch-length", "3"], True),
+        ("svrg", "20", ["--epoch-length", "6"], False),
+        ("saga", "20", ["--iterations", "1"], True),
+        ("saga", "20", ["--iterations", "10"], False),
+        ("saga", "60", [], True),
+    ])
+    def test_accepted_is_a_json_bool(self, runner, tmp_path, variant, batch,
+                                     extra, accepted):
+        # eta inside its interval, so Gamma alone decides
+        spec = tmp_path / "exp.json"
+        write_spec(spec)
+        res = runner.invoke(
+            cli.main,
+            ["check-params", "--spec", str(spec), "--variant", variant,
+             "--eta", "1.0", "--rho", "60.0", "--batch", batch, *extra],
+        )
+        cert = json.loads(res.output)
+        lo, hi = cert["eta_interval"]
+        assert lo < 1.0 <= hi
+        assert cert["accepted"] is accepted
+        assert res.exit_code == (0 if accepted else 2)
+        assert all(type(g) is float for g in cert["gamma_sequence"])
+
 
 class TestRhoSweep:
     def test_table_written(self, runner, tmp_path):
@@ -281,6 +305,38 @@ class TestFailClosed:
         self.assert_one_line_error(proc)
         assert "not valid JSON" in proc.stderr
 
+    def test_zero_batch_in_spec(self, refused_spec, tmp_path):
+        spec = json.loads(refused_spec.read_text())
+        spec["solvers"][0].update(variant="svrg", M=0)  # m defaults to n // M
+        refused_spec.write_text(json.dumps(spec))
+        proc = run_cli(["run", "--spec", str(refused_spec), "--out",
+                        str(tmp_path / "o"), "--allow-uncertified"])
+        self.assert_one_line_error(proc)
+        assert "M must be >= 1" in proc.stderr
+
+    def test_non_integer_repetitions(self, refused_spec, tmp_path):
+        spec = json.loads(refused_spec.read_text())
+        spec["repetitions"] = "2"
+        refused_spec.write_text(json.dumps(spec))
+        proc = run_cli(["run", "--spec", str(refused_spec), "--out",
+                        str(tmp_path / "o"), "--allow-uncertified"])
+        self.assert_one_line_error(proc)
+        assert "repetitions" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("variant, flag, value", [
+        ("svrg", "--batch", "0"), ("stoc", "--batch", "0"),
+        ("svrg", "--rho", "0"), ("saga", "--rho", "0"),
+    ])
+    def test_check_params_zero_batch_or_rho(self, refused_spec, variant,
+                                            flag, value):
+        args = {"--eta": "0.01", "--rho": "300", "--batch": "20"}
+        args[flag] = value
+        proc = run_cli(["check-params", "--spec", str(refused_spec),
+                        "--variant", variant,
+                        *[tok for item in args.items() for tok in item]])
+        self.assert_one_line_error(proc)
+
     def test_rho_sweep_needs_no_rho(self, refused_spec, tmp_path):
         spec = json.loads(refused_spec.read_text())
         del spec["solvers"][0]["rho"]
@@ -343,3 +399,51 @@ class TestBuildProblem:
         with pytest.raises(ConfigError, match="rho"):
             cli.run_experiment(spec, str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
+
+
+def _aggregate_rows_loop(rep_rows):
+    """The per-cell loop _aggregate_rows must equal bitwise."""
+    n_rows = min(len(rows) for rows in rep_rows)
+    out = []
+    for i in range(n_rows):
+        acc = []
+        for col in range(len(cli.CSV_COLUMNS)):
+            vals = []
+            for rows in rep_rows:
+                v = rows[i][col]
+                if v == "":
+                    vals = None
+                    break
+                vals.append(float(v))
+            acc.append("" if vals is None else float(np.mean(vals)))
+        acc[0] = int(acc[0])
+        out.append(acc)
+    return out
+
+
+class TestAggregateRows:
+    @pytest.mark.parametrize("reps", [1, 3, 9])
+    def test_bitwise_equal_to_loop(self, reps):
+        rng = np.random.default_rng(reps)
+        for _ in range(40):
+            rep_rows = []
+            for rep in range(reps):
+                rows = []
+                for t in range(int(rng.integers(1, 6))):  # ragged lengths
+                    row = [5 * (t + 1), *(rng.standard_normal(9)
+                                          * 10.0 ** rng.integers(-6, 6, 9))]
+                    row[2] = int(rng.integers(0, 1000))
+                    row[3] = -0.0 if rng.random() < 0.3 else row[3]
+                    row[9] = "" if rng.random() < 0.2 else row[9]
+                    rows.append(row)
+                rep_rows.append(rows)
+            got = cli._aggregate_rows(rep_rows)
+            want = _aggregate_rows_loop(rep_rows)
+            # repr tells -0.0 from 0.0 and int from float
+            assert repr(got) == repr(want)
+
+    def test_empty_column_stays_empty(self):
+        rows = [[1, 0.5, 10, 1.0, 0, 0, 0, 0, 0, ""]]
+        other = [[1, 1.5, 10, 3.0, 0, 0, 0, 0, 0, 2.0], [2] + [0.0] * 9]
+        out = cli._aggregate_rows([rows, other])
+        assert out == [[1, 1.0, 10.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, ""]]

@@ -43,14 +43,14 @@ class TestLipschitz:
 class TestConstants:
     def test_h_spectrum(self):
         cs = problems.build_overlap_A(3, 2)  # AtA = 2I
-        cert = params.stoc_feasible(1.0, cs, 0.5, 4.0, r=5.0)
+        cert = params.check_feasible("stoc", 1.0, cs, 0.5, 4.0, r=5.0)
         assert np.isclose(cert.constants.phi_max_H, 5.0 - 4.0 * 0.5 * 2.0)
         assert np.isclose(cert.constants.phi_min_H, 5.0 - 4.0 * 0.5 * 2.0)
 
     def test_rho_star_quadratic_residual(self):
         cs = identity_constraints(3)
         L = 1.0
-        cert = params.stoc_feasible(L, cs, 1.0, 10.0, r=11.0)
+        cert = params.check_feasible("stoc", L, cs, 1.0, 10.0, r=11.0)
         rs = cert.rho_star
         L_eff = L + 1.0
         resid = cs.phi_min_A * rs**2 - L_eff * rs - 10.0 * L**2 / cs.phi_min_A
@@ -61,7 +61,7 @@ class TestConstants:
     def test_zeta_formula(self):
         cs = identity_constraints(3)
         L, eta, rho, r = 2.0, 0.5, 8.0, 5.0
-        cert = params.stoc_feasible(L, cs, eta, rho, r)
+        cert = params.check_feasible("stoc", L, cs, eta, rho, r)
         phi_max_H = r - rho * eta * cs.phi_min_A
         expected = 5.0 * (L**2 * eta**2 + phi_max_H**2) / (cs.phi_min_A * eta**2)
         assert np.isclose(cert.constants.zeta, expected)
@@ -69,9 +69,9 @@ class TestConstants:
     def test_gamma_sign_drives_acceptance(self):
         cs = identity_constraints(3)
         L = 1.0
-        good = params.stoc_feasible(L, cs, 1.0, 20.0, params.min_admissible_r(cs, 1.0, 20.0))
+        good = params.check_feasible("stoc", L, cs, 1.0, 20.0, params.min_admissible_r(cs, 1.0, 20.0))
         assert good.accepted and good.gamma > 0
-        bad = params.stoc_feasible(L, cs, 1.0, 0.5, params.min_admissible_r(cs, 1.0, 0.5))
+        bad = params.check_feasible("stoc", L, cs, 1.0, 0.5, params.min_admissible_r(cs, 1.0, 0.5))
         assert not bad.accepted
         assert bad.reasons
 
@@ -115,7 +115,7 @@ class TestSchedules:
         r = params.min_admissible_r(cs, eta, rho)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cert = params.saga_feasible(1.0, cs, eta, rho, r, T=2000, n=1000, M=10)
+            cert = params.check_feasible("saga", 1.0, cs, eta, rho, r, T=2000, n=1000, M=10)
         assert not cert.accepted
         assert cert.gamma == -math.inf
         assert any("overflows" in reason for reason in cert.reasons)
