@@ -11,6 +11,7 @@ summary. CSV column order is fixed:
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -72,6 +73,13 @@ _PROBLEM_KEYS = {
 }
 _SOLVER_KEYS = ("variant", "rho")
 
+# spec values read as numbers: reals, and integers with their lower bound
+_SOLVER_REALS = ("eta", "rho", "r")
+_SOLVER_INTS = {"T": 1, "M": 1, "m": 1, "seed": 0}
+_SPEC_INTS = {"repetitions": 1, "seed_base": 0, "trace_stride": 1}
+# `config_defaults` fills these in when they are null
+_NULL_MEANS_DEFAULT = ("r", "M", "m")
+
 
 def _require(entry, keys, where):
     if not isinstance(entry, dict):
@@ -79,6 +87,30 @@ def _require(entry, keys, where):
     for key in keys:
         if key not in entry:
             raise ConfigError(f"{where} lacks required key {key!r}")
+
+
+def _check_numbers(owner, where, reals=(), ints=None):
+    """Refuse a present value that is not a finite number, or not an
+    integer at or above its bound."""
+    ints = ints or {}
+    for key in (*reals, *ints):
+        if key not in owner:
+            continue
+        value = owner[key]
+        if value is None and key in _NULL_MEANS_DEFAULT:
+            continue
+        integer = key in ints
+        ok = (isinstance(value, int if integer else (int, float))
+              and not isinstance(value, bool))
+        if ok and isinstance(value, float):
+            ok = math.isfinite(value)
+        if not ok:
+            kind = "an integer" if integer else "a finite number"
+            raise ConfigError(f"{where}: {key} must be {kind}, got {value!r}")
+        if integer and value < ints[key]:
+            raise ConfigError(
+                f"{where}: {key} must be >= {ints[key]}, got {value!r}"
+            )
 
 
 def _check_problem_spec(problem):
@@ -101,12 +133,11 @@ def _check_spec(spec, solver_keys=_SOLVER_KEYS):
         raise ConfigError("experiment spec lists no solvers")
     for i, entry in enumerate(spec["solvers"]):
         _require(entry, solver_keys, f"solver entry {i}")
+        _check_numbers(entry, f"solver entry {i}", _SOLVER_REALS, _SOLVER_INTS)
     names = [s.get("name") or s["variant"] for s in spec["solvers"]]
     if len(set(names)) != len(names):
         raise ConfigError("solver names must be distinct")
-    reps = spec.get("repetitions", 1)
-    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
-        raise ConfigError(f"repetitions must be an integer >= 1, got {reps!r}")
+    _check_numbers(spec, "experiment spec", ints=_SPEC_INTS)
     return spec
 
 

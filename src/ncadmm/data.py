@@ -11,9 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .exceptions import ConfigError, ParseError
+from .exceptions import ConfigError, InternalInvariantError, ParseError
 
 _MIN_PRECISION_EIG = 0.1
+_PARSE_BLOCK_CHARS = 1 << 16
 
 
 @dataclass
@@ -135,50 +136,24 @@ def parse_libsvm(source, n_features=None, label_mode="auto"):
     if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
         source = io.TextIOWrapper(source, encoding="utf-8")
 
-    labels, rows, cols, vals = [], [], [], []
-    max_idx = 0
-    row = 0
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        try:
-            label = float(tokens[0])
-        except ValueError:
-            raise ParseError(f"bad label token {tokens[0]!r}", lineno) from None
-        prev_idx = 0
-        for tok in tokens[1:]:
-            idx_s, _, val_s = tok.partition(":")
-            if not val_s:
-                raise ParseError(f"bad feature token {tok!r}", lineno)
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise ParseError(f"bad feature token {tok!r}", lineno) from None
-            if idx <= prev_idx:
-                raise ParseError(
-                    f"feature indices must be 1-based strictly increasing, "
-                    f"got {idx} after {prev_idx}", lineno
-                )
-            prev_idx = idx
-            rows.append(row)
-            cols.append(idx - 1)
-            vals.append(val)
-        max_idx = max(max_idx, prev_idx)
-        labels.append(label)
-        row += 1
-    if row == 0:
+    parts, offset = [], 0
+    # about 64 KB of text at a time bounds the parse's own memory
+    for lines in iter(lambda: source.readlines(_PARSE_BLOCK_CHARS), []):
+        parts.append(_parse_lines(lines, offset))
+        offset += len(lines)
+    if not sum(part[0].size for part in parts):
         raise ParseError("empty dataset: no data lines found")
+    labels, counts, cols, vals = map(np.concatenate, zip(*parts))
+    row = labels.size
+    max_idx = int(cols.max()) if cols.size else 0
 
     d = n_features if n_features is not None else max_idx
     if d < max_idx:
         raise ParseError(f"n_features={d} smaller than max index {max_idx}")
+    rows = np.repeat(np.arange(row), counts)
     feats = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(row, max(d, 1)), dtype=float
+        (vals, (rows, cols - 1)), shape=(row, max(d, 1)), dtype=float
     )
-    labels = np.asarray(labels)
     uniq = np.unique(labels)
     if label_mode == "auto":
         label_mode = "binary" if uniq.size == 2 else (
@@ -203,6 +178,96 @@ def parse_libsvm(source, n_features=None, label_mode="auto"):
         meta={"name": "libsvm", "n": row, "d": feats.shape[1],
               "classes": classes, "source": "libsvm", "label_mode": label_mode},
     )
+
+
+def _parse_lines(lines, offset):
+    """(labels, feature counts, indices, values) of the data lines among
+    `lines`, which follow `offset` lines of the file; the ParseError of the
+    first malformed one.
+
+    Each check marks the lines it fails on; the first marked line is then
+    checked again on its own for its message.
+    """
+    data_lines = [
+        (lineno, tokens)
+        for lineno, tokens in enumerate(map(str.split, lines), start=offset + 1)
+        if tokens and tokens[0][0] != "#"
+    ]
+    counts = np.array([len(tokens) - 1 for _, tokens in data_lines], dtype=np.intp)
+    labels, line_bad = _convert(float, [tokens[0] for _, tokens in data_lines])
+    feats = [tok for _, tokens in data_lines for tok in tokens[1:]]
+    joined = " ".join(feats)
+    tok_bad = _colon_bad(joined, len(feats))
+    if tok_bad.any():
+        # a stand-in keeps the idx:val pieces aligned; the line is bad anyway
+        joined = " ".join("1:0" if bad else tok for tok, bad in zip(feats, tok_bad))
+    pieces = joined.replace(":", " ").split(" ") if feats else []
+    cols, idx_bad = _convert(int, pieces[0::2], np.int64)
+    vals, val_bad = _convert(float, pieces[1::2])
+    # each index against the one before it on its line, 0 for a line's first
+    prev = np.empty_like(cols)
+    prev[1:] = cols[:-1]
+    prev[(np.cumsum(counts) - counts)[counts > 0]] = 0
+    tok_bad |= idx_bad | val_bad | (cols <= prev)
+    line_bad[np.repeat(np.arange(len(data_lines)), counts)[tok_bad]] = True
+    if line_bad.any():
+        # every check above is exact, so the first marked line fails again
+        lineno, tokens = data_lines[int(np.argmax(line_bad))]
+        _check_line(tokens, lineno)
+        raise InternalInvariantError(f"line {lineno} was marked but parses")
+    return labels, counts, cols, vals
+
+
+def _convert(fn, strings, dtype=float):
+    """(values, bad): fn over the strings as an array, with 0 and a True in
+    `bad` for each string on which fn raises ValueError."""
+    bad = np.zeros(len(strings), dtype=bool)
+    try:
+        return np.fromiter(map(fn, strings), dtype, len(strings)), bad
+    except ValueError:
+        pass
+    values = np.zeros(len(strings), dtype)
+    for k, text in enumerate(strings):
+        try:
+            values[k] = fn(text)
+        except ValueError:
+            bad[k] = True
+    return values, bad
+
+
+def _colon_bad(joined, count):
+    """True for each of the `count` space-joined, whitespace-free tokens
+    that does not hold exactly one ':'."""
+    # ':' and ' ' are single bytes that no other UTF-8 character contains
+    text = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    seps = text[(text == ord(":")) | (text == ord(" "))]
+    # exactly one ':' per token leaves the separators alternating ": : :"
+    if (seps.size == max(2 * count - 1, 0) and (seps[0::2] == ord(":")).all()
+            and (seps[1::2] == ord(" ")).all()):
+        return np.zeros(count, dtype=bool)
+    return np.array([tok.count(":") != 1 for tok in joined.split(" ")], dtype=bool)
+
+
+def _check_line(tokens, lineno):
+    """Raise the ParseError of a data line's first malformed token."""
+    try:
+        float(tokens[0])
+    except ValueError:
+        raise ParseError(f"bad label token {tokens[0]!r}", lineno) from None
+    prev_idx = 0
+    for tok in tokens[1:]:
+        idx_s, _, val_s = tok.partition(":")
+        try:
+            idx = int(idx_s)
+            float(val_s)
+        except ValueError:
+            raise ParseError(f"bad feature token {tok!r}", lineno) from None
+        if idx <= prev_idx:
+            raise ParseError(
+                f"feature indices must be 1-based strictly increasing, "
+                f"got {idx} after {prev_idx}", lineno
+            )
+        prev_idx = idx
 
 
 def write_libsvm(dataset, path, sidecar=None):

@@ -154,8 +154,11 @@ def svrg_h_schedule(L, constraints, rho, M, m, beta):
     h = np.empty(m)
     h[m - 1] = 10.0 * L**2 / (pa * rho * M)
     step = (10.0 + pa * rho) * L**2 / (2.0 * rho * pa * M)
-    for t in range(m - 2, -1, -1):
-        h[t] = (2.0 + beta) * h[t + 1] + step
+    # the factor 2 + beta > 1 makes long epochs overflow to inf;
+    # check_feasible refuses such a schedule by name
+    with np.errstate(over="ignore"):
+        for t in range(m - 2, -1, -1):
+            h[t] = (2.0 + beta) * h[t + 1] + step
     return h
 
 
@@ -193,7 +196,8 @@ def _shift_sequence(variant, L, constraints, rho, n, M, m, T, beta):
         if m is None or M is None:
             raise ConfigError("svrg certificate needs m and M")
         h = svrg_h_schedule(L, constraints, rho, M, m, beta)
-        shifts = [(1.0 + 1.0 / beta) * h[t + 1] for t in range(m - 1)]
+        with np.errstate(over="ignore"):
+            shifts = [(1.0 + 1.0 / beta) * h[t + 1] for t in range(m - 1)]
         return h, shifts + [float(h[0])]
     if variant == "saga":
         if T is None or n is None or M is None:
@@ -249,6 +253,11 @@ def check_feasible(variant, L, constraints, eta, rho, r, *, n=None, M=None,
             reasons.append(
                 f"alpha schedule overflows float64 within T={T} steps: "
                 "the backward recursion grows geometrically for M < n"
+            )
+        if variant == "svrg" and overflow:
+            reasons.append(
+                f"h schedule overflows float64 within m={m} steps: "
+                "the backward recursion grows geometrically in the epoch"
             )
         if gamma <= 0:
             reasons.append(f"min Gamma = {gamma:g} <= 0")

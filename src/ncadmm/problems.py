@@ -24,6 +24,8 @@ def _as_matrix(A):
     """Return A as csr when it is sparse enough, dense float array otherwise."""
     if sp.issparse(A):
         A = A.tocsr().astype(float)
+        # one stored entry per position, as the row rebuilds assume
+        A.sum_duplicates()
         density = A.nnz / (A.shape[0] * A.shape[1])
         if density >= _SPARSE_DENSITY_CUTOFF:
             return A.toarray()
@@ -160,15 +162,39 @@ class Rows:
 
         Positions 0..len-1 in order return this set itself, not a copy.
         """
-        if not isinstance(positions, slice) and np.array_equal(
-            positions, np.arange(len(self))
-        ):
+        if isinstance(positions, slice):
+            positions = np.arange(len(self))[positions]
+        elif np.array_equal(positions, np.arange(len(self))):
             return self
         return Rows(
             self.index[positions],
-            self.features[positions],
+            _take_features(self.features, positions),
             self.labels[positions],
         )
+
+
+def _take_features(features, idx):
+    """Feature rows idx. A csr matrix is sliced with numpy from its indptr,
+    indices and data: the arrays scipy's row index builds, for a fraction of
+    its per-call cost."""
+    if not sp.issparse(features):
+        return features[idx]
+    indptr = features.indptr
+    starts = indptr[idx]
+    counts = indptr[idx + 1] - starts
+    ptr = np.zeros(idx.size + 1, dtype=indptr.dtype)
+    np.cumsum(counts, out=ptr[1:])
+    pos = np.arange(ptr[-1], dtype=indptr.dtype) + np.repeat(starts - ptr[:-1], counts)
+    return type(features)(
+        (features.data[pos], features.indices[pos], ptr),
+        shape=(idx.size, features.shape[1]),
+    )
+
+
+def _nonzeros(feats):
+    """(row, column, value) of every stored entry of a csr matrix."""
+    rows = np.repeat(np.arange(feats.shape[0]), np.diff(feats.indptr))
+    return rows, feats.indices, feats.data
 
 
 def _gather(features, labels, index_set):
@@ -183,7 +209,7 @@ def _gather(features, labels, index_set):
     idx = _check_index_set(index_set, n)
     if idx.size == n and np.array_equal(idx, np.arange(n)):
         return Rows(idx, features, labels)
-    return Rows(idx, features[idx], labels[idx])
+    return Rows(idx, _take_features(features, idx), labels[idx])
 
 
 def _select_rows(features, labels, index_set):
@@ -224,6 +250,32 @@ class _LinearModelLoss:
         feats, labels = _select_rows(self.features, self.labels, index_set)
         coef, shared = self._coefficients(x, feats, labels)
         return self.component_rows(coef, feats, shared)
+
+    def coefficients_at(self, x, rows, positions, subtract_from=None):
+        """Bitwise `coefficients(x, new)` for `new = rows.take(positions)` of
+        gathered Rows. `subtract_from`, when given, is overwritten with
+        itself minus the component rows of `new` at x, bitwise
+        `subtract_from - component_rows(coef, new.features, shared)`.
+
+        A sparse product computes each row from that row's stored entries
+        alone, so sparse rows are computed where they are and indexed. BLAS
+        can round a dense row differently by its place in the matrix, so
+        dense rows are taken first.
+        """
+        if not sp.issparse(rows.features):
+            new = rows.take(positions)
+            coef, shared = self.coefficients(x, new)
+            if subtract_from is not None:
+                subtract_from -= self.component_rows(coef, new.features, shared)
+            return coef, shared
+        coef, shared = self.coefficients(x, rows)
+        coef = coef[positions]
+        if subtract_from is not None:
+            self._subtract_sparse_rows(subtract_from, coef, rows, positions, shared)
+        return coef, shared
+
+    def _subtract_sparse_rows(self, out, coef, rows, positions, shared):
+        out -= self.component_rows(coef, rows.take(positions).features, shared)
 
 
 def _sigmoid_losses(scores, labels):
@@ -361,11 +413,58 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
     def component_rows(self, P, feats, shared):
         """Rows P_i (x) a_i + shared; shared is one (classes, d_features)
         term for every row or one per row."""
-        if sp.issparse(feats):
-            feats = feats.toarray()
-        G = np.einsum("ic,ij->icj", P, feats)
-        G += shared
+        G = np.empty((len(P), self.classes, self.d_features))
+        np.add(shared, 0.0, out=G)
+        return self.add_products(P, feats, G)
+
+    def add_products(self, P, feats, G):
+        """Rows P_i (x) a_i + G_i, written into G and returned as len(P) x d.
+
+        G is (len(P), classes, d_features) and holds each row's shared term
+        s plus 0.0, which turns -0.0 into +0.0 and changes nothing else. The
+        rows are then bitwise `einsum("ic,ij->icj", P, dense feats) + s`:
+        einsum forms each product as 0.0 + P_ic a_ij, which is +0.0 at a
+        zero feature, and (0.0 + p) + s equals p + (s + 0.0) for every p and
+        s. So sparse features add their stored entries' products only; every
+        other entry keeps s + 0.0.
+        """
+        if not sp.issparse(feats):
+            G += np.einsum("ic,ij->icj", P, feats)
+            return G.reshape(len(P), self.d)
+        flat, _, prod = self._stored_products(P, *_nonzeros(feats))
+        G = G.reshape(-1)
+        prod += G[flat]
+        G[flat] = prod
         return G.reshape(len(P), self.d)
+
+    def _subtract_sparse_rows(self, out, P, rows, positions, shared):
+        """out -= the component rows of the sparse rows at `positions`.
+
+        `out` first loses shared + 0.0 everywhere, the new rows' value off
+        their stored entries (see `add_products`); the stored entries are
+        then set to the old value minus the new one.
+        """
+        row, col, val = _nonzeros(rows.features)
+        # place of each batch row among `positions`, -1 if not among them
+        place = np.full(len(rows), -1)
+        place[positions] = np.arange(len(positions))
+        row = place[row]
+        keep = row >= 0
+        flat, cell, prod = self._stored_products(P, row[keep], col[keep], val[keep])
+        shared = (shared + 0.0).ravel()
+        prod += shared[cell]
+        out_flat = out.reshape(-1)
+        old = out_flat[flat]
+        out -= shared
+        out_flat[flat] = old - prod
+
+    def _stored_products(self, P, row, col, val):
+        """Flat places, in a (len(P), classes, d_features) array, of every
+        class at the stored features (row, col, val), their places in one
+        (classes, d_features) term, and the products P[row, c] * val."""
+        cell = np.arange(self.classes) * self.d_features + col[:, None]
+        flat = cell + (row * self.d)[:, None]
+        return flat, cell, P[row] * val[:, None]
 
     @staticmethod
     def component_mean(P, feats, shared):

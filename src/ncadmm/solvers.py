@@ -219,7 +219,8 @@ class SagaTable:
     coefficients (n x 1 or n x classes) and a pool of shared terms: all
     samples written in one step point at one pool slot, and a slot is reused
     once no sample points at it, so at most min(n, writes + 1) are live.
-    Rows are rebuilt by the loss's own `component_rows` only where they are
+    A slot holds its term plus 0.0, the form the loss's `add_products`
+    rebuilds rows onto. Rows are rebuilt by the loss only where they are
     read, bitwise equal to the rows `grad_matrix` gave when they were stored.
 
     It reads like the n x d array it stands for: `table[i]`,
@@ -229,7 +230,7 @@ class SagaTable:
     def __init__(self, loss, coef, shared=None, slot=None):
         self.loss = loss
         self.coef = coef
-        self.pool = shared
+        self.pool = None if shared is None else shared + 0.0
         self.slot = slot
         if shared is not None:
             self.refs = np.bincount(slot, minlength=len(shared))
@@ -276,14 +277,10 @@ class SagaTable:
     def rows(self, rows):
         """Stored gradients of gathered Rows, as a len(rows) x d array."""
         idx = rows.index
-        shared = None
-        if self.pool is not None:
-            slots = self.slot[idx]
-            if (slots == slots[0]).all():
-                shared = self.pool[slots[0]]
-            else:
-                shared = self.pool[slots]
-        return self.loss.component_rows(self.coef[idx], rows.features, shared)
+        if self.pool is None:
+            return self.loss.component_rows(self.coef[idx], rows.features)
+        shared = np.take(self.pool, self.slot[idx], axis=0)
+        return self.loss.add_products(self.coef[idx], rows.features, shared)
 
     def __getitem__(self, index):
         index = np.asarray(index)
@@ -335,7 +332,7 @@ class SagaTable:
 
     def kept_rows(self, rows, positions):
         """Stored gradients at `positions` of `rows`, taken from what `mean`
-        rebuilt for the same Rows object when it did."""
+        rebuilt for the same Rows object when it did; a new array."""
         if self._kept is not None and self._kept[0] is rows:
             return self._kept[1][positions]
         return self.rows(rows.take(positions))
@@ -353,7 +350,7 @@ class SagaTable:
         if not self.free:
             self._grow()
         s = self.free.pop()
-        self.pool[s] = shared
+        np.add(shared, 0.0, out=self.pool[s])
         self.slot[index] = s
         self.refs[s] = index.size
 
@@ -383,21 +380,20 @@ def saga_gradient(problem, state, batch):
 def saga_table_update(problem, state, batch, x_new, n):
     """Write grad f_i(x_{t+1}) for deduplicated batch indices, update psi.
 
-    The new coefficients are computed on exactly the unique rows.
+    The new coefficients are those of exactly the unique rows. Below the
+    full set, old minus new is formed in one buffer: the stored rows
+    `saga_gradient` rebuilt, minus the new rows in place.
     """
     table = state.grad_table
     rows = problem.gather(batch)
     uniq, first = np.unique(rows.index, return_index=True)
-    new = rows.take(first)
-    coef, shared = problem.loss.coefficients(x_new, new)
+    diff = table.kept_rows(rows, first) if uniq.size < n else None
+    coef, shared = problem.loss.coefficients_at(x_new, rows, first, diff)
+    if diff is not None:
+        state.psi = state.psi - diff.sum(axis=0) / n
+    table.write(uniq, coef, shared)
     if uniq.size == n:
-        table.write(uniq, coef, shared)
         state.psi = table.mean()
-    else:
-        old = table.kept_rows(rows, first)
-        new_grads = problem.loss.component_rows(coef, new.features, shared)
-        state.psi = state.psi - (old - new_grads).sum(axis=0) / n
-        table.write(uniq, coef, shared)
     if state.point_table is not None:
         state.point_table[uniq] = x_new
 

@@ -187,12 +187,12 @@ class TestRhoSweep:
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args, env_extra=None, python_flags=()):
     """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
     env = dict(os.environ, **(env_extra or {}))
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "ncadmm.cli", *args],
+        [sys.executable, *python_flags, "-m", "ncadmm.cli", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -336,6 +336,64 @@ class TestFailClosed:
                         "--variant", variant,
                         *[tok for item in args.items() for tok in item]])
         self.assert_one_line_error(proc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("M", "20"), ("eta", "1"), ("rho", "1"), ("r", "x"), ("T", 1.5),
+        ("m", "5"), ("T", None), ("eta", float("nan")), ("M", True),
+    ])
+    def test_non_numeric_solver_value(self, key, value, refused_spec, tmp_path):
+        spec = json.loads(refused_spec.read_text())
+        spec["solvers"][0].update({"variant": "svrg", "m": 5, key: value})
+        refused_spec.write_text(json.dumps(spec))
+        proc = run_cli(["run", "--spec", str(refused_spec), "--out",
+                        str(tmp_path / "o"), "--allow-uncertified"])
+        self.assert_one_line_error(proc)
+        assert f"solver entry 0: {key} must be" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("trace_stride", "5"), ("trace_stride", 0), ("seed_base", -1),
+    ])
+    def test_bad_spec_number(self, key, value, refused_spec, tmp_path):
+        spec = json.loads(refused_spec.read_text())
+        spec[key] = value
+        refused_spec.write_text(json.dumps(spec))
+        proc = run_cli(["run", "--spec", str(refused_spec), "--out",
+                        str(tmp_path / "o"), "--allow-uncertified"])
+        self.assert_one_line_error(proc)
+        assert f"experiment spec: {key} must be" in proc.stderr
+
+    def test_zero_iterations_refused(self, refused_spec, tmp_path):
+        spec = json.loads(refused_spec.read_text())
+        spec["solvers"][0]["T"] = 0
+        refused_spec.write_text(json.dumps(spec))
+        proc = run_cli(["run", "--spec", str(refused_spec), "--out",
+                        str(tmp_path / "o"), "--allow-uncertified"])
+        self.assert_one_line_error(proc)
+        assert "T must be >= 1, got 0" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_null_sizes_take_their_defaults(self, refused_spec, tmp_path):
+        spec = json.loads(refused_spec.read_text())
+        spec["solvers"][0].update(variant="svrg", M=None, m=None, r=None)
+        refused_spec.write_text(json.dumps(spec))
+        proc = run_cli(["run", "--spec", str(refused_spec), "--out",
+                        str(tmp_path / "o"), "--allow-uncertified"])
+        assert proc.returncode == 0, proc.stderr
+
+    def test_svrg_overflow_refused_without_warnings(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(
+            {"kind": "graph_guided", "n": 4000, "d": 20, "seed": 0}
+        ))
+        # M = 1 gives the epoch m = 2000 over the 2000 training samples
+        proc = run_cli(["check-params", "--spec", str(path), "--variant", "svrg",
+                        "--batch", "1", "--eta", "1", "--rho", "1"],
+                       python_flags=("-W", "error::RuntimeWarning"))
+        assert proc.returncode == 2 and proc.stderr == ""
+        cert = json.loads(proc.stdout)
+        assert cert["accepted"] is False
+        assert any("h schedule overflows" in r for r in cert["reasons"])
 
     def test_rho_sweep_needs_no_rho(self, refused_spec, tmp_path):
         spec = json.loads(refused_spec.read_text())

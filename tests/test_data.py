@@ -1,6 +1,7 @@
 import io
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -227,3 +228,170 @@ class TestSplit:
             data.split(ds, 0.01, seed=0)
         with pytest.raises(ConfigError):
             data.split(ds, 1.5, seed=0)
+
+
+def loop_parse(source, n_features=None, label_mode="auto"):
+    """The line-by-line LIBSVM parser `parse_libsvm` replaced, kept as the
+    oracle its vectorised form must match, result and error alike."""
+    labels, rows, cols, vals = [], [], [], []
+    max_idx = 0
+    row = 0
+    for lineno, line in enumerate(source, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise ParseError(f"bad label token {tokens[0]!r}", lineno) from None
+        prev_idx = 0
+        for tok in tokens[1:]:
+            idx_s, _, val_s = tok.partition(":")
+            if not val_s:
+                raise ParseError(f"bad feature token {tok!r}", lineno)
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise ParseError(f"bad feature token {tok!r}", lineno) from None
+            if idx <= prev_idx:
+                raise ParseError(
+                    f"feature indices must be 1-based strictly increasing, "
+                    f"got {idx} after {prev_idx}", lineno
+                )
+            prev_idx = idx
+            rows.append(row)
+            cols.append(idx - 1)
+            vals.append(val)
+        max_idx = max(max_idx, prev_idx)
+        labels.append(label)
+        row += 1
+    if row == 0:
+        raise ParseError("empty dataset: no data lines found")
+    d = n_features if n_features is not None else max_idx
+    if d < max_idx:
+        raise ParseError(f"n_features={d} smaller than max index {max_idx}")
+    feats = sp.csr_matrix(
+        (vals, (rows, cols)), shape=(row, max(d, 1)), dtype=float
+    )
+    labels = np.asarray(labels)
+    uniq = np.unique(labels)
+    if label_mode == "auto":
+        label_mode = "binary" if uniq.size == 2 else (
+            "multiclass" if uniq.size > 2 else "raw"
+        )
+    if label_mode == "binary":
+        if uniq.size != 2:
+            raise ParseError(
+                f"binary label mapping needs exactly 2 distinct labels, got {uniq.size}"
+            )
+        labels = np.where(labels == uniq[0], -1.0, 1.0)
+        classes = 2
+    elif label_mode == "multiclass":
+        remap = {v: i for i, v in enumerate(uniq)}
+        labels = np.array([remap[v] for v in labels], dtype=float)
+        classes = uniq.size
+    else:
+        classes = uniq.size
+    return data.Dataset(
+        features=feats,
+        labels=labels,
+        meta={"name": "libsvm", "n": row, "d": feats.shape[1],
+              "classes": classes, "source": "libsvm", "label_mode": label_mode},
+    )
+
+
+def _outcome(parse, text, **kwargs):
+    try:
+        return parse(io.StringIO(text), **kwargs)
+    except (ParseError, ConfigError) as exc:
+        return exc
+
+
+def assert_same_parse(text, **kwargs):
+    """parse_libsvm and the line loop agree: the same Dataset bytes, or the
+    same error type, message and line."""
+    want = _outcome(loop_parse, text, **kwargs)
+    got = _outcome(data.parse_libsvm, text, **kwargs)
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        assert getattr(got, "line", None) == getattr(want, "line", None)
+        return
+    assert not isinstance(got, Exception), got
+    assert got.features.shape == want.features.shape
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got.features, attr), getattr(want.features, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.labels.dtype == want.labels.dtype
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.meta == want.meta
+
+
+_GOOD_VALUES = ["1", "-2.5", "0", "-0.0", "1e-3", "0.1", "7", "1_0.5"]
+_BAD_FEATURES = ["3:", ":2", "a:b:c", "1:2:3", "4:x", "0:1", "-2:1", "abc", "2", "+3:1"]
+_SEPS = [" ", "\t", "  ", " \t "]
+
+
+@st.composite
+def libsvm_lines(draw):
+    kind = draw(st.sampled_from(["data", "data", "data", "blank", "comment"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", "  \t"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["", " ", "\t"])) + "#" + draw(
+            st.sampled_from(["", " note", "1 2:3", "#"])
+        )
+    label = draw(st.sampled_from(["1", "-1", "+1", "2", "0.5", "3", "abc", "1:2", "1e1"]))
+    idx = sorted(draw(st.sets(st.integers(1, 12), max_size=5)))
+    tokens = [f"{i}:{draw(st.sampled_from(_GOOD_VALUES))}" for i in idx]
+    if draw(st.integers(0, 3)) == 0:
+        # a malformed token, a repeated index or a decreasing one
+        at = draw(st.integers(0, len(tokens)))
+        bad = draw(st.one_of(
+            st.sampled_from(_BAD_FEATURES),
+            st.just(tokens[at - 1] if at else "5:1"),
+            st.just(f"{idx[0] - 1 if idx else 1}:1"),
+        ))
+        tokens.insert(at, bad)
+    seps = [draw(st.sampled_from(_SEPS)) for _ in tokens]
+    lead = draw(st.sampled_from(["", " ", "\t"]))
+    return lead + label + "".join(s + t for s, t in zip(seps, tokens))
+
+
+class TestVectorisedParse:
+    """parse_libsvm against the line loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(libsvm_lines(), max_size=8),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        label_mode=st.sampled_from(["auto", "raw", "multiclass", "binary"]),
+        n_features=st.sampled_from([None, 4, 12, 20]),
+        block_chars=st.sampled_from([1, 20, 1 << 16]),
+    )
+    def test_matches_line_loop(self, lines, newline, label_mode, n_features,
+                               block_chars):
+        text = newline.join(lines)
+        # blocks of one line, of a few lines, and of the whole text
+        with mock.patch.object(data, "_PARSE_BLOCK_CHARS", block_chars):
+            assert_same_parse(text, label_mode=label_mode, n_features=n_features)
+
+    @pytest.mark.parametrize("text", [
+        "1\t1:0.5\t3:2\n-1 2:1\n",
+        "# head\n\n1 1:1\n  # indented comment\n-1 2:1\n",
+        "1 1:1\n\n\n-1 1 :2\n",
+        "1 1:1\n-1 3:\n",
+        "1 1:1\n-1 a:b:c\n",
+        "1 1:1 2:2\n-1 3:1 2:1\n",
+        "1 1:1 1:2\n",
+        "1 2:1 1 :2 0:3\n",
+        "1 1:1\n-1 3:x 1:1\n",
+        "abc 3:1\n",
+        "1 1:1\n-1\n2 2:2\n",
+        "1 1:1 2:2\n-1 3:",
+    ])
+    def test_malformed_and_edge_inputs(self, text):
+        assert_same_parse(text)
+        assert_same_parse(text, label_mode="raw")

@@ -120,6 +120,17 @@ class TestSchedules:
         assert cert.gamma == -math.inf
         assert any("overflows" in reason for reason in cert.reasons)
 
+    def test_svrg_overflow_refused_without_warnings(self):
+        cs = identity_constraints(2)
+        eta, rho = 0.5, 5.0
+        r = params.min_admissible_r(cs, eta, rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = params.check_feasible("svrg", 1.0, cs, eta, rho, r, M=1, m=2000)
+        assert not cert.accepted
+        assert cert.gamma == -math.inf
+        assert any("h schedule overflows" in reason for reason in cert.reasons)
+
     def test_invalid_arguments(self):
         cs = identity_constraints(2)
         with pytest.raises(ConfigError):

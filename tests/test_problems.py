@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ncadmm import problems
 from ncadmm.exceptions import (
@@ -50,6 +51,52 @@ class TestProx:
         s_in = np.linalg.svd(V, compute_uv=False)
         s_out = np.linalg.svd(out, compute_uv=False)
         assert np.allclose(s_out, np.maximum(s_in - t, 0.0), atol=1e-10)
+
+
+_EPS = np.finfo(float).eps
+
+
+class TestProxOptimality:
+    """v - prox(v) lies in t times the subdifferential of the norm at prox(v)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        v=hnp.arrays(float, st.integers(1, 12), elements=st.floats(-1e6, 1e6)),
+        t=st.floats(0.0, 1e6),
+    )
+    def test_l1(self, v, t):
+        p = problems.prox_l1(v, t)
+        g = v - p
+        zero = p == 0.0
+        # at 0 the subdifferential of |.| is [-1, 1]
+        assert np.all(np.abs(v[zero]) <= t)
+        # elsewhere it is sign(p), up to the rounding of |v| - t
+        nz = ~zero
+        assert np.array_equal(np.sign(p[nz]), np.sign(v[nz]))
+        tol = 2.0 * _EPS * np.maximum(np.abs(v[nz]), t)
+        assert np.all(np.abs(g[nz] - t * np.sign(p[nz])) <= tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        V=hnp.arrays(
+            float, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+            elements=st.floats(-10.0, 10.0),
+        ),
+        t=st.floats(0.0, 10.0),
+    )
+    def test_nuclear(self, V, t):
+        P = problems.prox_nuclear(V, t)
+        G = V - P
+        scale = max(1.0, float(np.linalg.norm(V, 2)))
+        tol = 1e-8 * scale
+        # the subdifferential of the nuclear norm at P = U_r S_r V_r^T is
+        # U_r V_r^T + W with U_r^T W = 0, W V_r = 0 and ||W||_2 <= 1
+        U, s, Vt = np.linalg.svd(P)
+        r = int(np.count_nonzero(s > 1e-6 * scale))
+        Ur, Vr = U[:, :r], Vt[:r].T
+        assert np.linalg.norm(G @ Vr - t * Ur) <= tol
+        assert np.linalg.norm(Ur.T @ G - t * Vr.T) <= tol
+        assert np.linalg.norm(G, 2) <= t + tol
 
 
 class TestSigmoidLoss:
@@ -437,3 +484,141 @@ class TestCompositeProblem:
         x = rng.standard_normal(5)
         y = np.asarray(prob.constraints.A @ x).ravel()
         assert np.isclose(prob.objective_x(x), prob.objective(x, y))
+
+
+def einsum_rows(P, dense, shared):
+    """Component rows from every feature, zeros included: the dense rebuild
+    the sparse one must equal byte for byte."""
+    G = np.einsum("ic,ij->icj", P, dense)
+    G += shared
+    return G.reshape(len(P), -1)
+
+
+# values that reach the signed-zero and underflow corners of the rebuild
+_CORNERS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-160, -1e-160]
+)
+_COEF = st.one_of(_CORNERS, st.floats(-1.0, 1.0))
+_VALUE = st.one_of(_CORNERS, st.floats(-1e3, 1e3))
+
+
+@st.composite
+def csr_features(draw, n, d_features):
+    """csr rows, some with no stored entry, some storing explicit zeros."""
+    mask = draw(hnp.arrays(bool, (n, d_features)))
+    values = draw(hnp.arrays(float, int(mask.sum()), elements=_VALUE))
+    indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+    return sp.csr_matrix(
+        (values, np.nonzero(mask)[1], indptr), shape=(n, d_features)
+    )
+
+
+def multitask_on(feats, classes, nu1=0.0):
+    """A multi-task loss whose stored features are exactly `feats`, kept
+    sparse whatever their density."""
+    labels = np.arange(feats.shape[0]) % classes
+    loss = problems.SmoothedMultiTaskLoss(feats, labels, classes, nu1)
+    loss.features = feats
+    return loss
+
+
+class TestSparseRebuild:
+    """Rows rebuilt from stored entries only are bytewise the dense einsum
+    (tobytes: array_equal does not see the sign of a zero)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 7)),
+        per_row=st.booleans(),
+        data=st.data(),
+    )
+    def test_rows(self, shape, per_row, data):
+        M, C, dF = shape
+        feats = data.draw(csr_features(M, dF))
+        P = data.draw(hnp.arrays(float, (M, C), elements=_COEF))
+        shared = data.draw(hnp.arrays(
+            float, (M, C, dF) if per_row else (C, dF), elements=_VALUE
+        ))
+        loss = multitask_on(feats, C)
+        got = loss.component_rows(P, feats, shared)
+        assert got.tobytes() == einsum_rows(P, feats.toarray(), shared).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 7)),
+        data=st.data(),
+    )
+    def test_old_minus_new(self, shape, data):
+        n, C, dF = shape
+        feats = data.draw(csr_features(n, dF))
+        # repeated indices: only each sample's first place is rebuilt
+        batch = np.array(data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=8)
+        ))
+        loss = multitask_on(feats, C)
+        rows = loss.gather(batch)
+        uniq, first = np.unique(rows.index, return_index=True)
+        old = data.draw(hnp.arrays(float, (uniq.size, C * dF), elements=_VALUE))
+        P = data.draw(hnp.arrays(float, (uniq.size, C), elements=_COEF))
+        shared = data.draw(hnp.arrays(float, (C, dF), elements=_VALUE))
+        want = old - einsum_rows(P, feats.toarray()[uniq], shared)
+        got = old.copy()
+        loss._subtract_sparse_rows(got, P, rows, first, shared)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sigmoid", "multitask"])
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("nu1", [0.0, 1e-2])
+    def test_coefficients_at_equal_taken_rows(self, kind, layout, nu1, rng):
+        loss = TestFullIndexSet.make(kind, layout, rng)
+        if kind == "multitask":
+            loss.nu1 = nu1
+        x = rng.standard_normal(loss.d)
+        x[::3] = -0.0
+        rows = loss.gather(rng.integers(0, loss.n, size=25))
+        uniq, first = np.unique(rows.index, return_index=True)
+        old = rng.standard_normal((uniq.size, loss.d))
+        old[:, ::4] = -0.0
+        diff = old.copy()
+        coef, shared = loss.coefficients_at(x, rows, first, subtract_from=diff)
+        new = rows.take(first)
+        want_coef, want_shared = loss.coefficients(x, new)
+        assert coef.tobytes() == want_coef.tobytes()
+        if shared is not None:
+            assert shared.tobytes() == want_shared.tobytes()
+        want = old - loss.component_rows(want_coef, new.features, want_shared)
+        assert diff.tobytes() == want.tobytes()
+
+    def test_sparse_rows_never_densify(self, monkeypatch, rng):
+        class NoDense(sp.csr_matrix):
+            def toarray(self, *args, **kwargs):
+                raise AssertionError("sparse rows were densified")
+
+        def no_einsum(*args, **kwargs):
+            raise AssertionError("einsum ran over sparse rows")
+
+        feats = NoDense(sp.random(8, 30, density=0.05, format="csr", random_state=1))
+        loss = multitask_on(feats, 3)
+        P, shared = rng.standard_normal((8, 3)), rng.standard_normal((3, 30))
+        rows = loss.gather(np.array([5, 1, 5, 7]))
+        assert isinstance(rows.features, NoDense)
+        monkeypatch.setattr(np, "einsum", no_einsum)
+        loss.component_rows(P, rows.features, shared)
+        loss._subtract_sparse_rows(
+            np.zeros((3, 90)), P[:3], rows, np.array([0, 1, 3]), shared
+        )
+
+    def test_gathered_csr_equals_scipy_row_index(self, rng):
+        feats = sp.random(40, 25, density=0.05, format="csr", random_state=2)
+        loss = multitask_on(feats, 2)
+        idx = rng.integers(0, 40, size=30)
+        for got in (loss.gather(idx).features,
+                    loss.gather(idx).take(np.array([3, 0, 3])).features,
+                    loss.gather(idx).take(slice(4, 9)).features):
+            assert sp.issparse(got) and got.format == "csr"
+        got = loss.gather(idx).features
+        want = feats[idx]
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+        sub = loss.gather(idx).take(slice(4, 9)).features
+        assert (sub != feats[idx[4:9]]).nnz == 0

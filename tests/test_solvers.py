@@ -365,6 +365,29 @@ class TestCompactSagaTable:
         res = solvers.run(prob, cfg)
         assert_same_iterates(res, reference_run(prob, cfg), 30)
 
+    @pytest.mark.parametrize("nu1", [0.0, 1e-2])
+    @pytest.mark.parametrize("M", [10, 60])
+    def test_sparse_run_bytewise_equal_to_einsum_table(self, nu1, M, monkeypatch):
+        """Rows rebuilt from stored entries only give, byte for byte, the
+        iterates of a table rebuilt by einsum over densified rows."""
+        prob = make_multitask_problem(nu1=nu1)
+        cfg = build(prob, "saga", M=M, T=30, record_iterates=True)
+        res = solvers.run(prob, cfg)
+
+        def einsum_rows(loss, P, feats, shared):
+            G = np.einsum("ic,ij->icj", P, feats.toarray())
+            G += shared
+            return G.reshape(len(P), loss.d)
+
+        monkeypatch.setattr(
+            problems.SmoothedMultiTaskLoss, "component_rows", einsum_rows
+        )
+        ref = reference_run(prob, cfg)
+        assert len(res.iterates) == len(ref) == 30
+        for got, want in zip(res.iterates, ref):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("make", PROBLEM_MAKERS)
     def test_run_matches_dense_table_at_full_batch(self, make):
         prob = make()
