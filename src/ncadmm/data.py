@@ -195,6 +195,7 @@ def _parse_lines(lines, offset):
     ]
     counts = np.array([len(tokens) - 1 for _, tokens in data_lines], dtype=np.intp)
     labels, line_bad = _convert(float, [tokens[0] for _, tokens in data_lines])
+    line_bad |= ~np.isfinite(labels)
     feats = [tok for _, tokens in data_lines for tok in tokens[1:]]
     joined = " ".join(feats)
     tok_bad = _colon_bad(joined, len(feats))
@@ -220,17 +221,17 @@ def _parse_lines(lines, offset):
 
 def _convert(fn, strings, dtype=float):
     """(values, bad): fn over the strings as an array, with 0 and a True in
-    `bad` for each string on which fn raises ValueError."""
+    `bad` for each string on which fn raises ValueError or overflows dtype."""
     bad = np.zeros(len(strings), dtype=bool)
     try:
         return np.fromiter(map(fn, strings), dtype, len(strings)), bad
-    except ValueError:
+    except (ValueError, OverflowError):
         pass
     values = np.zeros(len(strings), dtype)
     for k, text in enumerate(strings):
         try:
             values[k] = fn(text)
-        except ValueError:
+        except (ValueError, OverflowError):
             bad[k] = True
     return values, bad
 
@@ -249,9 +250,11 @@ def _colon_bad(joined, count):
 
 
 def _check_line(tokens, lineno):
-    """Raise the ParseError of a data line's first malformed token."""
+    """Raise the ParseError of a data line's first malformed token; a label
+    that is not finite and an index beyond int64 are malformed."""
     try:
-        float(tokens[0])
+        if not np.isfinite(float(tokens[0])):
+            raise ValueError
     except ValueError:
         raise ParseError(f"bad label token {tokens[0]!r}", lineno) from None
     prev_idx = 0
@@ -259,8 +262,9 @@ def _check_line(tokens, lineno):
         idx_s, _, val_s = tok.partition(":")
         try:
             idx = int(idx_s)
+            np.int64(idx)  # OverflowError outside int64
             float(val_s)
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ParseError(f"bad feature token {tok!r}", lineno) from None
         if idx <= prev_idx:
             raise ParseError(

@@ -122,7 +122,7 @@ def lyapunov_phi(records, h_schedule, m, zeta, rho):
 
 
 def lyapunov_theta(records, alpha_schedule, zeta, rho):
-    """Theta_t from saga diagnostic records (stride-1, store_saga_points on).
+    """Theta_t from saga diagnostic records (stride-1).
 
     alpha_schedule holds alpha_1..alpha_T; snap_sq is the mean squared
     distance of x_t to the stored points at step t, the previous record
@@ -147,7 +147,8 @@ def lyapunov_theta(records, alpha_schedule, zeta, rho):
 def variance_diagnostics(problem, variant, x, L, M=1, snapshot_x=None,
                          snapshot_grad=None, point_table=None, n_draws=2000,
                          rng=None):
-    """Empirical gradient-estimator variance vs. its closed-form bound.
+    """Empirical gradient-estimator variance vs. its closed-form bound
+    (L^2 / M) * snap_sq, snap_sq the estimator's own diagnostic at x.
 
     saga builds its table, and psi as the table's mean, from point_table
     (row i stored at point_table[i]).
@@ -162,42 +163,23 @@ def variance_diagnostics(problem, variant, x, L, M=1, snapshot_x=None,
     if variant == "svrg":
         if snapshot_x is None or snapshot_grad is None:
             raise CapabilityError("svrg variance diagnostics need the snapshot")
-        diff = x - snapshot_x
-        bound = (L**2 / M) * float(diff @ diff)
-
-        def estimate(batch):
-            return solvers.svrg_gradient(
-                problem, x, batch, snapshot_x, snapshot_grad
-            )
+        estimator = solvers.SvrgEstimator(problem, M, None, snapshot_x, snapshot_grad)
     elif variant == "saga":
         if point_table is None:
             raise CapabilityError("saga variance diagnostics need point_table")
-        diffs = x[None, :] - point_table
-        bound = (L**2 / (M * n)) * float(np.einsum("ij,ij->i", diffs, diffs).sum())
         table = solvers.SagaTable.from_points(problem, point_table)
-        state = solvers.SolverState(
-            x=x, y=None, lam=None, grad_table=table, psi=table.mean()
-        )
-
-        def estimate(batch):
-            return solvers.saga_gradient(problem, state, batch)
+        estimator = solvers.SagaEstimator(problem, M, table)
     else:
         raise InputError("variance diagnostics apply to svrg and saga only")
+    bound = (L**2 / M) * estimator.snap_sq(x, x)[0]
 
     if n <= 8 and M == 1:
-        sq = [
-            float(np.sum((estimate(np.array([i])) - full_grad) ** 2))
-            for i in range(n)
-        ]
-        empirical = float(np.mean(sq))
+        batches = [np.array([i]) for i in range(n)]
     else:
         rng = rng or np.random.default_rng(0)
-        sq = []
-        for _ in range(n_draws):
-            batch = rng.integers(0, n, size=M)
-            d = estimate(batch) - full_grad
-            sq.append(float(d @ d))
-        empirical = float(np.mean(sq))
+        batches = [rng.integers(0, n, size=M) for _ in range(n_draws)]
+    errors = (estimator.estimate(x, batch) - full_grad for batch in batches)
+    empirical = float(np.mean([float(e @ e) for e in errors]))
     return {"empirical_var": empirical, "bound": bound}
 
 

@@ -347,19 +347,3 @@ def _size_fallbacks(variant, n, M, m):
         return [(M, None), (n, None)]
     return [(M, None)]
 
-
-def empirical_sigma_sq(problem, x):
-    """max_i ||grad f_i(x) - grad f(x)||^2, a surrogate for the oracle variance.
-
-    An estimate only, never a certified bound. The rows are built about 1 MB
-    at a time, never as one n x d array.
-    """
-    from .solvers import SagaTable  # local import to avoid a cycle
-
-    table = SagaTable.at(problem, x)
-    g = problem.grad(x)
-    worst = -np.inf
-    for G in table.blocks(problem.loss.gather(problem.full_index_set())):
-        diffs = G - g[None, :]
-        worst = max(worst, float(np.max(np.einsum("ij,ij->i", diffs, diffs))))
-    return worst

@@ -6,7 +6,7 @@ estimate is built. Runs are bitwise reproducible for a fixed seed.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class SolverConfig:
     T: int
     m: int = None  # epoch length, svrg only
     seed: int = 0
-    store_saga_points: bool = False
     trace_stride: int = 1
     diagnostics: bool = False
     record_iterates: bool = False
@@ -96,14 +95,7 @@ class SolverState:
     lam: np.ndarray
     t: int = 0
     x_prev: np.ndarray = None
-    # svrg
-    x_snap: np.ndarray = None
-    snap_grad: np.ndarray = None
-    epoch: int = 0
-    # saga
-    grad_table: "SagaTable" = None
-    psi: np.ndarray = None
-    point_table: np.ndarray = None
+    grad_table: "SagaTable" = None  # saga only
 
 
 @dataclass
@@ -211,110 +203,86 @@ def svrg_gradient(problem, x, batch, snapshot_x, snapshot_grad):
 
 
 class SagaTable:
-    """SAGA's stored component gradients grad f_i(phi_i), one per sample.
+    """SAGA's stored component gradients grad f_i(phi_i), one per sample,
+    and their running mean `psi`.
 
     A linear model's component gradient is a per-sample coefficient times
     the sample's feature row, plus, for some losses, a term shared by every
     sample that depends only on the point phi_i. The table keeps the
-    coefficients (n x 1 or n x classes) and a pool of shared terms: all
-    samples written in one step point at one pool slot, and a slot is reused
-    once no sample points at it, so at most min(n, writes + 1) are live.
-    A slot holds its term plus 0.0, the form the loss's `add_products`
-    rebuilds rows onto. Rows are rebuilt by the loss only where they are
-    read, bitwise equal to the rows `grad_matrix` gave when they were stored.
-
-    It reads like the n x d array it stands for: `table[i]`,
-    `table.mean(axis=0)` and `table.nbytes`.
+    coefficients (n x 1 or n x classes) and a pool: all samples written in
+    one step point at one pool slot, which holds that step's point and, when
+    the loss has one, its shared term. A slot is reused once no sample
+    points at it, so at most min(n, writes + 1) are live. A shared term is
+    kept plus 0.0, the form the loss's `add_products` rebuilds rows onto.
+    Rows are rebuilt by the loss only where they are read, bitwise equal to
+    the rows `grad_matrix` gave when they were stored.
     """
 
-    def __init__(self, loss, coef, shared=None, slot=None):
-        self.loss = loss
+    def __init__(self, loss, coef, points, shared, slot):
+        self.loss, self.n, self.d = loss, loss.n, loss.d
         self.coef = coef
-        self.pool = None if shared is None else shared + 0.0
+        self.points = points
+        self.shared = None if shared is None else shared + 0.0
         self.slot = slot
-        if shared is not None:
-            self.refs = np.bincount(slot, minlength=len(shared))
-            self.free = np.flatnonzero(self.refs == 0)[::-1].tolist()
+        self.refs = np.bincount(slot, minlength=len(points))
+        self.free = np.flatnonzero(self.refs == 0)[::-1].tolist()
         self._kept = None
+        self.psi = self.mean()
 
     @classmethod
     def at(cls, problem, x):
         """Every sample stored at the one point x, as SAGA starts."""
         loss = problem.loss
         coef, shared = loss.coefficients(x, problem.full_index_set())
-        if shared is None:
-            return cls(loss, coef)
-        return cls(loss, coef, shared[None], np.zeros(loss.n, dtype=np.intp))
+        return cls(loss, coef, x[None] + 0.0,
+                   None if shared is None else shared[None],
+                   np.zeros(loss.n, dtype=np.intp))
 
     @classmethod
     def from_points(cls, problem, points):
         """Sample i stored at points[i]."""
         loss = problem.loss
+        points = np.array(points, dtype=float)
         if len(points) != loss.n:
             raise InputError(f"need one stored point per sample, n={loss.n}")
         parts = [loss.coefficients(p, [i]) for i, p in enumerate(points)]
         coef = np.concatenate([c for c, _ in parts])
-        if parts[0][1] is None:
-            return cls(loss, coef)
-        shared = np.stack([s for _, s in parts])
-        return cls(loss, coef, shared, np.arange(loss.n))
-
-    @property
-    def n(self):
-        return self.loss.n
-
-    @property
-    def d(self):
-        return self.loss.d
+        shared = None if parts[0][1] is None else np.stack([s for _, s in parts])
+        return cls(loss, coef, points, shared, np.arange(loss.n))
 
     @property
     def nbytes(self):
-        size = self.coef.nbytes
-        if self.pool is not None:
-            size += self.pool.nbytes + self.slot.nbytes + self.refs.nbytes
-        return size
+        arrays = (self.coef, self.points, self.slot, self.refs, self.shared)
+        return sum(a.nbytes for a in arrays if a is not None)
 
     def rows(self, rows):
         """Stored gradients of gathered Rows, as a len(rows) x d array."""
         idx = rows.index
-        if self.pool is None:
+        if self.shared is None:
             return self.loss.component_rows(self.coef[idx], rows.features)
-        shared = np.take(self.pool, self.slot[idx], axis=0)
+        shared = np.take(self.shared, self.slot[idx], axis=0)
         return self.loss.add_products(self.coef[idx], rows.features, shared)
 
-    def __getitem__(self, index):
-        index = np.asarray(index)
-        out = self.rows(self.loss.gather(np.atleast_1d(index)))
-        return out[0] if index.ndim == 0 else out
-
-    def blocks(self, rows, rows_per_block=None):
-        """Stored gradients of `rows` in order, about 1 MB at a time."""
-        if rows_per_block is None:
-            rows_per_block = max(1, _BLOCK_BYTES // (8 * self.d))
-        for start in range(0, len(rows), rows_per_block):
-            yield self.rows(rows.take(slice(start, start + rows_per_block)))
-
-    def mean(self, rows=None, axis=0):
+    def mean(self, rows=None):
         """Row mean over `rows` (every sample by default), bitwise what
         `.mean(axis=0)` of the dense rows gives.
 
         A batch smaller than n is rebuilt at once and kept for the
-        `kept_rows` of the next write. Anything larger goes in blocks:
-        numpy sums wider than one column row by row in order, and adding
-        the running total into each block's first row keeps that order.
-        A single column it sums pairwise, so that goes in one block.
+        `kept_rows` of the next write. Anything larger goes in blocks of
+        about 1 MB: numpy sums wider than one column row by row in order,
+        and adding the running total into each block's first row keeps that
+        order. A single column it sums pairwise, so that goes in one block.
         """
-        if axis != 0:
-            raise InputError("a SAGA table has row means only (axis=0)")
         if rows is None:
             rows = self.loss.gather(np.arange(self.n))
         if len(rows) < self.n:
             block = self.rows(rows)
             self._kept = (rows, block)
             return block.mean(axis=0)
+        step = len(rows) if self.d == 1 else max(1, _BLOCK_BYTES // (8 * self.d))
         total = None
-        per_block = len(rows) if self.d == 1 else None
-        for block in self.blocks(rows, per_block):
+        for start in range(0, len(rows), step):
+            block = self.rows(rows.take(slice(start, start + step)))
             if total is not None:
                 block[0] += total
             total = block.sum(axis=0)
@@ -324,11 +292,18 @@ class SagaTable:
         """Row mean from one product with the features, O(nnz) and without
         rebuilding a row; equal to `mean()` up to rounding."""
         shared = None
-        if self.pool is not None:
+        if self.shared is not None:
             live = np.flatnonzero(self.refs)
-            shared = np.tensordot(self.refs[live], self.pool[live], axes=1) / self.n
+            shared = np.tensordot(self.refs[live], self.shared[live], axes=1) / self.n
         rows = self.loss.gather(np.arange(self.n))
         return self.loss.component_mean(self.coef, rows.features, shared)
+
+    def spread(self, x):
+        """mean_i ||x - phi_i||^2 over the stored points, one term per live
+        slot weighted by the samples that point at it."""
+        live = np.flatnonzero(self.refs)
+        diff = x - self.points[live]
+        return float(self.refs[live] @ np.einsum("ij,ij->i", diff, diff)) / self.n
 
     def kept_rows(self, rows, positions):
         """Stored gradients at `positions` of `rows`, taken from what `mean`
@@ -337,73 +312,154 @@ class SagaTable:
             return self._kept[1][positions]
         return self.rows(rows.take(positions))
 
-    def write(self, index, coef, shared=None):
-        """Store the samples of the unique `index` at one new point: their
-        coefficients and, when the loss has one, the point's shared term."""
+    def write(self, index, x, coef, shared=None):
+        """Store the samples of the unique `index` at the one new point x:
+        their coefficients and, when the loss has one, x's shared term."""
         self._kept = None
         self.coef[index] = coef
-        if self.pool is None:
-            return
-        old, counts = np.unique(self.slot[index], return_counts=True)
-        self.refs[old] -= counts
-        self.free.extend(old[self.refs[old] == 0].tolist())
+        old = self.slot[index]
+        np.subtract.at(self.refs, old, 1)
+        # each slot once, in first-seen order
+        self.free.extend(dict.fromkeys(old[self.refs[old] == 0].tolist()))
         if not self.free:
             self._grow()
         s = self.free.pop()
-        np.add(shared, 0.0, out=self.pool[s])
+        self.points[s] = x
+        if shared is not None:
+            np.add(shared, 0.0, out=self.shared[s])
         self.slot[index] = s
         self.refs[s] = index.size
 
     def _grow(self):
         # with every slot live some sample sits outside this write, so fewer
         # than n slots are live and n slots always suffice
-        cap = len(self.pool)
+        cap = len(self.points)
         new_cap = min(2 * cap, self.n)
-        pool = np.empty((new_cap,) + self.pool.shape[1:])
-        pool[:cap] = self.pool
-        self.pool = pool
+        self.points = np.resize(self.points, (new_cap,) + self.points.shape[1:])
+        if self.shared is not None:
+            self.shared = np.resize(self.shared, (new_cap,) + self.shared.shape[1:])
         self.refs = np.concatenate([self.refs, np.zeros(new_cap - cap, int)])
         self.free.extend(range(new_cap - 1, cap - 1, -1))
 
 
-def saga_gradient(problem, state, batch):
-    """Table-corrected gradient estimate at state.x; does not mutate tables.
+def saga_gradient(problem, table, x, batch):
+    """Table-corrected gradient estimate at x; does not mutate the table.
 
     The batch rows are gathered once, for the gradient and the stored rows;
     passing the same gathered Rows on to saga_table_update reuses both.
     """
     rows = problem.gather(batch)
-    g = problem.grad(state.x, rows)
-    return g + (state.psi - state.grad_table.mean(rows))
+    g = problem.grad(x, rows)
+    return g + (table.psi - table.mean(rows))
 
 
-def saga_table_update(problem, state, batch, x_new, n):
-    """Write grad f_i(x_{t+1}) for deduplicated batch indices, update psi.
+def saga_table_update(problem, table, batch, x_new):
+    """Write grad f_i(x_new) for deduplicated batch indices, update psi.
 
     The new coefficients are those of exactly the unique rows. Below the
     full set, old minus new is formed in one buffer: the stored rows
     `saga_gradient` rebuilt, minus the new rows in place.
     """
-    table = state.grad_table
+    n = table.n
     rows = problem.gather(batch)
     uniq, first = np.unique(rows.index, return_index=True)
     diff = table.kept_rows(rows, first) if uniq.size < n else None
     coef, shared = problem.loss.coefficients_at(x_new, rows, first, diff)
     if diff is not None:
-        state.psi = state.psi - diff.sum(axis=0) / n
-    table.write(uniq, coef, shared)
+        table.psi = table.psi - diff.sum(axis=0) / n
+    table.write(uniq, x_new, coef, shared)
     if uniq.size == n:
-        state.psi = table.mean()
-    if state.point_table is not None:
-        state.point_table[uniq] = x_new
+        table.psi = table.mean()
 
 
-def _check_saga_psi(state, rtol=1e-8):
-    # a tolerance check: the O(nnz) product is an independent recomputation
-    recomputed = state.grad_table.product_mean()
-    scale = max(1.0, float(np.linalg.norm(recomputed)))
-    if np.linalg.norm(state.psi - recomputed) > rtol * scale:
-        raise InternalInvariantError("SAGA running mean psi drifted from its table")
+class BatchMean:
+    """The mean gradient over a batch of M samples: `stoc`, and `dete` with
+    the full set as its batch. An estimator owns its state and IFO count;
+    `run` calls begin, estimate and commit each iteration, finish after."""
+
+    table = None
+
+    def __init__(self, problem, M):
+        self.problem, self.M, self.ifo = problem, M, 0
+
+    def begin(self, t, x):
+        pass
+
+    def estimate(self, x, batch):
+        self.ifo += len(batch)
+        return stoc_gradient(self.problem, x, batch)
+
+    def commit(self, x_new):
+        pass
+
+    def snap_sq(self, x, x_prev):
+        """(snap_sq, snap_prev_sq) of a trace record; None where unused."""
+        return None, None
+
+    def finish(self):
+        pass
+
+
+class SvrgEstimator(BatchMean):
+    """The batch mean corrected at a snapshot, retaken every m iterations
+    at a cost of n IFO."""
+
+    def __init__(self, problem, M, m, x_snap=None, snap_grad=None):
+        super().__init__(problem, M)
+        self.m = m
+        self.x_snap, self.snap_grad = x_snap, snap_grad
+
+    def begin(self, t, x):
+        if t % self.m == 0:
+            self.x_snap = x.copy()
+            self.snap_grad = self.problem.grad(self.x_snap)
+            self.ifo += self.problem.n
+
+    def estimate(self, x, batch):
+        self.ifo += len(batch)
+        return svrg_gradient(self.problem, x, batch, self.x_snap, self.snap_grad)
+
+    def snap_sq(self, x, x_prev):
+        a, b = x - self.x_snap, x_prev - self.x_snap
+        return float(a @ a), float(b @ b)
+
+
+class SagaEstimator(BatchMean):
+    """The batch mean corrected by a SagaTable; the table's start counts n
+    IFO. The batch is gathered once for the estimate and the table write."""
+
+    def __init__(self, problem, M, table):
+        super().__init__(problem, M)
+        self.table = table
+        self.ifo = problem.n
+
+    def estimate(self, x, batch):
+        self._rows = self.problem.gather(batch)
+        self.ifo += len(self._rows)
+        return saga_gradient(self.problem, self.table, x, self._rows)
+
+    def commit(self, x_new):
+        saga_table_update(self.problem, self.table, self._rows, x_new)
+
+    def snap_sq(self, x, x_prev):
+        return self.table.spread(x), None
+
+    def finish(self, rtol=1e-8):
+        # a tolerance check: the O(nnz) product is an independent recomputation
+        recomputed = self.table.product_mean()
+        scale = max(1.0, float(np.linalg.norm(recomputed)))
+        if np.linalg.norm(self.table.psi - recomputed) > rtol * scale:
+            raise InternalInvariantError("SAGA running mean psi drifted from its table")
+
+
+def make_estimator(problem, config, x0):
+    """The gradient estimator of config.variant, started at x0."""
+    if config.variant == "svrg":
+        return SvrgEstimator(problem, config.M, config.m)
+    if config.variant == "saga":
+        return SagaEstimator(problem, config.M, SagaTable.at(problem, x0))
+    # dete's batch is the full set, which _draw_batch gives without a draw
+    return BatchMean(problem, problem.n if config.variant == "dete" else config.M)
 
 
 def init_state(problem, config):
@@ -443,19 +499,11 @@ def run(problem, config, callback=None):
     cs = problem.constraints
     cs.require_neg_identity_B()
     eta, rho, r = config.eta, config.rho, config.r
-    variant = config.variant
-    all_idx = problem.full_index_set()
 
     state, rng_batch, rng_out = init_state(problem, config)
     Ax = cs.A @ state.x
-    ifo = 0
-
-    if variant == "saga":
-        state.grad_table = SagaTable.at(problem, state.x)
-        state.psi = state.grad_table.mean()
-        if config.store_saga_points:
-            state.point_table = np.tile(state.x, (n, 1))
-        ifo += n
+    estimator = make_estimator(problem, config, state.x)
+    state.grad_table = estimator.table
 
     t_rand = int(rng_out.integers(1, config.T + 1)) if config.T > 0 else 0
     x_rand, y_rand = state.x.copy(), state.y.copy()
@@ -468,41 +516,16 @@ def run(problem, config, callback=None):
     for t in range(config.T):
         tic = time.perf_counter()
 
-        if variant == "svrg" and t % config.m == 0:
-            state.x_snap = state.x.copy()
-            state.snap_grad = problem.grad(state.x_snap, all_idx)
-            state.epoch = t // config.m
-            ifo += n
-
+        estimator.begin(t, state.x)
         y_new = y_update(problem, state.x, state.lam, rho, Ax)
-
-        if variant == "dete":
-            g_hat = problem.grad(state.x, all_idx)
-            ifo += n
-        elif variant == "stoc":
-            batch = _draw_batch(rng_batch, n, config.M)
-            g_hat = stoc_gradient(problem, state.x, batch)
-            ifo += config.M
-        elif variant == "svrg":
-            batch = _draw_batch(rng_batch, n, config.M)
-            g_hat = svrg_gradient(
-                problem, state.x, batch, state.x_snap, state.snap_grad
-            )
-            ifo += config.M
-        else:
-            # gathered once for the estimate and the table write
-            batch = problem.gather(_draw_batch(rng_batch, n, config.M))
-            g_hat = saga_gradient(problem, state, batch)
-            ifo += config.M
-
+        batch = _draw_batch(rng_batch, n, estimator.M)
+        g_hat = estimator.estimate(state.x, batch)
         x_new = x_update_uzawa(
             problem, state.x, y_new, state.lam, g_hat, eta, rho, r, Ax
         )
         Ax = cs.A @ x_new
         lam_new = lambda_update(x_new, y_new, state.lam, rho, cs, Ax)
-
-        if variant == "saga":
-            saga_table_update(problem, state, batch, x_new, n)
+        estimator.commit(x_new)
 
         state.x_prev = state.x
         state.x, state.y, state.lam = x_new, y_new, lam_new
@@ -529,15 +552,13 @@ def run(problem, config, callback=None):
             iterates.append((state.x.copy(), state.y.copy(), state.lam.copy()))
 
         if (t + 1) % config.trace_stride == 0 or t + 1 == config.T:
-            rec = _record(
-                problem, config, state, t + 1, solver_time, ifo, rho
-            )
+            rec = _record(problem, config, state, estimator, solver_time)
             trace.append(rec)
             if callback is not None:
                 callback(rec, state)
 
-    if variant == "saga" and config.T > 0:
-        _check_saga_psi(state)
+    if config.T > 0:
+        estimator.finish()
 
     return RunResult(
         trace=trace,
@@ -550,8 +571,8 @@ def run(problem, config, callback=None):
     )
 
 
-def _record(problem, config, state, t, wall_time, ifo, rho):
-    cs = problem.constraints
+def _record(problem, config, state, estimator, wall_time):
+    rho = config.rho
     f, grad = problem.value_and_grad(state.x)
     obj = f + problem.reg_value(state.y)
     report = metrics.stationarity(
@@ -559,16 +580,16 @@ def _record(problem, config, state, t, wall_time, ifo, rho):
         x_prev=state.x_prev, rho=rho, grad=grad,
     )
     rec = TraceRecord(
-        t=t,
+        t=state.t,
         wall_time=wall_time,
         objective=obj,
         feasibility_sq=report.feasibility_sq,
         dual_sq=report.dual_sq,
         subgrad_dist_sq=report.subgrad_dist_sq,
-        ifo=ifo,
+        ifo=estimator.ifo,
     )
     if config.diagnostics:
-        resid = cs.residual(state.x, state.y)
+        resid = problem.constraints.residual(state.x, state.y)
         rec.lrho = (
             obj
             - float(state.lam @ resid)
@@ -576,12 +597,5 @@ def _record(problem, config, state, t, wall_time, ifo, rho):
         )
         dx = state.x - state.x_prev
         rec.dx_sq = float(dx @ dx)
-        if config.variant == "svrg" and state.x_snap is not None:
-            a = state.x - state.x_snap
-            b = state.x_prev - state.x_snap
-            rec.snap_sq = float(a @ a)
-            rec.snap_prev_sq = float(b @ b)
-        if config.variant == "saga" and state.point_table is not None:
-            diff = state.x[None, :] - state.point_table
-            rec.snap_sq = float(np.einsum("ij,ij->i", diff, diff).mean())
+        rec.snap_sq, rec.snap_prev_sq = estimator.snap_sq(state.x, state.x_prev)
     return rec

@@ -81,11 +81,8 @@ def test_criterion_01_unbiasedness():
 
         pts = snap[None, :] + 0.2 * rng.standard_normal((n, prob.d))
         table = solvers.SagaTable.from_points(prob, pts)
-        state = solvers.SolverState(
-            x=x, y=None, lam=None, grad_table=table, psi=table.mean(axis=0)
-        )
         saga = [
-            solvers.saga_gradient(prob, state, np.array([i])) for i in range(n)
+            solvers.saga_gradient(prob, table, x, np.array([i])) for i in range(n)
         ]
         worst = max(worst, np.linalg.norm(np.mean(saga, 0) - full) / scale)
     _report(1, "enumerated estimator means equal the full gradient",

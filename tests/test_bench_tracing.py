@@ -51,7 +51,11 @@ def test_traced_run_reaches_every_layer(tmp_path):
         code = cli.run_experiment(spec, str(tmp_path), allow_uncertified=True,
                                   echo=lambda *a: None)
     assert code == cli.EXIT_OK
-    seen = {span[0] for span in tracer.spans}
+    names = [span[0] for span in tracer.spans]
     assert {"params.certify", "params.suggest", "solvers.grad_estimate",
-            "cli.build_problem", "cli.output"} <= seen
+            "solvers.y_update", "solvers.x_step", "solvers.dual",
+            "solvers.saga_table", "solvers.record",
+            "cli.build_problem", "cli.output"} <= set(names)
+    # one table write per saga iteration: T x repetitions
+    assert names.count("solvers.saga_table") == 4 * 2
     assert tracer.counts["params.cert_attempts"] == 4

@@ -260,6 +260,19 @@ class TestFailClosed:
         self.assert_one_line_error(proc)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text, token", [
+        ("nan 1:1\n1 1:2\n2 1:3\n", "'nan'"),
+        ("1 1:1\n-1 99999999999999999999:1\n", "'99999999999999999999:1'"),
+        ("1 1:1\n1e400 2:1\n", "'1e400'"),
+    ])
+    def test_parse_refuses_non_finite_label_and_huge_index(self, text, token,
+                                                           tmp_path):
+        path = tmp_path / "bad.libsvm"
+        path.write_text(text)
+        proc = run_cli(["parse", "--path", str(path)])
+        self.assert_one_line_error(proc)
+        assert token in proc.stderr and "line" in proc.stderr
+
     @pytest.mark.parametrize("section, key", [
         ("solver", "rho"), ("solver", "variant"), ("problem", "kind"),
         ("problem", "n"), ("problem", "d"), ("spec", "problem"),

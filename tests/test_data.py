@@ -232,7 +232,8 @@ class TestSplit:
 
 def loop_parse(source, n_features=None, label_mode="auto"):
     """The line-by-line LIBSVM parser `parse_libsvm` replaced, kept as the
-    oracle its vectorised form must match, result and error alike."""
+    oracle its vectorised form must match, result and error alike. It
+    refuses a label that is not finite and an index beyond int64."""
     labels, rows, cols, vals = [], [], [], []
     max_idx = 0
     row = 0
@@ -243,6 +244,8 @@ def loop_parse(source, n_features=None, label_mode="auto"):
         tokens = line.split()
         try:
             label = float(tokens[0])
+            if not np.isfinite(label):
+                raise ValueError
         except ValueError:
             raise ParseError(f"bad label token {tokens[0]!r}", lineno) from None
         prev_idx = 0
@@ -252,8 +255,9 @@ def loop_parse(source, n_features=None, label_mode="auto"):
                 raise ParseError(f"bad feature token {tok!r}", lineno)
             try:
                 idx = int(idx_s)
+                np.int64(idx)
                 val = float(val_s)
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise ParseError(f"bad feature token {tok!r}", lineno) from None
             if idx <= prev_idx:
                 raise ParseError(
@@ -391,6 +395,9 @@ class TestVectorisedParse:
         "abc 3:1\n",
         "1 1:1\n-1\n2 2:2\n",
         "1 1:1 2:2\n-1 3:",
+        "nan 1:1\n1 1:2\n2 1:3\n",
+        "1 1:1\n-1 99999999999999999999:1\n",
+        "1 1:1\n1e400 2:1\n",
     ])
     def test_malformed_and_edge_inputs(self, text):
         assert_same_parse(text)

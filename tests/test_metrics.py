@@ -74,7 +74,7 @@ class TestLyapunov:
             variant=variant, eta=1.0, rho=30.0,
             r=params.min_admissible_r(prob.constraints, 1.0, 30.0),
             M=20, T=30, m=kw.pop("m", 5) if variant == "svrg" else None,
-            diagnostics=True, store_saga_points=(variant == "saga"), **kw,
+            diagnostics=True, **kw,
         )
         return prob, cfg, solvers.run(prob, cfg)
 
@@ -100,12 +100,13 @@ class TestLyapunov:
         vals = metrics.lyapunov_phi(res.trace, h, 5, zeta=3.0, rho=cfg.rho)
         assert vals.shape == (len(res.trace),)
 
+        # a default saga run with diagnostics: snap_sq comes from the pool
         prob, cfg, res = self.run_diag("saga")
         alpha = params.saga_alpha_schedule(
             2.0, prob.constraints, cfg.rho, n=prob.n, M=cfg.M, T=cfg.T, beta=1.0
         )
         vals = metrics.lyapunov_theta(res.trace, alpha, zeta=3.0, rho=cfg.rho)
-        assert vals.shape == (len(res.trace),)
+        assert vals.shape == (len(res.trace),) and np.isfinite(vals).all()
 
     def test_phi_schedule_length_checked(self):
         prob, cfg, res = self.run_diag("svrg", m=5)

@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from ncadmm import params, problems, solvers
+from ncadmm import params, problems
 from ncadmm.exceptions import ConfigError
 
-from conftest import make_graph_guided_problem, make_multitask_problem
+from conftest import make_graph_guided_problem
 
 
 def identity_constraints(d=4):
@@ -165,23 +165,3 @@ class TestSuggest:
         with pytest.raises(ConfigError):
             params.check_feasible("nope", 1.0, cs, 1.0, 1.0, 2.0)
 
-
-def test_empirical_sigma_sq(rng):
-    prob = make_graph_guided_problem(n=25, d=4)
-    x = rng.standard_normal(4)
-    s = params.empirical_sigma_sq(prob, x)
-    G = prob.grad_matrix(x, prob.full_index_set())
-    g = prob.grad(x)
-    worst = max(float(np.sum((row - g) ** 2)) for row in G)
-    assert np.isclose(s, worst)
-
-
-@pytest.mark.parametrize("rows_per_block", [1, 7, 60])
-def test_empirical_sigma_sq_blocks_equal_dense(rows_per_block, rng, monkeypatch):
-    prob = make_multitask_problem()
-    x = rng.standard_normal(prob.d)
-    G = prob.grad_matrix(x, prob.full_index_set())
-    diffs = G - prob.grad(x)[None, :]
-    dense = float(np.max(np.einsum("ij,ij->i", diffs, diffs)))
-    monkeypatch.setattr(solvers, "_BLOCK_BYTES", 8 * prob.d * rows_per_block)
-    assert params.empirical_sigma_sq(prob, x) == dense

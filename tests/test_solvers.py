@@ -130,30 +130,22 @@ class TestPureUpdates:
 
 class TestSagaTable:
     def test_psi_tracks_table(self, gg_problem, rng):
-        n = gg_problem.n
-        state = solvers.SolverState(
-            x=rng.standard_normal(gg_problem.d), y=None, lam=None
-        )
-        state.grad_table = solvers.SagaTable.at(gg_problem, state.x)
-        state.psi = state.grad_table.mean(axis=0)
+        table = solvers.SagaTable.at(gg_problem, rng.standard_normal(gg_problem.d))
         for _ in range(10):
-            batch = rng.integers(0, n, size=7)
+            batch = rng.integers(0, gg_problem.n, size=7)
             x_new = rng.standard_normal(gg_problem.d)
-            solvers.saga_table_update(gg_problem, state, batch, x_new, n)
-        assert np.allclose(state.psi, state.grad_table.mean(axis=0), atol=1e-12)
+            solvers.saga_table_update(gg_problem, table, batch, x_new)
+        assert np.allclose(table.psi, table.mean(), atol=1e-12)
 
     def test_duplicate_batch_indices_written_once(self, gg_problem, rng):
-        n = gg_problem.n
-        x0 = rng.standard_normal(gg_problem.d)
-        state = solvers.SolverState(x=x0, y=None, lam=None)
-        state.grad_table = solvers.SagaTable.at(gg_problem, x0)
-        state.psi = state.grad_table.mean(axis=0)
+        table = solvers.SagaTable.at(gg_problem, rng.standard_normal(gg_problem.d))
         x_new = rng.standard_normal(gg_problem.d)
         batch = np.array([3, 3, 3, 5])
-        solvers.saga_table_update(gg_problem, state, batch, x_new, n)
+        solvers.saga_table_update(gg_problem, table, batch, x_new)
         expect = gg_problem.grad_matrix(x_new, np.array([3, 5]))
-        assert np.allclose(state.grad_table[3], expect[0])
-        assert np.allclose(state.grad_table[5], expect[1])
+        assert np.allclose(table.rows(gg_problem.gather([3, 5])), expect)
+        assert table.refs[table.slot[3]] == 2
+        assert np.array_equal(table.points[table.slot[3]], x_new)
 
 
 class TestRun:
@@ -267,8 +259,8 @@ def reference_run(problem, config):
     iterates = []
     for t in range(config.T):
         if config.variant == "svrg" and t % config.m == 0:
-            state.x_snap = state.x.copy()
-            state.snap_grad = problem.grad(state.x_snap, all_idx)
+            x_snap = state.x.copy()
+            snap_grad = problem.grad(x_snap, all_idx)
         y = solvers.y_update(problem, state.x, state.lam, rho)
         if config.variant == "dete":
             g = problem.grad(state.x, all_idx)
@@ -277,9 +269,7 @@ def reference_run(problem, config):
             if config.variant == "stoc":
                 g = solvers.stoc_gradient(problem, state.x, batch)
             elif config.variant == "svrg":
-                g = solvers.svrg_gradient(
-                    problem, state.x, batch, state.x_snap, state.snap_grad
-                )
+                g = solvers.svrg_gradient(problem, state.x, batch, x_snap, snap_grad)
             else:
                 g = problem.grad(state.x, batch) + (psi - table[batch].mean(axis=0))
         x = solvers.x_update_uzawa(problem, state.x, y, state.lam, g, eta, rho, r)
@@ -410,23 +400,19 @@ class TestCompactSagaTable:
         res = solvers.run(prob, cfg)
         table = res.state.grad_table
         live = np.count_nonzero(table.refs)
-        assert live <= prob.n and len(table.pool) <= prob.n
+        assert live <= prob.n and len(table.points) <= prob.n
         assert table.refs.sum() == prob.n
         assert np.array_equal(np.flatnonzero(table.refs), np.unique(table.slot))
 
     def test_write_drops_rows_kept_for_the_batch(self, gg_problem, rng):
-        n = gg_problem.n
-        state = solvers.SolverState(
-            x=rng.standard_normal(gg_problem.d), y=None, lam=None
-        )
-        state.grad_table = solvers.SagaTable.at(gg_problem, state.x)
-        state.psi = state.grad_table.mean()
-        rows = gg_problem.gather(rng.integers(0, n, size=7))
-        solvers.saga_gradient(gg_problem, state, rows)
+        x = rng.standard_normal(gg_problem.d)
+        table = solvers.SagaTable.at(gg_problem, x)
+        rows = gg_problem.gather(rng.integers(0, gg_problem.n, size=7))
+        solvers.saga_gradient(gg_problem, table, x, rows)
         for _ in range(2):
             x_new = rng.standard_normal(gg_problem.d)
-            solvers.saga_table_update(gg_problem, state, rows, x_new, n)
-        assert np.allclose(state.psi, state.grad_table.mean(axis=0), atol=1e-12)
+            solvers.saga_table_update(gg_problem, table, rows, x_new)
+        assert np.allclose(table.psi, table.mean(), atol=1e-12)
 
     @pytest.mark.parametrize("make", PROBLEM_MAKERS)
     def test_psi_check_uses_an_independent_product(self, make):
@@ -434,14 +420,20 @@ class TestCompactSagaTable:
         res = solvers.run(prob, build(prob, "saga", M=10, T=30))
         table = res.state.grad_table
         assert np.allclose(table.product_mean(), table.mean(), rtol=1e-12, atol=1e-15)
-        solvers._check_saga_psi(res.state)
-        res.state.psi = res.state.psi + 1e-6 * np.abs(res.state.psi).max()
+        estimator = solvers.SagaEstimator(prob, 10, table)
+        estimator.finish()
+        table.psi = table.psi + 1e-6 * np.abs(table.psi).max()
         with pytest.raises(InternalInvariantError):
-            solvers._check_saga_psi(res.state)
+            estimator.finish()
 
     def test_table_is_small(self, gg_problem):
-        res = solvers.run(gg_problem, build(gg_problem, "saga", T=5))
-        assert res.state.grad_table.nbytes == gg_problem.n * 8
+        """n coefficients, n slot numbers, and per pool slot a reference
+        count and a point; T = 5 writes leave at most 2 * (5 + 1) slots."""
+        T, n, d = 5, gg_problem.n, gg_problem.d
+        table = solvers.run(gg_problem, build(gg_problem, "saga", T=T)).state.grad_table
+        cap = len(table.points)
+        assert table.shared is None and cap <= min(n, 2 * (T + 1))
+        assert table.nbytes == n * 8 + n * 8 + cap * 8 + cap * d * 8
 
     def test_saga_memory_is_a_fraction_of_a_dense_table(self):
         prob = make_multitask_problem(n=4000, features=400, classes=5, density=0.03)
@@ -454,6 +446,31 @@ class TestCompactSagaTable:
             tracemalloc.stop()
         assert peak < prob.n * prob.d * 8 / 8
 
+
+class TestPooledPoints:
+    """The pool's points give saga's snap_sq, the mean squared distance to
+    the stored points, without an n x d point table."""
+
+    @pytest.mark.parametrize("full_batch", [False, True])
+    @pytest.mark.parametrize("make", [make_graph_guided_problem, make_multitask_problem])
+    def test_snap_sq_equals_dense_point_table(self, make, full_batch):
+        prob = make()
+        n = prob.n
+        M = n if full_batch else 10
+        cfg = build(prob, "saga", M=M, T=30, diagnostics=True, record_iterates=True)
+        res = solvers.run(prob, cfg)
+        # replay the batches into the dense table of stored points
+        state, rng_batch, _ = solvers.init_state(prob, cfg)
+        points = np.tile(state.x, (n, 1))
+        repeats = 0
+        for rec, (x, _, _) in zip(res.trace, res.iterates, strict=True):
+            batch = solvers._draw_batch(rng_batch, n, M)
+            repeats += np.unique(batch).size < batch.size
+            points[batch] = x
+            diff = x[None, :] - points
+            want = float(np.einsum("ij,ij->i", diff, diff).mean())
+            assert np.isclose(rec.snap_sq, want, rtol=1e-12, atol=0.0)
+        assert full_batch or repeats > 0
 
 _SMALL = {
     "sigmoid": make_graph_guided_problem(n=12, d=4),
@@ -482,21 +499,19 @@ def test_saga_table_follows_dense_reference(kind, seed, rows_per_block, steps):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(prob.d)
     with mock.patch.object(solvers, "_BLOCK_BYTES", 8 * prob.d * rows_per_block):
-        state = solvers.SolverState(x=x, y=None, lam=None)
-        state.grad_table = solvers.SagaTable.at(prob, x)
-        state.psi = state.grad_table.mean()
+        table = solvers.SagaTable.at(prob, x)
         dense = prob.grad_matrix(x, full)
         psi = dense.mean(axis=0)
-        assert np.array_equal(state.psi, psi)
+        assert np.array_equal(table.psi, psi)
         for k, batch in enumerate(steps, start=1):
             batch = full if batch is None else np.array(batch)
-            state.x = rng.standard_normal(prob.d)
+            x = rng.standard_normal(prob.d)
             x_new = rng.standard_normal(prob.d)
             rows = prob.gather(batch)
-            g = solvers.saga_gradient(prob, state, rows)
-            want = prob.grad(state.x, batch) + (psi - dense[batch].mean(axis=0))
+            g = solvers.saga_gradient(prob, table, x, rows)
+            want = prob.grad(x, batch) + (psi - dense[batch].mean(axis=0))
             assert np.array_equal(g, want)
-            solvers.saga_table_update(prob, state, rows, x_new, n)
+            solvers.saga_table_update(prob, table, rows, x_new)
             uniq = np.unique(batch)
             new = prob.grad_matrix(x_new, uniq)
             if uniq.size == n:
@@ -505,8 +520,7 @@ def test_saga_table_follows_dense_reference(kind, seed, rows_per_block, steps):
             else:
                 psi = psi - (dense[uniq] - new).sum(axis=0) / n
                 dense[uniq] = new
-            assert np.array_equal(state.psi, psi)
-            assert np.array_equal(state.grad_table[full], dense)
-            assert np.allclose(state.psi, state.grad_table.mean(axis=0), atol=1e-12)
-            if state.grad_table.pool is not None:
-                assert np.count_nonzero(state.grad_table.refs) <= min(n, k + 1)
+            assert np.array_equal(table.psi, psi)
+            assert np.array_equal(table.rows(prob.gather(full)), dense)
+            assert np.allclose(table.psi, table.mean(), atol=1e-12)
+            assert np.count_nonzero(table.refs) <= min(n, k + 1)
