@@ -77,6 +77,9 @@ _SOLVER_KEYS = ("variant", "rho")
 _SOLVER_REALS = ("eta", "rho", "r")
 _SOLVER_INTS = {"T": 1, "M": 1, "m": 1, "seed": 0}
 _SPEC_INTS = {"repetitions": 1, "seed_base": 0, "trace_stride": 1}
+_PROBLEM_REALS = ("nu", "train_fraction", "support_density", "nu1", "nu2",
+                  "beta", "theta")
+_PROBLEM_INTS = {"n": 1, "d": 1, "grid": 1, "k": 1, "seed": 0, "support_seed": 0}
 # `config_defaults` fills these in when they are null
 _NULL_MEANS_DEFAULT = ("r", "M", "m")
 
@@ -120,6 +123,7 @@ def _check_problem_spec(problem):
     if kind not in _PROBLEM_KEYS:
         raise ConfigError(f"unknown problem kind {kind!r}")
     _require(problem, _PROBLEM_KEYS[kind], f"{kind} problem")
+    _check_numbers(problem, f"{kind} problem", _PROBLEM_REALS, _PROBLEM_INTS)
     return problem
 
 
@@ -153,25 +157,29 @@ def build_problem(problem_spec):
     frac = problem_spec.get("train_fraction", 0.5)
     info = {"kind": kind, "seed": seed}
 
+    if kind in ("graph_guided", "overlap"):
+        # generated straight into split order; train and test are views
+        train_idx, test_idx = data_mod.split_indices(problem_spec["n"], frac, seed + 1)
+        order = np.concatenate([train_idx, test_idx])
     if kind == "graph_guided":
         ds, prec, x_star = data_mod.gen_graph_guided(
-            problem_spec["n"], problem_spec["d"], seed
+            problem_spec["n"], problem_spec["d"], seed, order=order
         )
         support = prec.support
         if problem_spec.get("empty_support"):
             support = np.zeros_like(support)
         cs = build_graph_guided_A(support)
-        train, test = data_mod.split(ds, frac, seed + 1)
+        train, test = data_mod.split_views(ds, train_idx.size)
         loss = SigmoidLoss(train.features, train.labels)
         reg = BlockSeparableRegularizer.l1(cs.p, nu)
         info["edges"] = int(support.sum() // 2)
     elif kind == "overlap":
         ds, x_star = data_mod.gen_overlap(
-            problem_spec["n"], seed, grid=problem_spec.get("grid", 20)
+            problem_spec["n"], seed, grid=problem_spec.get("grid", 20), order=order
         )
         k = problem_spec.get("k", 2)
         cs = build_overlap_A(ds.d, k)
-        train, test = data_mod.split(ds, frac, seed + 1)
+        train, test = data_mod.split_views(ds, train_idx.size)
         loss = SigmoidLoss(train.features, train.labels)
         reg = BlockSeparableRegularizer.l1(cs.p, nu)
     elif kind == "libsvm":
@@ -209,7 +217,14 @@ def build_problem(problem_spec):
 
 def _random_support(d, density, seed):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    upper = rng.random((d, d)) < density
+    try:
+        draw = rng.random((d, d))
+    except MemoryError:
+        raise ConfigError(
+            f"the random support over d={d} features needs a d x d array "
+            "that does not fit in memory"
+        ) from None
+    upper = draw < density
     upper = np.triu(upper, k=1)
     return upper | upper.T
 
@@ -409,10 +424,11 @@ def _aggregate_rows(rep_rows):
 
 @contextmanager
 def _fail_closed(ctx):
-    """End a command on a NcadmmError with one `error:` line and exit 2."""
+    """End a command on a NcadmmError, or an OSError on a path it was given,
+    with one `error:` line and exit 2."""
     try:
         yield
-    except NcadmmError as exc:
+    except (NcadmmError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         ctx.exit(EXIT_CONFIG)
 
@@ -549,6 +565,8 @@ def cmd_rho_sweep(ctx, spec_path, out_dir, rhos, workers, allow_uncertified):
 def cmd_gen_data(ctx, kind, n, d, seed, out_path):
     """Generate a synthetic dataset and persist it as LIBSVM + JSON sidecar."""
     with _fail_closed(ctx):
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         if kind == "graph_guided":
             ds, _, _ = data_mod.gen_graph_guided(n, d, seed)
         else:

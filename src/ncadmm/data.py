@@ -15,6 +15,8 @@ from .exceptions import ConfigError, InternalInvariantError, ParseError
 
 _MIN_PRECISION_EIG = 0.1
 _PARSE_BLOCK_CHARS = 1 << 16
+_GEN_BLOCK_BYTES = 1 << 20
+_GEN_ROW_ALIGN = 64
 
 
 @dataclass
@@ -24,10 +26,12 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # a sparse matrix is finite iff its stored values are
+        # a sparse matrix is finite iff its stored values are; NaN carries
+        # through min and max, so both are finite iff every value is, and no
+        # n x d mask is built
         feats = self.features
         values = feats.tocsr().data if sp.issparse(feats) else feats
-        if not np.isfinite(values).all():
+        if values.size and not np.isfinite([values.min(), values.max()]).all():
             raise ConfigError("dataset features contain NaN/Inf")
 
     @property
@@ -58,12 +62,55 @@ def _sign_labels(scores):
     return np.where(scores >= 0.0, 1.0, -1.0)
 
 
-def gen_graph_guided(n, d, seed):
+def _row_blocks(n, d):
+    """(start, stop) of the contiguous row blocks, about 1 MiB each, in which
+    an n x d draw is made.
+
+    With one BLAS thread, each block's products round bitwise as one product
+    over all n rows does. Every block starts at a multiple of 64 rows, so
+    gemv groups the rows alike, and the remainder joins the last block. A
+    block of d >= 8 columns times a d x d matrix takes more than 1e6
+    multiply-adds, too many for OpenBLAS's small-matrix gemm kernel, which
+    rounds differently; with fewer columns the two were measured to agree.
+    """
+    rows = max(1, _GEN_BLOCK_BYTES // (8 * d))
+    rows = -(-rows // _GEN_ROW_ALIGN) * _GEN_ROW_ALIGN
+    starts = [k * rows for k in range(max(1, n // rows))]
+    return zip(starts, starts[1:] + [n])
+
+
+def _draw_rows(rng, n, d, x_star, noise, order, transform=None):
+    """(features, labels): standard-normal rows, times `transform` when given,
+    labelled by the sign of row @ x_star + noise, drawn a block at a time.
+
+    Row k of the output is drawn row order[k] (the k-th drawn row when
+    `order` is None), so the features exist once, already in that order.
+    """
+    dest = np.arange(n)
+    if order is not None:
+        order = np.asarray(order)
+        if order.shape != (n,) or not np.array_equal(np.sort(order), dest):
+            raise ConfigError(f"order must be a permutation of range({n})")
+        dest[order] = np.arange(n)
+    feats = np.empty((n, d))
+    scores = np.empty(n)
+    for start, stop in _row_blocks(n, d):
+        block = rng.standard_normal((stop - start, d))
+        if transform is not None:
+            block = block @ transform
+        scores[start:stop] = block @ x_star + noise[start:stop]
+        feats[dest[start:stop]] = block
+    labels = _sign_labels(scores)
+    return feats, (labels if order is None else labels[order])
+
+
+def gen_graph_guided(n, d, seed, order=None):
     """Sparse-precision Gaussian features with sigmoid-model labels.
 
     Raw precision entries are 0 with probability 0.95, otherwise uniform on
     [-0.75,-0.25] u [0.25,0.75]; the matrix is symmetrized and its diagonal
-    shifted so the smallest eigenvalue is at least 0.1.
+    shifted so the smallest eigenvalue is at least 0.1. With `order`, a
+    permutation of range(n), sample order[k] is row k.
     """
     if n < 1 or d < 1:
         raise ConfigError("n and d must be >= 1")
@@ -85,10 +132,8 @@ def gen_graph_guided(n, d, seed):
 
     # N(0, Lam^{-1}) through the symmetric inverse square root
     inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
-    feats = rng_feat.standard_normal((n, d)) @ inv_sqrt
-
     noise = rng_noise.uniform(0.0, 1.0, size=n)
-    labels = _sign_labels(feats @ x_star + noise)
+    feats, labels = _draw_rows(rng_feat, n, d, x_star, noise, order, inv_sqrt)
     ds = Dataset(
         features=feats,
         labels=labels,
@@ -98,9 +143,10 @@ def gen_graph_guided(n, d, seed):
     return ds, PrecisionModel(Lambda=Lam, support=support, shift=shift), x_star
 
 
-def gen_overlap(n, seed, grid=20):
+def gen_overlap(n, seed, grid=20, order=None):
     """Standard-normal features; true parameter is a grid x grid matrix with
-    only its first column nonzero; labels via the noisy sign model."""
+    only its first column nonzero; labels via the noisy sign model. With
+    `order`, a permutation of range(n), sample order[k] is row k."""
     if n < 1:
         raise ConfigError("n must be >= 1")
     rng_x, rng_feat, rng_noise = _substreams(seed, 3)
@@ -108,9 +154,8 @@ def gen_overlap(n, seed, grid=20):
     X = np.zeros((grid, grid))
     X[:, 0] = rng_x.standard_normal(grid)
     x_star = X.ravel(order="F")  # column-major: first column first
-    feats = rng_feat.standard_normal((n, d))
     noise = rng_noise.standard_normal(n)
-    labels = _sign_labels(feats @ x_star + noise)
+    feats, labels = _draw_rows(rng_feat, n, d, x_star, noise, order)
     ds = Dataset(
         features=feats,
         labels=labels,
@@ -150,10 +195,9 @@ def parse_libsvm(source, n_features=None, label_mode="auto"):
     d = n_features if n_features is not None else max_idx
     if d < max_idx:
         raise ParseError(f"n_features={d} smaller than max index {max_idx}")
-    rows = np.repeat(np.arange(row), counts)
-    feats = sp.csr_matrix(
-        (vals, (rows, cols - 1)), shape=(row, max(d, 1)), dtype=float
-    )
+    # indices strictly increase on each line, so this CSR is canonical
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    feats = sp.csr_matrix((vals, cols - 1, indptr), shape=(row, max(d, 1)))
     uniq = np.unique(labels)
     if label_mode == "auto":
         label_mode = "binary" if uniq.size == 2 else (
@@ -167,8 +211,7 @@ def parse_libsvm(source, n_features=None, label_mode="auto"):
         labels = np.where(labels == uniq[0], -1.0, 1.0)
         classes = 2
     elif label_mode == "multiclass":
-        remap = {v: i for i, v in enumerate(uniq)}
-        labels = np.array([remap[v] for v in labels], dtype=float)
+        labels = np.searchsorted(uniq, labels).astype(float)
         classes = uniq.size
     else:
         classes = uniq.size
@@ -295,25 +338,37 @@ def write_libsvm(dataset, path, sidecar=None):
             json.dump(dataset.meta, fh, indent=2, default=str)
 
 
-def split(dataset, fraction, seed):
-    """Seeded shuffle-then-split into (train, test); disjoint and exhaustive."""
+def split_indices(n, fraction, seed):
+    """Sorted (train, test) indices of a seeded shuffle-then-split of n
+    samples; disjoint and exhaustive."""
     if not 0.0 < fraction < 1.0:
         raise ConfigError("split fraction must lie strictly between 0 and 1")
-    n = dataset.n
     n_train = int(round(fraction * n))
-    if n_train == 0 or n_train == n:
+    if n_train <= 0 or n_train >= n:
         raise ConfigError(
             f"degenerate split: {n_train} train / {n - n_train} test samples"
         )
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     perm = rng.permutation(n)
-    tr, te = np.sort(perm[:n_train]), np.sort(perm[n_train:])
+    return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
-    def take(idx, tag):
-        meta = dict(dataset.meta)
-        meta["split"] = tag
-        return Dataset(
-            features=dataset.features[idx], labels=dataset.labels[idx], meta=meta
-        )
 
-    return take(tr, "train"), take(te, "test")
+def _tagged(dataset, rows, tag):
+    meta = dict(dataset.meta)
+    meta["split"] = tag
+    return Dataset(
+        features=dataset.features[rows], labels=dataset.labels[rows], meta=meta
+    )
+
+
+def split(dataset, fraction, seed):
+    """Seeded shuffle-then-split into (train, test) copies."""
+    train, test = split_indices(dataset.n, fraction, seed)
+    return _tagged(dataset, train, "train"), _tagged(dataset, test, "test")
+
+
+def split_views(dataset, n_train):
+    """(train, test) views of the first n_train rows and of the rest, tagged
+    as `split` tags its copies."""
+    return (_tagged(dataset, slice(None, n_train), "train"),
+            _tagged(dataset, slice(n_train, None), "test"))

@@ -273,6 +273,74 @@ class TestFailClosed:
         self.assert_one_line_error(proc)
         assert token in proc.stderr and "line" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["run", "check-params", "parse"])
+    def test_directory_as_input_file(self, command, tmp_path):
+        flag = "--path" if command == "parse" else "--spec"
+        args = [command, flag, str(tmp_path)]
+        args += {"run": ["--out", str(tmp_path / "o")], "parse": [],
+                 "check-params": ["--variant", "stoc", "--eta", "1", "--rho", "1"]
+                 }[command]
+        proc = run_cli(args)
+        self.assert_one_line_error(proc)
+        assert "Is a directory" in proc.stderr
+
+    def test_out_under_a_regular_file(self, refused_spec, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        proc = run_cli(["run", "--spec", str(refused_spec), "--out",
+                        str(blocker / "o"), "--allow-uncertified"])
+        self.assert_one_line_error(proc)
+        assert "Not a directory" in proc.stderr
+
+    def test_gen_data_into_a_missing_directory(self, tmp_path):
+        proc = run_cli(["gen-data", "--kind", "overlap", "--n", "10", "--out",
+                        str(tmp_path / "missing" / "x.libsvm")])
+        self.assert_one_line_error(proc)
+        assert "No such file or directory" in proc.stderr
+
+    def test_gen_data_negative_seed(self, tmp_path):
+        out = tmp_path / "x.libsvm"
+        proc = run_cli(["gen-data", "--kind", "overlap", "--n", "10", "--seed",
+                        "-1", "--out", str(out)])
+        self.assert_one_line_error(proc)
+        assert "seed must be >= 0, got -1" in proc.stderr
+        assert not out.exists()
+
+    def test_libsvm_support_too_large_for_memory(self, refused_spec, tmp_path):
+        # d = 1e8 asks the random support for an 80 PB d x d draw
+        path = tmp_path / "wide.libsvm"
+        path.write_text("1 1:1\n-1 100000000:1\n")
+        spec = json.loads(refused_spec.read_text())
+        spec["problem"] = {"kind": "libsvm", "path": str(path)}
+        refused_spec.write_text(json.dumps(spec))
+        proc = run_cli(["run", "--spec", str(refused_spec), "--out",
+                        str(tmp_path / "o"), "--allow-uncertified"])
+        self.assert_one_line_error(proc)
+        assert "d=100000000" in proc.stderr
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", -1, "seed must be >= 0"), ("n", "abc", "n must be an integer"),
+        ("n", 0, "n must be >= 1"), ("d", 0, "d must be >= 1"),
+        ("train_fraction", "x", "train_fraction must be a finite number"),
+    ])
+    def test_bad_problem_number(self, key, value, message, refused_spec,
+                                tmp_path):
+        spec = json.loads(refused_spec.read_text())
+        spec["problem"][key] = value
+        refused_spec.write_text(json.dumps(spec))
+        proc = run_cli(["check-params", "--spec", str(refused_spec),
+                        "--variant", "stoc", "--eta", "1", "--rho", "1"])
+        self.assert_one_line_error(proc)
+        assert f"graph_guided problem: {message}" in proc.stderr
+
+    def test_bad_overlap_grid(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"kind": "overlap", "n": 100, "grid": 0}))
+        proc = run_cli(["check-params", "--spec", str(path), "--variant",
+                        "stoc", "--eta", "1", "--rho", "1"])
+        self.assert_one_line_error(proc)
+        assert "overlap problem: grid must be >= 1, got 0" in proc.stderr
+
     @pytest.mark.parametrize("section, key", [
         ("solver", "rho"), ("solver", "variant"), ("problem", "kind"),
         ("problem", "n"), ("problem", "d"), ("spec", "problem"),

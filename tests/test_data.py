@@ -1,6 +1,10 @@
 import io
+import json
 import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ncadmm import data
+from ncadmm import cli, data
 from ncadmm.exceptions import ConfigError, ParseError
 
 
@@ -324,7 +328,9 @@ def assert_same_parse(text, **kwargs):
         assert getattr(got, "line", None) == getattr(want, "line", None)
         return
     assert not isinstance(got, Exception), got
+    assert got.features.format == want.features.format == "csr"
     assert got.features.shape == want.features.shape
+    assert got.features.has_canonical_format and want.features.has_canonical_format
     for attr in ("indptr", "indices", "data"):
         a, b = getattr(got.features, attr), getattr(want.features, attr)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -402,3 +408,190 @@ class TestVectorisedParse:
     def test_malformed_and_edge_inputs(self, text):
         assert_same_parse(text)
         assert_same_parse(text, label_mode="raw")
+
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def one_shot(kind, n, size, seed):
+    """(features, labels) by the one-shot formulas the blocked generators
+    replaced: all n x d normals in one draw, one product, one gemv. `size`
+    is d for graph_guided and the grid for overlap."""
+    if kind == "overlap":
+        rng_x, rng_feat, rng_noise = data._substreams(seed, 3)
+        X = np.zeros((size, size))
+        X[:, 0] = rng_x.standard_normal(size)
+        x_star = X.ravel(order="F")
+        feats = rng_feat.standard_normal((n, size * size))
+        noise = rng_noise.standard_normal(n)
+    else:
+        d = size
+        rng_prec, rng_x, rng_feat, rng_noise = data._substreams(seed, 4)
+        raw = np.zeros((d, d))
+        mask = rng_prec.random((d, d)) >= 0.95
+        mags = rng_prec.uniform(0.25, 0.75, size=(d, d))
+        signs = np.where(rng_prec.random((d, d)) < 0.5, -1.0, 1.0)
+        raw[mask] = (signs * mags)[mask]
+        evals, evecs = np.linalg.eigh(0.5 * (raw + raw.T))
+        evals = evals + max(0.0, 0.1 - float(evals[0]))
+        x_star = rng_x.standard_normal(d)
+        inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
+        feats = rng_feat.standard_normal((n, d)) @ inv_sqrt
+        noise = rng_noise.uniform(0.0, 1.0, size=n)
+    return feats, np.where(feats @ x_star + noise >= 0.0, 1.0, -1.0)
+
+
+def setup_mismatches(kind, n, size, seed=3, frac=0.5):
+    """Names of the arrays in which the generator in natural order and
+    build_problem's train and test sets differ from the one-shot formulas
+    and a copying shuffle-then-split of them."""
+    feats, labels = one_shot(kind, n, size, seed)
+    if kind == "overlap":
+        ds, _ = data.gen_overlap(n, seed, grid=size)
+        spec = {"kind": kind, "n": n, "grid": size}
+    else:
+        ds, _, _ = data.gen_graph_guided(n, size, seed)
+        spec = {"kind": kind, "n": n, "d": size}
+    problem, test, _ = cli.build_problem(
+        dict(spec, seed=seed, train_fraction=frac)
+    )
+    perm = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed + 1))
+    ).permutation(n)
+    tr, te = np.sort(perm[:round(frac * n)]), np.sort(perm[round(frac * n):])
+    pairs = {
+        "natural.features": (ds.features, feats),
+        "natural.labels": (ds.labels, labels),
+        "train.features": (problem.loss.features, feats[tr]),
+        "train.labels": (problem.loss.labels, labels[tr]),
+        "test.features": (test.features, feats[te]),
+        "test.labels": (test.labels, labels[te]),
+    }
+    return [name for name, (got, want) in pairs.items()
+            if got.dtype != want.dtype or got.tobytes() != want.tobytes()]
+
+
+def in_one_blas_thread(name, *args):
+    """JSON result of this module's function `name`(*args), run in a fresh
+    interpreter whose BLAS uses one thread.
+
+    Only there do the blocked products round as one product over all n rows
+    does: with more threads, gemv splits its rows between the threads at
+    points that depend on its length.
+    """
+    env = dict(os.environ, **dict.fromkeys(BLAS_ENV, "1"))
+    env["PYTHONPATH"] = os.pathsep.join([HERE, SRC, env.get("PYTHONPATH", "")])
+    code = ("import json, sys, test_data; "
+            f"print(json.dumps(test_data.{name}(*json.loads(sys.argv[1]))))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def blocked_setup_mismatches(kind, cases):
+    return {f"{n}x{size}": setup_mismatches(kind, n, size) for n, size in cases}
+
+
+def blocked_product_mismatches(n, d, seed=0):
+    """The generator's row blocks on which Z @ W or (Z @ W) @ v differs from
+    the rows of one product over all n rows, for random Z, W and v."""
+    rng = np.random.default_rng(seed)
+    Z, W, v = (rng.standard_normal(shape) for shape in ((n, d), (d, d), d))
+    F = Z @ W
+    s = F @ v
+    return [[a, b] for a, b in data._row_blocks(n, d)
+            if (Z[a:b] @ W).tobytes() != F[a:b].tobytes()
+            or (F[a:b] @ v).tobytes() != s[a:b].tobytes()]
+
+
+class TestOneCopySetup:
+    """Synthetic kinds are generated block by block straight into split
+    order; build_problem's train and test sets are views of one array."""
+
+    @pytest.mark.parametrize("kind, cases", [
+        # (20000, 200): 28 blocks, the last with the remainder merged in;
+        # (2000, 50): one block; (18468, 50): 7 blocks of 2624 rows and 100
+        # more, too few for the blocked gemm kernel on their own
+        ("graph_guided", [(20000, 200), (20000, 50), (2000, 50), (5, 3),
+                          (18468, 50)]),
+        ("overlap", [(20000, 20), (20000, 7), (2000, 7), (5, 3)]),
+    ])
+    def test_bitwise_equal_to_one_shot_formulas(self, kind, cases):
+        got = in_one_blas_thread("blocked_setup_mismatches", kind, cases)
+        assert got == {f"{n}x{size}": [] for n, size in cases}
+
+    @pytest.mark.parametrize("n, d", [(20000, 200), (18468, 50), (30001, 33)])
+    def test_row_blocks_round_as_one_product(self, n, d):
+        # the labels see a score's rounding only through its sign, so the
+        # products are compared on random matrices as well
+        assert in_one_blas_thread("blocked_product_mismatches", n, d) == []
+
+    @pytest.mark.parametrize("n, d, blocks", [
+        (5, 3, [(0, 5)]),
+        (2000, 200, [(0, 704), (704, 2000)]),
+        # rows wider than a block still come 64 at a time
+        (130, 200_000, [(0, 64), (64, 130)]),
+    ])
+    def test_row_blocks(self, n, d, blocks):
+        assert list(data._row_blocks(n, d)) == blocks
+
+    @pytest.mark.parametrize("kind", ["graph_guided", "overlap"])
+    def test_views_share_one_array(self, kind):
+        spec = {"kind": kind, "n": 301, "d": 6, "grid": 3, "seed": 2}
+        problem, test, _ = cli.build_problem(spec)
+        train = problem.loss.features
+        assert train.base is not None and train.base is test.features.base
+        assert train.shape[0] + test.n == 301
+        assert test.meta["split"] == "test" and test.meta["n"] == 301
+        assert test.meta["name"] == kind
+
+    def test_order_writes_each_drawn_row_to_its_place(self):
+        ds, _, _ = data.gen_graph_guided(300, 5, seed=1)
+        order = np.random.default_rng(0).permutation(300)
+        perm, _, _ = data.gen_graph_guided(300, 5, seed=1, order=order)
+        assert np.array_equal(perm.features, ds.features[order])
+        assert np.array_equal(perm.labels, ds.labels[order])
+
+    @pytest.mark.parametrize("order", [[0, 1, 1, 3], [0, 1, 2], [0, 1, 2, 4]])
+    def test_order_must_be_a_permutation(self, order):
+        with pytest.raises(ConfigError, match="permutation"):
+            data.gen_overlap(4, seed=0, grid=2, order=order)
+
+    def test_build_problem_holds_one_copy(self):
+        n, d = 20000, 200
+        tracemalloc.start()
+        try:
+            cli.build_problem({"kind": "graph_guided", "n": n, "d": d, "seed": 0})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a copying split reaches 2.1 n d 8 bytes
+        assert peak <= 1.25 * n * d * 8
+
+    def test_finite_check_builds_no_mask(self):
+        feats = np.ones((4000, 100))
+        tracemalloc.start()
+        try:
+            data.Dataset(features=feats, labels=np.ones(4000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < feats.size // 8  # the mask alone is feats.size bytes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finite_check_still_refuses(self, bad):
+        feats = np.zeros((3, 4))
+        feats[2, 1] = bad
+        with pytest.raises(ConfigError, match="NaN/Inf"):
+            data.Dataset(features=feats, labels=np.ones(3))
+
+    def test_split_indices_are_split_rows(self):
+        ds, _, _ = data.gen_graph_guided(41, 4, seed=0)
+        tr, te = data.split_indices(41, 0.3, seed=7)
+        train, test = data.split(ds, 0.3, seed=7)
+        assert np.array_equal(train.features, ds.features[tr])
+        assert np.array_equal(test.labels, ds.labels[te])
+        assert np.array_equal(np.sort(np.concatenate([tr, te])), np.arange(41))
