@@ -1,6 +1,6 @@
 """Mini-batch stochastic ADMM for nonconvex nonsmooth composite problems.
 
-Solvers for min f(x) + g(y) subject to Ax + By = c with a smooth nonconvex
+Solvers for min f(x) + g(y) subject to Ax - y = c with a smooth nonconvex
 finite-sum f and a prox-friendly g, plus the theory-side parameter
 certificates, stationarity diagnostics and a small benchmark harness.
 """
@@ -14,7 +14,6 @@ from .exceptions import (
     NcadmmError,
     NumericalError,
     ParseError,
-    UnsupportedConstraintError,
 )
 from .problems import (
     BlockSeparableRegularizer,
@@ -66,7 +65,6 @@ __all__ = [
     "StationarityReport",
     "TheoryConstants",
     "TraceRecord",
-    "UnsupportedConstraintError",
     "build_graph_guided_A",
     "build_multitask_constraints",
     "build_overlap_A",

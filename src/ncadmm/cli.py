@@ -171,7 +171,7 @@ def build_problem(problem_spec):
         cs = build_graph_guided_A(support)
         train, test = data_mod.split_views(ds, train_idx.size)
         loss = SigmoidLoss(train.features, train.labels)
-        reg = BlockSeparableRegularizer.l1(cs.p, nu)
+        reg = BlockSeparableRegularizer.l1(cs.q, nu)
         info["edges"] = int(support.sum() // 2)
     elif kind == "overlap":
         ds, x_star = data_mod.gen_overlap(
@@ -181,7 +181,7 @@ def build_problem(problem_spec):
         cs = build_overlap_A(ds.d, k)
         train, test = data_mod.split_views(ds, train_idx.size)
         loss = SigmoidLoss(train.features, train.labels)
-        reg = BlockSeparableRegularizer.l1(cs.p, nu)
+        reg = BlockSeparableRegularizer.l1(cs.q, nu)
     elif kind == "libsvm":
         ds = data_mod.parse_libsvm(problem_spec["path"], label_mode="binary")
         train, test = data_mod.split(ds, frac, seed + 1)
@@ -193,11 +193,14 @@ def build_problem(problem_spec):
         )
         cs = build_graph_guided_A(support)
         loss = SigmoidLoss(train.features, train.labels)
-        reg = BlockSeparableRegularizer.l1(cs.p, nu)
+        reg = BlockSeparableRegularizer.l1(cs.q, nu)
     elif kind == "multitask":
         ds = data_mod.parse_libsvm(problem_spec["path"], label_mode="multiclass")
         train, test = data_mod.split(ds, frac, seed + 1)
         m = ds.meta["classes"]
+        data_mod.check_dim(
+            m * ds.d, f"multitask model of {m} classes x {ds.d} features"
+        )
         nu1 = problem_spec.get("nu1", 1e-5)
         nu2 = problem_spec.get("nu2", 1e-4)
         beta = problem_spec.get("beta", 1.0)
@@ -267,7 +270,7 @@ def solver_config_from_spec(entry, problem, trace_stride=1):
     return solvers_mod.SolverConfig(
         variant=variant, eta=eta, rho=rho, r=r, M=M,
         T=entry.get("T", 1000), m=m, seed=entry.get("seed", 0),
-        trace_stride=trace_stride, diagnostics=True,
+        trace_stride=trace_stride,
     )
 
 
@@ -280,19 +283,17 @@ def _write_csv_atomic(path, rows):
     os.replace(tmp, path)
 
 
-def run_single(problem, evaluate, config, zeta=None):
+def run_single(problem, evaluate, config, zeta):
     """One solver run; returns (rows, result) with CSV-ready rows.
 
-    zeta, when given, fills the lyapunov column with
+    zeta fills the lyapunov column with
     Psi_t = L_rho + (zeta/rho) ||x_t - x_{t-1}||^2.
     """
     rows = []
 
     def on_record(rec, state):
         err, tloss = evaluate(state.x)
-        lyap = ""
-        if zeta is not None and rec.lrho is not None:
-            lyap = rec.lrho + (zeta / config.rho) * rec.dx_sq
+        lyap = rec.lrho + (zeta / config.rho) * rec.dx_sq
         rows.append([
             rec.t, rec.wall_time, rec.ifo, rec.objective, err, tloss,
             rec.feasibility_sq, rec.dual_sq, rec.subgrad_dist_sq, lyap,
@@ -306,7 +307,7 @@ def _run_task(args):
     problem, test, config, zeta = args
     evaluate = make_test_evaluator(problem, test)
     try:
-        return run_single(problem, evaluate, config, zeta=zeta), None
+        return run_single(problem, evaluate, config, zeta), None
     except DivergenceError as exc:
         return None, str(exc)
 
@@ -378,14 +379,14 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=None, echo=pr
         if rep_rows:
             mean_rows = _aggregate_rows(rep_rows)
             _write_csv_atomic(os.path.join(out_dir, f"{name}_mean.csv"), mean_rows)
-            last = mean_rows[-1]
-            dx = [float(r[CSV_COLUMNS.index("feas_sq")]) for r in mean_rows]
+            last = dict(zip(CSV_COLUMNS, mean_rows[-1]))
+            feas_sq = CSV_COLUMNS.index("feas_sq")
             solver_summary.update({
-                "final_objective": float(last[3]),
-                "final_feas_sq": float(last[6]),
-                "final_dual_sq": float(last[7]),
-                "final_subgrad_sq": float(last[8]),
-                "min_feas_sq": min(dx),
+                "final_objective": last["objective"],
+                "final_feas_sq": last["feas_sq"],
+                "final_dual_sq": last["dual_sq"],
+                "final_subgrad_sq": last["subgrad_sq"],
+                "min_feas_sq": min(r[feas_sq] for r in mean_rows),
             })
         summary["solvers"][name] = solver_summary
         echo(f"[{name}] {len(rep_rows)}/{reps} repetitions completed")
@@ -404,20 +405,15 @@ def _write_summary(out_dir, summary):
 def _aggregate_rows(rep_rows):
     """Across-repetition mean of every numeric column, aligned on t.
 
-    Repetitions are cut to the shortest. A cell empty in any repetition is
-    empty in the mean. Each mean is taken over a contiguous axis, so it is
-    bitwise the `np.mean` of that cell's values.
+    Repetitions are cut to the shortest. Each mean is taken over a
+    contiguous axis, so it is bitwise the `np.mean` of that cell's values.
     """
     n_rows = min(len(rows) for rows in rep_rows)
-    cells = np.array([rows[:n_rows] for rows in rep_rows], dtype=object)
-    cells = cells.reshape(len(rep_rows), n_rows, len(CSV_COLUMNS))
-    blank = cells == ""
-    values = np.where(blank, 0.0, cells).astype(float)
+    values = np.array([rows[:n_rows] for rows in rep_rows], dtype=float)
+    values = values.reshape(len(rep_rows), n_rows, len(CSV_COLUMNS))
     means = np.ascontiguousarray(np.moveaxis(values, 0, -1)).mean(axis=-1)
     out = means.tolist()
-    for row, empty in zip(out, blank.any(axis=0)):
-        for col in np.flatnonzero(empty):
-            row[col] = ""
+    for row in out:
         row[0] = int(row[0])
     return out
 
@@ -476,6 +472,8 @@ def cmd_run(ctx, spec_path, out_dir, seed, workers, allow_uncertified):
 def cmd_check_params(ctx, spec_path, variant, eta, rho, r_val, M, m, T):
     """Evaluate the feasibility certificate for one configuration."""
     with _fail_closed(ctx):
+        _check_numbers({"eta": eta, "rho": rho, "r": r_val}, "check-params",
+                       _SOLVER_REALS)
         raw = _load_json(spec_path)
         if isinstance(raw, dict) and raw.get("version") == "v1":
             problem_spec = _check_spec(raw)["problem"]

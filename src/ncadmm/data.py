@@ -17,6 +17,9 @@ _MIN_PRECISION_EIG = 0.1
 _PARSE_BLOCK_CHARS = 1 << 16
 _GEN_BLOCK_BYTES = 1 << 20
 _GEN_ROW_ALIGN = 64
+# the largest feature count, and model dimension, accepted anywhere: a d x d
+# float64 array, which graph-guided problems build, takes 2 GiB at this d
+MAX_DIM = 16384
 
 
 @dataclass
@@ -48,6 +51,14 @@ class PrecisionModel:
     Lambda: np.ndarray
     support: np.ndarray
     shift: float
+
+
+def check_dim(d, what):
+    """Refuse a dimension above MAX_DIM, before anything of its size exists."""
+    if d > MAX_DIM:
+        raise ConfigError(
+            f"{what}: d={d} is above the largest supported d={MAX_DIM}"
+        )
 
 
 def _substreams(seed, k):
@@ -114,6 +125,7 @@ def gen_graph_guided(n, d, seed, order=None):
     """
     if n < 1 or d < 1:
         raise ConfigError("n and d must be >= 1")
+    check_dim(d, "graph_guided features")
     rng_prec, rng_x, rng_feat, rng_noise = _substreams(seed, 4)
 
     raw = np.zeros((d, d))
@@ -149,8 +161,9 @@ def gen_overlap(n, seed, grid=20, order=None):
     `order`, a permutation of range(n), sample order[k] is row k."""
     if n < 1:
         raise ConfigError("n must be >= 1")
-    rng_x, rng_feat, rng_noise = _substreams(seed, 3)
     d = grid * grid
+    check_dim(d, f"overlap features on a {grid} x {grid} grid")
+    rng_x, rng_feat, rng_noise = _substreams(seed, 3)
     X = np.zeros((grid, grid))
     X[:, 0] = rng_x.standard_normal(grid)
     x_star = X.ravel(order="F")  # column-major: first column first
@@ -166,7 +179,8 @@ def gen_overlap(n, seed, grid=20, order=None):
 
 
 def parse_libsvm(source, n_features=None, label_mode="auto"):
-    """Parse LIBSVM sparse text: `label idx:val ...`, 1-based increasing idx.
+    """Parse LIBSVM sparse text: `label idx:val ...`, 1-based increasing idx
+    up to MAX_DIM.
 
     Blank lines and `#` comments are skipped. label_mode:
       "auto"       two distinct values map smaller -> -1, larger -> +1;
@@ -195,6 +209,7 @@ def parse_libsvm(source, n_features=None, label_mode="auto"):
     d = n_features if n_features is not None else max_idx
     if d < max_idx:
         raise ParseError(f"n_features={d} smaller than max index {max_idx}")
+    check_dim(d, "n_features")
     # indices strictly increase on each line, so this CSR is canonical
     indptr = np.concatenate([[0], np.cumsum(counts)])
     feats = sp.csr_matrix((vals, cols - 1, indptr), shape=(row, max(d, 1)))
@@ -252,7 +267,7 @@ def _parse_lines(lines, offset):
     prev = np.empty_like(cols)
     prev[1:] = cols[:-1]
     prev[(np.cumsum(counts) - counts)[counts > 0]] = 0
-    tok_bad |= idx_bad | val_bad | (cols <= prev)
+    tok_bad |= idx_bad | val_bad | (cols <= prev) | (cols > MAX_DIM)
     line_bad[np.repeat(np.arange(len(data_lines)), counts)[tok_bad]] = True
     if line_bad.any():
         # every check above is exact, so the first marked line fails again
@@ -294,7 +309,8 @@ def _colon_bad(joined, count):
 
 def _check_line(tokens, lineno):
     """Raise the ParseError of a data line's first malformed token; a label
-    that is not finite and an index beyond int64 are malformed."""
+    that is not finite, an index beyond int64 and one above MAX_DIM are
+    malformed."""
     try:
         if not np.isfinite(float(tokens[0])):
             raise ValueError
@@ -309,6 +325,11 @@ def _check_line(tokens, lineno):
             float(val_s)
         except (ValueError, OverflowError):
             raise ParseError(f"bad feature token {tok!r}", lineno) from None
+        if idx > MAX_DIM:
+            raise ParseError(
+                f"feature index {idx}: d={idx} is above the largest "
+                f"supported d={MAX_DIM}", lineno
+            )
         if idx <= prev_idx:
             raise ParseError(
                 f"feature indices must be 1-based strictly increasing, "

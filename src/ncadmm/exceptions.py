@@ -23,10 +23,6 @@ class ParseError(NcadmmError, ValueError):
         self.line = line
 
 
-class UnsupportedConstraintError(NcadmmError, ValueError):
-    """Constraint structure outside the implemented closed-form cases."""
-
-
 class NumericalError(NcadmmError, RuntimeError):
     """Numerical failure in a linear-algebra kernel (e.g. SVD breakdown)."""
 

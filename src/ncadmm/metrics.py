@@ -38,14 +38,14 @@ def l1_subgrad_dist_sq(v, y, weight):
 
 
 def subgrad_dist_sq(problem, y, lam, x=None, x_prev=None, rho=None):
-    """dist(B^T lam, subdifferential of g at y)^2, blockwise.
+    """dist(-lam, subdifferential of g at y)^2, blockwise.
 
     l1 blocks are exact; nuclear blocks use the proof-side surrogate
-    ||rho * B^T A (x - x_prev)||^2 restricted to the block, which needs the
+    ||rho * A (x - x_prev)||^2 restricted to the block, which needs the
     consecutive iterates and rho.
     """
     cs = problem.constraints
-    v = np.asarray(cs.B.T @ lam).ravel()
+    v = -np.asarray(lam).ravel()
     total = 0.0
     for blk in problem.regularizer.blocks:
         vb = v[blk.start : blk.stop]
@@ -56,7 +56,7 @@ def subgrad_dist_sq(problem, y, lam, x=None, x_prev=None, rho=None):
                 raise CapabilityError(
                     "nuclear-norm subgradient surrogate needs x, x_prev and rho"
                 )
-            w = np.asarray(cs.B.T @ (cs.A @ (x - x_prev))).ravel()
+            w = -np.asarray(cs.A @ (x - x_prev)).ravel()
             wb = rho * w[blk.start : blk.stop]
             total += float(wb @ wb)
         else:
@@ -89,14 +89,13 @@ def _require_diag(records, *fields):
         for f in fields:
             if getattr(rec, f) is None:
                 raise CapabilityError(
-                    f"trace records lack the {f!r} diagnostic; rerun with "
-                    "diagnostics=True (and stride 1)"
+                    f"trace records lack the {f!r} diagnostic; the run's "
+                    "estimator keeps no snapshot"
                 )
 
 
 def lyapunov_psi(records, zeta, rho):
-    """Psi_t = L_rho + (zeta/rho) ||x_t - x_{t-1}||^2 from diagnostic records."""
-    _require_diag(records, "lrho", "dx_sq")
+    """Psi_t = L_rho + (zeta/rho) ||x_t - x_{t-1}||^2 from trace records."""
     return np.array([rec.lrho + (zeta / rho) * rec.dx_sq for rec in records])
 
 
@@ -106,7 +105,7 @@ def lyapunov_phi(records, h_schedule, m, zeta, rho):
     h_schedule is the forward epoch schedule h_1..h_m; records carry the
     snapshot distances for the current and previous iterate.
     """
-    _require_diag(records, "lrho", "dx_sq", "snap_sq", "snap_prev_sq")
+    _require_diag(records, "snap_sq", "snap_prev_sq")
     h = np.asarray(h_schedule, dtype=float)
     if h.size != m:
         raise InputError("h schedule length must equal the epoch length m")
@@ -128,7 +127,7 @@ def lyapunov_theta(records, alpha_schedule, zeta, rho):
     distance of x_t to the stored points at step t, the previous record
     supplies the lagged term (zero before the first step).
     """
-    _require_diag(records, "lrho", "dx_sq", "snap_sq")
+    _require_diag(records, "snap_sq")
     alpha = np.asarray(alpha_schedule, dtype=float)
     vals = []
     prev_snap = 0.0

@@ -10,12 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit, logsumexp
 
-from .exceptions import (
-    ConfigError,
-    InputError,
-    NumericalError,
-    UnsupportedConstraintError,
-)
+from .exceptions import ConfigError, InputError, NumericalError
 
 _SPARSE_DENSITY_CUTOFF = 0.10
 
@@ -43,7 +38,7 @@ def _dense(M):
 
 
 class ConstraintSystem:
-    """The linear coupling Ax + By = c with cached spectral data of A^T A.
+    """The linear coupling Ax - y = c with cached spectral data of A^T A.
 
     A must have full column rank; construction fails otherwise because every
     theory constant downstream divides by the smallest eigenvalue of A^T A.
@@ -54,18 +49,12 @@ class ConstraintSystem:
     eigvalsh. The dense A^T A itself is built only when `AtA` is read.
     """
 
-    def __init__(self, A, B, c):
+    def __init__(self, A, c):
         self.A = _as_matrix(A)
-        self.B = _as_matrix(B)
         self.c = np.asarray(c, dtype=float)
-        q, d = self.A.shape
-        if self.B.shape[0] != q:
-            raise ConfigError(
-                f"B has {self.B.shape[0]} rows, expected {q} to match A"
-            )
+        q = self.A.shape[0]
         if self.c.shape != (q,):
             raise ConfigError(f"c has shape {self.c.shape}, expected ({q},)")
-        self._b_neg_eye = None
         self._AtA = None
         # built once: scipy's .T makes a new matrix object on every access
         self.AT = self.A.T
@@ -102,33 +91,9 @@ class ConstraintSystem:
     def d(self):
         return self.A.shape[1]
 
-    @property
-    def p(self):
-        return self.B.shape[1]
-
-    @property
-    def b_is_neg_identity(self):
-        if self._b_neg_eye is None:
-            B = self.B
-            if B.shape[0] != B.shape[1]:
-                self._b_neg_eye = False
-            else:
-                diff = B + sp.identity(B.shape[0], format="csr")
-                if sp.issparse(diff):
-                    self._b_neg_eye = diff.nnz == 0 or abs(diff).max() == 0.0
-                else:
-                    self._b_neg_eye = not np.any(diff)
-        return self._b_neg_eye
-
     def residual(self, x, y):
-        """Ax + By - c."""
-        return self.A @ x + self.B @ y - self.c
-
-    def require_neg_identity_B(self):
-        if not self.b_is_neg_identity:
-            raise UnsupportedConstraintError(
-                "the ADMM steps require B = -I (closed-form y-update)"
-            )
+        """Ax - y - c."""
+        return self.A @ x - y - self.c
 
 
 def _check_index_set(index_set, n):
@@ -607,10 +572,10 @@ class CompositeProblem:
                 f"loss dimension {self.loss.d} != constraint columns "
                 f"{self.constraints.d}"
             )
-        if self.regularizer.p != self.constraints.p:
+        if self.regularizer.p != self.constraints.q:
             raise ConfigError(
-                f"regularizer dimension {self.regularizer.p} != B columns "
-                f"{self.constraints.p}"
+                f"regularizer dimension {self.regularizer.p} != constraint rows "
+                f"{self.constraints.q}"
             )
 
     @property
@@ -657,8 +622,7 @@ class CompositeProblem:
         return self.smooth_value(x) + self.reg_value(y)
 
     def objective_x(self, x):
-        """f(x) + g(Ax). Only meaningful for B = -I, c = 0."""
-        self.constraints.require_neg_identity_B()
+        """f(x) + g(Ax). Only meaningful for c = 0."""
         return self.smooth_value(x) + self.reg_value(self.constraints.A @ x)
 
 
@@ -666,8 +630,7 @@ def build_graph_guided_A(precision_support):
     """Constraint system for the graph-guided fused lasso.
 
     One row e_i^T - e_j^T per upper-triangle edge of the support, followed by
-    an identity block so A has full column rank even for dense graphs.
-    B = -I, c = 0.
+    an identity block so A has full column rank even for dense graphs; c = 0.
     """
     S = np.asarray(precision_support, dtype=bool)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -686,17 +649,15 @@ def build_graph_guided_A(precision_support):
         [np.ones(n_edges), -np.ones(n_edges), np.ones(d)]
     )
     A = sp.csr_matrix((vals, (rows, cols)), shape=(q, d))
-    B = -sp.identity(q, format="csr")
-    return ConstraintSystem(A, B, np.zeros(q))
+    return ConstraintSystem(A, np.zeros(q))
 
 
 def build_overlap_A(d, k):
-    """Stacked-identity constraint A = [I; ...; I] (k copies), B = -I, c = 0."""
+    """Stacked-identity constraint A = [I; ...; I] (k copies), c = 0."""
     if k < 1:
         raise ConfigError("number of overlapping copies k must be >= 1")
     A = sp.vstack([sp.identity(d, format="csr")] * k, format="csr")
-    B = -sp.identity(k * d, format="csr")
-    return ConstraintSystem(A, B, np.zeros(k * d))
+    return ConstraintSystem(A, np.zeros(k * d))
 
 
 def build_multitask_constraints(m, d, nu1, nu2, kappa0):

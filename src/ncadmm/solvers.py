@@ -37,7 +37,6 @@ class SolverConfig:
     m: int = None  # epoch length, svrg only
     seed: int = 0
     trace_stride: int = 1
-    diagnostics: bool = False
     record_iterates: bool = False
     check_dual_identity: bool = False
 
@@ -107,10 +106,9 @@ class TraceRecord:
     dual_sq: float
     subgrad_dist_sq: float
     ifo: int
-    lyapunov: float = None
-    # diagnostics, populated when config.diagnostics is set
-    lrho: float = None
-    dx_sq: float = None
+    lrho: float
+    dx_sq: float
+    # snapshot distances; None for an estimator without a snapshot
     snap_sq: float = None
     snap_prev_sq: float = None
 
@@ -127,12 +125,11 @@ class RunResult:
 
 
 def y_update(problem, x_t, lambda_t, rho, Ax_t=None):
-    """argmin_y L_rho(x_t, y, lambda_t), blockwise prox (B = -I only).
+    """argmin_y L_rho(x_t, y, lambda_t), blockwise prox.
 
     Ax_t, when given, is A x_t already computed by the caller.
     """
     cs = problem.constraints
-    cs.require_neg_identity_B()
     if Ax_t is None:
         Ax_t = cs.A @ x_t
     v = Ax_t - cs.c - lambda_t / rho
@@ -141,7 +138,7 @@ def y_update(problem, x_t, lambda_t, rho, Ax_t=None):
 
 def x_update_uzawa(problem, x_t, y_new, lambda_t, g_hat, eta, rho, r, Ax_t=None):
     """Single inexact-Uzawa step; equals the minimizer of the linearized
-    surrogate with H = rI - rho*eta*A^T A (B = -I only).
+    surrogate with H = rI - rho*eta*A^T A.
 
     Ax_t, when given, is A x_t already computed by the caller.
     """
@@ -149,7 +146,6 @@ def x_update_uzawa(problem, x_t, y_new, lambda_t, g_hat, eta, rho, r, Ax_t=None)
     if g_hat.shape != x_t.shape:
         raise InputError("gradient estimate has the wrong dimension")
     cs = problem.constraints
-    cs.require_neg_identity_B()
     if Ax_t is None:
         Ax_t = cs.A @ x_t
     resid = Ax_t - y_new - cs.c - lambda_t / rho
@@ -157,11 +153,10 @@ def x_update_uzawa(problem, x_t, y_new, lambda_t, g_hat, eta, rho, r, Ax_t=None)
 
 
 def lambda_update(x_new, y_new, lambda_t, rho, constraints, Ax_new=None):
-    """lambda_{t+1} = lambda_t - rho * (A x_{t+1} - y_{t+1} - c) (B = -I only).
+    """lambda_{t+1} = lambda_t - rho * (A x_{t+1} - y_{t+1} - c).
 
     Ax_new, when given, is A x_{t+1} already computed by the caller.
     """
-    constraints.require_neg_identity_B()
     if Ax_new is None:
         Ax_new = constraints.A @ x_new
     return lambda_t - rho * (Ax_new - y_new - constraints.c)
@@ -488,8 +483,7 @@ def run(problem, config, callback=None):
 
     callback, when given, is invoked as callback(record, state) as each
     TraceRecord is recorded.
-    Raises DivergenceError on NaN/Inf state or runaway norms, and
-    UnsupportedConstraintError before any work unless B = -I.
+    Raises DivergenceError on NaN/Inf state or runaway norms.
 
     Each iteration makes two products with A: A x_{t+1}, carried into the
     next iteration's y- and x-steps, and A^T times the x-step residual.
@@ -497,7 +491,6 @@ def run(problem, config, callback=None):
     config.validate_against(problem)
     n = problem.n
     cs = problem.constraints
-    cs.require_neg_identity_B()
     eta, rho, r = config.eta, config.rho, config.r
 
     state, rng_batch, rng_out = init_state(problem, config)
@@ -579,7 +572,10 @@ def _record(problem, config, state, estimator, wall_time):
         problem, state.x, state.y, state.lam,
         x_prev=state.x_prev, rho=rho, grad=grad,
     )
-    rec = TraceRecord(
+    resid = problem.constraints.residual(state.x, state.y)
+    dx = state.x - state.x_prev
+    snap_sq, snap_prev_sq = estimator.snap_sq(state.x, state.x_prev)
+    return TraceRecord(
         t=state.t,
         wall_time=wall_time,
         objective=obj,
@@ -587,15 +583,8 @@ def _record(problem, config, state, estimator, wall_time):
         dual_sq=report.dual_sq,
         subgrad_dist_sq=report.subgrad_dist_sq,
         ifo=estimator.ifo,
+        lrho=obj - float(state.lam @ resid) + 0.5 * rho * float(resid @ resid),
+        dx_sq=float(dx @ dx),
+        snap_sq=snap_sq,
+        snap_prev_sq=snap_prev_sq,
     )
-    if config.diagnostics:
-        resid = problem.constraints.residual(state.x, state.y)
-        rec.lrho = (
-            obj
-            - float(state.lam @ resid)
-            + 0.5 * rho * float(resid @ resid)
-        )
-        dx = state.x - state.x_prev
-        rec.dx_sq = float(dx @ dx)
-        rec.snap_sq, rec.snap_prev_sq = estimator.snap_sq(state.x, state.x_prev)
-    return rec

@@ -10,7 +10,7 @@ def make_graph_guided_problem(n=120, d=8, seed=0, nu=1e-5, empty_support=False):
     support = np.zeros_like(prec.support) if empty_support else prec.support
     cs = problems.build_graph_guided_A(support)
     loss = problems.SigmoidLoss(ds.features, ds.labels)
-    reg = problems.BlockSeparableRegularizer.l1(cs.p, nu)
+    reg = problems.BlockSeparableRegularizer.l1(cs.q, nu)
     return problems.CompositeProblem(loss=loss, regularizer=reg, constraints=cs)
 
 
@@ -18,7 +18,7 @@ def make_overlap_problem(n=100, grid=4, k=2, seed=1, nu=1e-5):
     ds, x_star = data.gen_overlap(n, seed, grid=grid)
     cs = problems.build_overlap_A(ds.d, k)
     loss = problems.SigmoidLoss(ds.features, ds.labels)
-    reg = problems.BlockSeparableRegularizer.l1(cs.p, nu)
+    reg = problems.BlockSeparableRegularizer.l1(cs.q, nu)
     return problems.CompositeProblem(loss=loss, regularizer=reg, constraints=cs)
 
 

@@ -136,7 +136,7 @@ def test_criterion_04_surrogate_minimizer():
         d = int(rng.integers(1, 6))
         q = int(rng.integers(d, d + 4))
         A = rng.standard_normal((q, d))
-        cs = problems.ConstraintSystem(A, -np.eye(q), rng.standard_normal(q))
+        cs = problems.ConstraintSystem(A, rng.standard_normal(q))
         holder = SimpleNamespace(constraints=cs)
         eta = float(rng.uniform(0.1, 2.0))
         rho = float(rng.uniform(0.5, 5.0))
@@ -168,7 +168,6 @@ def test_criterion_05_lyapunov_decrease():
     worst = -np.inf
     for prob in instances:
         cfg, cert = params.suggest_params(prob, "dete", T=300)
-        cfg.diagnostics = True
         res = solvers.run(prob, cfg)
         psi = metrics.lyapunov_psi(res.trace, cert.constants.zeta, cfg.rho)
         worst = max(worst, float(np.diff(psi).max()))
@@ -226,7 +225,7 @@ def desk_problem():
     cs = problems.build_graph_guided_A(prec.support)
     return problems.CompositeProblem(
         loss=problems.SigmoidLoss(ds.features, ds.labels),
-        regularizer=problems.BlockSeparableRegularizer.l1(cs.p, 1e-5),
+        regularizer=problems.BlockSeparableRegularizer.l1(cs.q, 1e-5),
         constraints=cs,
     )
 

@@ -318,6 +318,50 @@ class TestFailClosed:
         self.assert_one_line_error(proc)
         assert "d=100000000" in proc.stderr
 
+    @pytest.mark.parametrize("problem, lines, message", [
+        ({"kind": "graph_guided", "n": 10, "d": 100000000}, None,
+         "graph_guided features: d=100000000 is above the largest supported "
+         "d=16384"),
+        ({"kind": "overlap", "n": 10, "grid": 129}, None, "d=16641"),
+        ({"kind": "libsvm"}, "1 1:1\n-1 16385:1\n", "line 2: feature index 16385"),
+        ({"kind": "multitask"}, "0 9223372036854775807:1\n",
+         "line 1: feature index 9223372036854775807"),
+        ({"kind": "multitask"}, "0 1:1\n1 6000:1\n2 2:1\n",
+         "multitask model of 3 classes x 6000 features: d=18000"),
+    ])
+    def test_dimension_above_bound(self, problem, lines, message, tmp_path):
+        if lines is not None:
+            data_path = tmp_path / "data.libsvm"
+            data_path.write_text(lines)
+            problem["path"] = str(data_path)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        proc = run_cli(["check-params", "--spec", str(path), "--variant",
+                        "stoc", "--eta", "1", "--rho", "1"])
+        self.assert_one_line_error(proc)
+        assert message in proc.stderr
+
+    def test_parse_refuses_index_above_bound(self, tmp_path):
+        path = tmp_path / "huge.libsvm"
+        path.write_text("1 9223372036854775807:1\n")
+        proc = run_cli(["parse", "--path", str(path)])
+        self.assert_one_line_error(proc)
+        assert "d=9223372036854775807 is above" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eta", "nan"), ("--eta", "inf"), ("--rho", "nan"),
+        ("--rho", "-inf"), ("--r", "nan"), ("--r", "inf"),
+    ])
+    def test_check_params_non_finite_number(self, refused_spec, flag, value):
+        args = {"--eta": "1", "--rho": "1", flag: value}
+        proc = run_cli(["check-params", "--spec", str(refused_spec),
+                        "--variant", "stoc",
+                        *[tok for item in args.items() for tok in item]])
+        self.assert_one_line_error(proc)
+        assert f"{flag[2:]} must be a finite number, got {value}" in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("key, value, message", [
         ("seed", -1, "seed must be >= 0"), ("n", "abc", "n must be an integer"),
         ("n", 0, "n must be >= 1"), ("d", 0, "d must be >= 1"),
@@ -547,14 +591,8 @@ def _aggregate_rows_loop(rep_rows):
     for i in range(n_rows):
         acc = []
         for col in range(len(cli.CSV_COLUMNS)):
-            vals = []
-            for rows in rep_rows:
-                v = rows[i][col]
-                if v == "":
-                    vals = None
-                    break
-                vals.append(float(v))
-            acc.append("" if vals is None else float(np.mean(vals)))
+            vals = [float(rows[i][col]) for rows in rep_rows]
+            acc.append(float(np.mean(vals)))
         acc[0] = int(acc[0])
         out.append(acc)
     return out
@@ -573,7 +611,6 @@ class TestAggregateRows:
                                           * 10.0 ** rng.integers(-6, 6, 9))]
                     row[2] = int(rng.integers(0, 1000))
                     row[3] = -0.0 if rng.random() < 0.3 else row[3]
-                    row[9] = "" if rng.random() < 0.2 else row[9]
                     rows.append(row)
                 rep_rows.append(rows)
             got = cli._aggregate_rows(rep_rows)
@@ -581,8 +618,3 @@ class TestAggregateRows:
             # repr tells -0.0 from 0.0 and int from float
             assert repr(got) == repr(want)
 
-    def test_empty_column_stays_empty(self):
-        rows = [[1, 0.5, 10, 1.0, 0, 0, 0, 0, 0, ""]]
-        other = [[1, 1.5, 10, 3.0, 0, 0, 0, 0, 0, 2.0], [2] + [0.0] * 9]
-        out = cli._aggregate_rows([rows, other])
-        assert out == [[1, 1.0, 10.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, ""]]

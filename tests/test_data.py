@@ -95,6 +95,8 @@ class TestParseLibsvm:
         assert ds.d == 6
         with pytest.raises(ParseError):
             data.parse_libsvm(io.StringIO(GOOD), n_features=2)
+        with pytest.raises(ConfigError, match="d=16385 is above"):
+            data.parse_libsvm(io.StringIO(GOOD), n_features=data.MAX_DIM + 1)
 
     def test_bad_label(self):
         with pytest.raises(ParseError) as exc:

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ncadmm import metrics, params, problems, solvers
 from ncadmm.exceptions import CapabilityError, InputError
 
-from conftest import make_graph_guided_problem
+from conftest import (
+    make_graph_guided_problem,
+    make_multitask_problem,
+    make_overlap_problem,
+)
 
 
 class TestL1SubgradDist:
@@ -67,14 +72,69 @@ class TestStationarity:
         assert val >= 0.0
 
 
+class TestCouplingIsMinusIdentity:
+    """The coupling A x - y = c gives, bitwise where it is a scalar, what
+    the general form A x + B y = c gives with an explicit B = -I."""
+
+    @staticmethod
+    def point(prob, rng):
+        q = prob.constraints.q
+        return (rng.standard_normal(prob.d), rng.standard_normal(q),
+                rng.standard_normal(q), rng.standard_normal(prob.d))
+
+    @staticmethod
+    def explicit(prob, x, y, lam, x_prev, rho):
+        """(residual, subgradient distance) with B = -I as a matrix."""
+        cs = prob.constraints
+        B = -sp.identity(cs.q, format="csr")
+        resid = cs.A @ x + B @ y - cs.c
+        v = np.asarray(B.T @ lam).ravel()
+        w = np.asarray(B.T @ (cs.A @ (x - x_prev))).ravel()
+        total = 0.0
+        for blk in prob.regularizer.blocks:
+            if blk.kind == "l1":
+                total += metrics.l1_subgrad_dist_sq(
+                    v[blk.start : blk.stop], y[blk.start : blk.stop], blk.weight
+                )
+            else:
+                wb = rho * w[blk.start : blk.stop]
+                total += float(wb @ wb)
+        return resid, total
+
+    @pytest.mark.parametrize("make", [
+        make_graph_guided_problem, make_overlap_problem, make_multitask_problem,
+    ])
+    def test_residual_stationarity_and_lrho(self, make):
+        prob = make()
+        rng = np.random.default_rng(31)
+        rho = 2.5
+        for _ in range(5):
+            x, y, lam, x_prev = self.point(prob, rng)
+            resid, subgrad = self.explicit(prob, x, y, lam, x_prev, rho)
+            assert np.array_equal(prob.constraints.residual(x, y), resid)
+
+            rep = metrics.stationarity(prob, x, y, lam, x_prev=x_prev, rho=rho)
+            assert rep.feasibility_sq == float(resid @ resid)
+            assert rep.subgrad_dist_sq == subgrad
+
+            state = solvers.SolverState(x=x, y=y, lam=lam, x_prev=x_prev)
+            cfg = solvers.SolverConfig("stoc", eta=1.0, rho=rho, r=1.0, M=1, T=1)
+            rec = solvers._record(
+                prob, cfg, state, solvers.BatchMean(prob, 1), 0.0
+            )
+            obj = prob.value_and_grad(x)[0] + prob.reg_value(y)
+            lrho = obj - float(lam @ resid) + 0.5 * rho * float(resid @ resid)
+            assert rec.lrho == lrho
+            assert rec.feasibility_sq == rep.feasibility_sq
+
+
 class TestLyapunov:
     def run_diag(self, variant="dete", **kw):
         prob = make_graph_guided_problem(n=80, d=5, empty_support=True)
         cfg = solvers.SolverConfig(
             variant=variant, eta=1.0, rho=30.0,
             r=params.min_admissible_r(prob.constraints, 1.0, 30.0),
-            M=20, T=30, m=kw.pop("m", 5) if variant == "svrg" else None,
-            diagnostics=True, **kw,
+            M=20, T=30, m=kw.pop("m", 5) if variant == "svrg" else None, **kw,
         )
         return prob, cfg, solvers.run(prob, cfg)
 
@@ -84,15 +144,13 @@ class TestLyapunov:
         for v, rec in zip(vals, res.trace):
             assert np.isclose(v, rec.lrho + (7.0 / cfg.rho) * rec.dx_sq)
 
-    def test_psi_requires_diagnostics(self):
-        prob = make_graph_guided_problem(n=40, d=4)
-        cfg = solvers.SolverConfig(
-            variant="dete", eta=0.5, rho=2.0,
-            r=params.min_admissible_r(prob.constraints, 0.5, 2.0), M=10, T=5,
-        )
-        res = solvers.run(prob, cfg)
-        with pytest.raises(CapabilityError):
-            metrics.lyapunov_psi(res.trace, 1.0, 2.0)
+    def test_snapshot_terms_need_a_snapshot(self):
+        # dete keeps no snapshot, so its records carry no snapshot distances
+        prob, cfg, res = self.run_diag()
+        with pytest.raises(CapabilityError, match="snap_sq"):
+            metrics.lyapunov_phi(res.trace, np.ones(5), 5, 1.0, cfg.rho)
+        with pytest.raises(CapabilityError, match="snap_sq"):
+            metrics.lyapunov_theta(res.trace, np.ones(cfg.T), 1.0, cfg.rho)
 
     def test_phi_and_theta_shapes(self):
         prob, cfg, res = self.run_diag("svrg", m=5)
@@ -100,7 +158,7 @@ class TestLyapunov:
         vals = metrics.lyapunov_phi(res.trace, h, 5, zeta=3.0, rho=cfg.rho)
         assert vals.shape == (len(res.trace),)
 
-        # a default saga run with diagnostics: snap_sq comes from the pool
+        # a default saga run: snap_sq comes from the pool
         prob, cfg, res = self.run_diag("saga")
         alpha = params.saga_alpha_schedule(
             2.0, prob.constraints, cfg.rho, n=prob.n, M=cfg.M, T=cfg.T, beta=1.0

@@ -7,11 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ncadmm import problems
-from ncadmm.exceptions import (
-    ConfigError,
-    InputError,
-    UnsupportedConstraintError,
-)
+from ncadmm.exceptions import ConfigError, InputError
 
 from conftest import make_graph_guided_problem
 
@@ -329,22 +325,16 @@ class TestConstraintSystem:
     def test_rank_deficient_rejected(self):
         A = np.array([[1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(ConfigError):
-            problems.ConstraintSystem(A, -np.eye(2), np.zeros(2))
+            problems.ConstraintSystem(A, np.zeros(2))
 
     def test_spectral_cache(self):
         cs = problems.build_overlap_A(3, 2)
         assert np.isclose(cs.phi_min_A, 2.0)
         assert np.isclose(cs.norm_AtA, 2.0)
 
-    def test_b_neg_identity_detection(self):
-        cs = problems.build_overlap_A(3, 2)
-        assert cs.b_is_neg_identity
-        other = problems.ConstraintSystem(
-            np.eye(2), np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2)
-        )
-        assert not other.b_is_neg_identity
-        with pytest.raises(UnsupportedConstraintError):
-            other.require_neg_identity_B()
+    def test_c_shape_checked(self):
+        with pytest.raises(ConfigError, match="c has shape"):
+            problems.ConstraintSystem(np.eye(2), np.zeros(3))
 
     def test_residual(self, rng):
         cs = problems.build_overlap_A(3, 2)
@@ -369,7 +359,7 @@ class TestDiagonalSpectrum:
     @given(d=st.integers(1, 60), k=st.integers(1, 6))
     def test_stacked_identity_bitwise(self, d, k):
         A = stacked(np.ones(d), k)
-        cs = problems.ConstraintSystem(A, -sp.identity(k * d), np.zeros(k * d))
+        cs = problems.ConstraintSystem(A, np.zeros(k * d))
         lo, hi = self.dense_reference(A)
         assert (cs.phi_min_A, cs.norm_AtA) == (lo, hi) == (k, k)
 
@@ -382,7 +372,7 @@ class TestDiagonalSpectrum:
         A = stacked(scales, k)
         q = A.shape[0]
         for system in (A, A.toarray()):
-            cs = problems.ConstraintSystem(system, -np.eye(q), np.zeros(q))
+            cs = problems.ConstraintSystem(system, np.zeros(q))
             # cs.AtA is the product in cs.A's own format, as eigvalsh saw it
             lo, hi = np.linalg.eigvalsh(cs.AtA)[[0, -1]]
             assert (cs.phi_min_A, cs.norm_AtA) == (lo, hi)
@@ -401,7 +391,7 @@ class TestDiagonalSpectrum:
             raise AssertionError("dense eigvalsh on a diagonal A^T A")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
-        cs = problems.ConstraintSystem(A, -np.eye(40), np.zeros(40))
+        cs = problems.ConstraintSystem(A, np.zeros(40))
         assert sp.issparse(cs.A) and cs.A.nnz == 41
         assert (cs.phi_min_A, cs.norm_AtA) == (2.0, 800.0)
 
@@ -411,9 +401,7 @@ class TestDiagonalSpectrum:
         scales[7] = 0.0
         A = stacked(scales, 2)
         with pytest.raises(ConfigError, match="column rank deficient"):
-            problems.ConstraintSystem(
-                A.toarray() if dense else A, -np.eye(60), np.zeros(60)
-            )
+            problems.ConstraintSystem(A.toarray() if dense else A, np.zeros(60))
 
     def test_overlap_setup_is_linear_in_d(self):
         # a dense A^T A at d = 20000 would take 3.2 GB
@@ -464,7 +452,7 @@ class TestBuilders:
 
     def test_multitask_constraints(self):
         cs, reg = problems.build_multitask_constraints(2, 3, 1e-3, 1e-2, 0.5)
-        assert cs.q == 12 and cs.d == 6 and cs.p == 12
+        assert cs.q == 12 and cs.d == 6 and reg.p == 12
         assert reg.blocks[0].kind == "l1"
         assert np.isclose(reg.blocks[0].weight, 5e-4)
         assert reg.blocks[1].kind == "nuclear"
@@ -477,6 +465,13 @@ class TestCompositeProblem:
         loss = problems.SigmoidLoss(rng.standard_normal((5, 4)), np.ones(5))
         reg = problems.BlockSeparableRegularizer.l1(6, 1e-3)
         with pytest.raises(ConfigError):
+            problems.CompositeProblem(loss=loss, regularizer=reg, constraints=cs)
+
+    def test_regularizer_length_checked_against_rows(self, rng):
+        cs = problems.build_overlap_A(3, 2)
+        loss = problems.SigmoidLoss(rng.standard_normal((5, 3)), np.ones(5))
+        reg = problems.BlockSeparableRegularizer.l1(3, 1e-3)
+        with pytest.raises(ConfigError, match="constraint rows 6"):
             problems.CompositeProblem(loss=loss, regularizer=reg, constraints=cs)
 
     def test_objective_x_consistent(self, rng):

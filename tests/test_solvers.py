@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncadmm import params, problems, solvers
-from ncadmm.exceptions import (
-    ConfigError,
-    DivergenceError,
-    InternalInvariantError,
-    UnsupportedConstraintError,
-)
+from ncadmm.exceptions import ConfigError, DivergenceError, InternalInvariantError
 
 from conftest import (
     make_graph_guided_problem,
@@ -95,7 +90,7 @@ class TestPureUpdates:
         g = rng.standard_normal(gg_problem.d)
         eta, rho, r = 0.7, 2.5, 9.0
         out = solvers.x_update_uzawa(gg_problem, x, y, lam, g, eta, rho, r)
-        resid = np.asarray(cs.A @ x + cs.B @ y - cs.c).ravel() - lam / rho
+        resid = np.asarray(cs.A @ x - y - cs.c).ravel() - lam / rho
         expected = x - (eta / r) * (g + rho * np.asarray(cs.A.T @ resid).ravel())
         assert np.allclose(out, expected, atol=1e-14)
 
@@ -231,12 +226,12 @@ class TestRun:
         assert exc.value.iteration == 1
 
     def test_diagnostics_populated(self, gg_problem):
-        res = solvers.run(
-            gg_problem, build(gg_problem, "svrg", T=10, diagnostics=True)
-        )
-        rec = res.trace[-1]
+        rec = solvers.run(gg_problem, build(gg_problem, "svrg", T=10)).trace[-1]
         assert rec.lrho is not None and rec.dx_sq is not None
         assert rec.snap_sq is not None and rec.snap_prev_sq is not None
+        rec = solvers.run(gg_problem, build(gg_problem, "stoc", T=10)).trace[-1]
+        assert rec.lrho is not None and rec.dx_sq is not None
+        assert rec.snap_sq is None and rec.snap_prev_sq is None
 
     def test_dual_identity_tracked(self, gg_problem):
         res = solvers.run(
@@ -308,38 +303,6 @@ class TestCarriedProducts:
         cfg = build(prob, variant, T=30, record_iterates=True)
         res = solvers.run(prob, cfg)
         assert_same_iterates(res, reference_run(prob, cfg), 30)
-
-    @pytest.mark.parametrize("variant", solvers.VARIANTS)
-    def test_non_neg_identity_B_refused_before_first_iteration(self, variant):
-        calls = []
-
-        class CountingLoss:
-            n = 6
-            d = 3
-
-            def value(self, x, idx):
-                calls.append("value")
-                return 0.0
-
-            def grad(self, x, idx):
-                calls.append("grad")
-                return np.zeros(3)
-
-            def grad_matrix(self, x, idx):
-                calls.append("grad_matrix")
-                return np.zeros((len(idx), 3))
-
-        cs = problems.ConstraintSystem(np.eye(3), 2.0 * np.eye(3), np.zeros(3))
-        prob = problems.CompositeProblem(
-            loss=CountingLoss(),
-            regularizer=problems.BlockSeparableRegularizer.l1(3, 1e-5),
-            constraints=cs,
-        )
-        seen = []
-        cfg = build(prob, variant, eta=1.0, rho=1.0, M=2, T=5, m=2)
-        with pytest.raises(UnsupportedConstraintError):
-            solvers.run(prob, cfg, callback=lambda rec, state: seen.append(rec))
-        assert calls == [] and seen == []
 
 
 class TestCompactSagaTable:
@@ -457,7 +420,7 @@ class TestPooledPoints:
         prob = make()
         n = prob.n
         M = n if full_batch else 10
-        cfg = build(prob, "saga", M=M, T=30, diagnostics=True, record_iterates=True)
+        cfg = build(prob, "saga", M=M, T=30, record_iterates=True)
         res = solvers.run(prob, cfg)
         # replay the batches into the dense table of stored points
         state, rng_batch, _ = solvers.init_state(prob, cfg)
