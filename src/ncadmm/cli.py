@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import click
@@ -47,21 +46,6 @@ _REFUSED = (
     "a solver configuration fails its certificate (see summary.json); "
     "pass --allow-uncertified to run it anyway"
 )
-
-
-def _resolve_workers(workers=None):
-    """Worker count from --workers, else NC_ADMM_WORKERS, else 1."""
-    if workers is None:
-        raw = os.environ.get("NC_ADMM_WORKERS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"NC_ADMM_WORKERS must be an integer, got {raw!r}"
-            ) from None
-    if workers < 1:
-        raise ConfigError(f"worker count must be >= 1, got {workers}")
-    return workers
 
 
 # keys build_problem reads without a default, per problem kind
@@ -303,23 +287,19 @@ def run_single(problem, evaluate, config, zeta):
     return rows, result
 
 
-def _run_task(args):
-    problem, test, config, zeta = args
-    evaluate = make_test_evaluator(problem, test)
-    try:
-        return run_single(problem, evaluate, config, zeta), None
-    except DivergenceError as exc:
-        return None, str(exc)
-
-
-def run_experiment(spec, out_dir, allow_uncertified=False, workers=None, echo=print):
+def run_experiment(spec, out_dir, allow_uncertified=False, workers=1, echo=print):
     """Full cmd_run workflow; returns the process exit code.
 
     Every solver is certified before any of them runs. A refusal writes
-    summary.json with the certificates and returns EXIT_CONFIG.
+    summary.json with the certificates and returns EXIT_CONFIG. Repetitions
+    run one after another in the calling process; `workers` takes only 1.
     """
     _check_spec(spec)
-    workers = _resolve_workers(workers)
+    if workers != 1:
+        raise ConfigError(
+            f"workers must be 1, got {workers!r}: repetitions run one after "
+            "another in the calling process"
+        )
     os.makedirs(out_dir, exist_ok=True)
     problem, test, info = build_problem(spec["problem"])
     L = params_mod.estimate_lipschitz(problem)
@@ -348,25 +328,17 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=None, echo=pr
         _write_summary(out_dir, summary)
         return EXIT_CONFIG
 
+    evaluate = make_test_evaluator(problem, test)
     for name, base_cfg, cert in planned:
-        tasks = []
-        for rep in range(reps):
-            cfg = dataclasses.replace(base_cfg, seed=seed_base + rep)
-            tasks.append((problem, test, cfg, cert.constants.zeta))
-
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_run_task, tasks))
-        else:
-            outcomes = [_run_task(t) for t in tasks]
-
         rep_rows = []
         diverged = []
-        for rep, (payload, error) in enumerate(outcomes):
-            if error is not None:
-                diverged.append({"rep": rep, "error": error})
+        for rep in range(reps):
+            cfg = dataclasses.replace(base_cfg, seed=seed_base + rep)
+            try:
+                rows, _ = run_single(problem, evaluate, cfg, cert.constants.zeta)
+            except DivergenceError as exc:
+                diverged.append({"rep": rep, "error": str(exc)})
                 continue
-            rows, result = payload
             _write_csv_atomic(os.path.join(out_dir, f"{name}_rep{rep}.csv"), rows)
             rep_rows.append(rows)
             any_success = True
@@ -439,18 +411,16 @@ def main():
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None,
               help="Override the spec's seed_base.")
-@click.option("--workers", type=int, default=None)
 @click.option("--allow-uncertified", is_flag=True, default=False)
 @click.pass_context
-def cmd_run(ctx, spec_path, out_dir, seed, workers, allow_uncertified):
+def cmd_run(ctx, spec_path, out_dir, seed, allow_uncertified):
     """Run an experiment spec and emit CSV traces plus a JSON summary."""
     with _fail_closed(ctx):
         spec = load_spec(spec_path)
         if seed is not None:
             spec["seed_base"] = seed
         code = run_experiment(
-            spec, out_dir, allow_uncertified=allow_uncertified,
-            workers=workers, echo=click.echo,
+            spec, out_dir, allow_uncertified=allow_uncertified, echo=click.echo
         )
     if code == EXIT_CONFIG:
         click.echo(f"error: {_REFUSED}", err=True)
@@ -504,17 +474,26 @@ def _load_json(path):
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--rho", "rhos", multiple=True, type=float, required=True)
-@click.option("--workers", type=int, default=None)
 @click.option("--allow-uncertified", is_flag=True, default=False)
 @click.pass_context
-def cmd_rho_sweep(ctx, spec_path, out_dir, rhos, workers, allow_uncertified):
+def cmd_rho_sweep(ctx, spec_path, out_dir, rhos, allow_uncertified):
     """Rerun the spec's solvers across a rho grid; emit per-rho aggregates."""
     with _fail_closed(ctx):
         # the sweep sets every solver's rho itself
         spec = load_spec(spec_path, solver_keys=("variant",))
         if any(rho <= 0 for rho in rhos):
             raise ConfigError("all rho values must be > 0")
-        workers = _resolve_workers(workers)
+        # each rho writes rho_{rho:g}/, so no two may share that name
+        dirs = {}
+        for rho in rhos:
+            dirs.setdefault(f"rho_{rho:g}", []).append(rho)
+        for name, same in dirs.items():
+            if len(same) > 1:
+                raise ConfigError(
+                    f"rho values {', '.join(map(str, same))} would all write "
+                    f"{name}/; give values that differ in their first 6 "
+                    "significant digits"
+                )
         table = []
         worst = EXIT_OK
         refused = []
@@ -525,8 +504,7 @@ def cmd_rho_sweep(ctx, spec_path, out_dir, rhos, workers, allow_uncertified):
                 entry.pop("r", None)
             sub_dir = os.path.join(out_dir, f"rho_{rho:g}")
             code = run_experiment(
-                sub, sub_dir, allow_uncertified=allow_uncertified,
-                workers=workers, echo=click.echo,
+                sub, sub_dir, allow_uncertified=allow_uncertified, echo=click.echo
             )
             worst = max(worst, code)
             if code == EXIT_CONFIG:
@@ -556,7 +534,9 @@ def cmd_rho_sweep(ctx, spec_path, out_dir, rhos, workers, allow_uncertified):
 @main.command("gen-data")
 @click.option("--kind", required=True, type=click.Choice(["graph_guided", "overlap"]))
 @click.option("--n", type=int, required=True)
-@click.option("--d", type=int, default=200)
+@click.option("--d", type=int, default=None,
+              help="Feature count: 200 for graph_guided, 400 (a 20 x 20 "
+                   "grid) for overlap, whose d must be a square.")
 @click.option("--seed", type=int, default=0)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.pass_context
@@ -566,9 +546,15 @@ def cmd_gen_data(ctx, kind, n, d, seed, out_path):
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         if kind == "graph_guided":
-            ds, _, _ = data_mod.gen_graph_guided(n, d, seed)
+            ds, _, _ = data_mod.gen_graph_guided(n, 200 if d is None else d, seed)
         else:
-            ds, _ = data_mod.gen_overlap(n, seed)
+            grid = 20 if d is None else math.isqrt(max(d, 0))
+            if d is not None and (grid < 1 or grid * grid != d):
+                raise ConfigError(
+                    "overlap features form a grid x grid matrix, so d must "
+                    f"be a positive perfect square, got {d}"
+                )
+            ds, _ = data_mod.gen_overlap(n, seed, grid=grid)
         data_mod.write_libsvm(ds, out_path, sidecar=f"{out_path}.meta.json")
     click.echo(f"wrote {ds.n} samples x {ds.d} features to {out_path}")
 

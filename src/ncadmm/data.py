@@ -243,68 +243,63 @@ def _parse_lines(lines, offset):
     `lines`, which follow `offset` lines of the file; the ParseError of the
     first malformed one.
 
-    Each check marks the lines it fails on; the first marked line is then
-    checked again on its own for its message.
+    The checks run over the whole block at once. If one fails, the block's
+    data lines are checked again one at a time, so the first malformed line
+    raises.
     """
     data_lines = [
         (lineno, tokens)
         for lineno, tokens in enumerate(map(str.split, lines), start=offset + 1)
         if tokens and tokens[0][0] != "#"
     ]
-    counts = np.array([len(tokens) - 1 for _, tokens in data_lines], dtype=np.intp)
-    labels, line_bad = _convert(float, [tokens[0] for _, tokens in data_lines])
-    line_bad |= ~np.isfinite(labels)
-    feats = [tok for _, tokens in data_lines for tok in tokens[1:]]
+    parsed = _parse_block([tokens for _, tokens in data_lines])
+    if parsed is None:
+        # every block check is exact, so some line fails on its own too
+        for lineno, tokens in data_lines:
+            _check_line(tokens, lineno)
+        raise InternalInvariantError(
+            f"lines {offset + 1}-{offset + len(lines)} fail a block check "
+            "but parse one at a time"
+        )
+    return parsed
+
+
+def _parse_block(token_lines):
+    """(labels, feature counts, indices, values) of the data lines' token
+    lists, or None if any of them is malformed."""
+    counts = np.array([len(tokens) - 1 for tokens in token_lines], dtype=np.intp)
+    feats = [tok for tokens in token_lines for tok in tokens[1:]]
     joined = " ".join(feats)
-    tok_bad = _colon_bad(joined, len(feats))
-    if tok_bad.any():
-        # a stand-in keeps the idx:val pieces aligned; the line is bad anyway
-        joined = " ".join("1:0" if bad else tok for tok, bad in zip(feats, tok_bad))
+    if not _one_colon_each(joined, len(feats)):
+        return None
     pieces = joined.replace(":", " ").split(" ") if feats else []
-    cols, idx_bad = _convert(int, pieces[0::2], np.int64)
-    vals, val_bad = _convert(float, pieces[1::2])
+    try:
+        labels = np.fromiter(map(float, [tokens[0] for tokens in token_lines]),
+                             float, len(token_lines))
+        cols = np.fromiter(map(int, pieces[0::2]), np.int64, len(feats))
+        vals = np.fromiter(map(float, pieces[1::2]), float, len(feats))
+    except (ValueError, OverflowError):
+        return None
     # each index against the one before it on its line, 0 for a line's first
     prev = np.empty_like(cols)
     prev[1:] = cols[:-1]
     prev[(np.cumsum(counts) - counts)[counts > 0]] = 0
-    tok_bad |= idx_bad | val_bad | (cols <= prev) | (cols > MAX_DIM)
-    line_bad[np.repeat(np.arange(len(data_lines)), counts)[tok_bad]] = True
-    if line_bad.any():
-        # every check above is exact, so the first marked line fails again
-        lineno, tokens = data_lines[int(np.argmax(line_bad))]
-        _check_line(tokens, lineno)
-        raise InternalInvariantError(f"line {lineno} was marked but parses")
+    if not (np.isfinite(labels).all() and (cols > prev).all()
+            and (cols <= MAX_DIM).all()):
+        return None
     return labels, counts, cols, vals
 
 
-def _convert(fn, strings, dtype=float):
-    """(values, bad): fn over the strings as an array, with 0 and a True in
-    `bad` for each string on which fn raises ValueError or overflows dtype."""
-    bad = np.zeros(len(strings), dtype=bool)
-    try:
-        return np.fromiter(map(fn, strings), dtype, len(strings)), bad
-    except (ValueError, OverflowError):
-        pass
-    values = np.zeros(len(strings), dtype)
-    for k, text in enumerate(strings):
-        try:
-            values[k] = fn(text)
-        except (ValueError, OverflowError):
-            bad[k] = True
-    return values, bad
-
-
-def _colon_bad(joined, count):
-    """True for each of the `count` space-joined, whitespace-free tokens
-    that does not hold exactly one ':'."""
+def _one_colon_each(joined, count):
+    """Whether each of the `count` space-joined, whitespace-free tokens
+    holds exactly one ':'."""
     # ':' and ' ' are single bytes that no other UTF-8 character contains
     text = np.frombuffer(joined.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     seps = text[(text == ord(":")) | (text == ord(" "))]
     # exactly one ':' per token leaves the separators alternating ": : :"
-    if (seps.size == max(2 * count - 1, 0) and (seps[0::2] == ord(":")).all()
-            and (seps[1::2] == ord(" ")).all()):
-        return np.zeros(count, dtype=bool)
-    return np.array([tok.count(":") != 1 for tok in joined.split(" ")], dtype=bool)
+    return bool(seps.size == max(2 * count - 1, 0)
+                and (seps[0::2] == ord(":")).all()
+                and (seps[1::2] == ord(" ")).all())
 
 
 def _check_line(tokens, lineno):

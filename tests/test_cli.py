@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from ncadmm import cli, data
+from ncadmm.exceptions import ConfigError
 
 
 @pytest.fixture
@@ -241,24 +242,38 @@ class TestFailClosed:
         assert set(summary["solvers"]) == {"dete", "stoc"}
 
     @pytest.mark.parametrize("command", ["run", "rho-sweep"])
-    def test_non_integer_workers_env(self, command, refused_spec, tmp_path):
+    def test_workers_option_is_gone(self, command, refused_spec, tmp_path):
         args = [command, "--spec", str(refused_spec), "--out",
-                str(tmp_path / "o"), "--allow-uncertified"]
-        if command == "rho-sweep":
-            args += ["--rho", "1"]
-        proc = run_cli(args, {"NC_ADMM_WORKERS": "abc"})
-        self.assert_one_line_error(proc)
-        assert "NC_ADMM_WORKERS" in proc.stderr
-
-    @pytest.mark.parametrize("command", ["run", "rho-sweep"])
-    def test_zero_workers_rejected(self, command, refused_spec, tmp_path):
-        args = [command, "--spec", str(refused_spec), "--out",
-                str(tmp_path / "o"), "--allow-uncertified", "--workers", "0"]
+                str(tmp_path / "o"), "--allow-uncertified", "--workers", "2"]
         if command == "rho-sweep":
             args += ["--rho", "1"]
         proc = run_cli(args)
-        self.assert_one_line_error(proc)
+        assert proc.returncode == 2
+        # click's wording varies across versions
+        assert "no such option" in proc.stderr.lower()
+        assert "--workers" in proc.stderr
         assert not (tmp_path / "o").exists()
+
+    def test_run_experiment_takes_one_worker_only(self, refused_spec, tmp_path):
+        spec = cli.load_spec(str(refused_spec))
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError, match="workers must be 1, got 2"):
+            cli.run_experiment(spec, str(out), allow_uncertified=True,
+                               workers=2, echo=lambda *_: None)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rhos, same", [
+        (["1", "1"], "1.0, 1.0"), (["2", "1", "1.0000001"], "1.0, 1.0000001"),
+    ])
+    def test_rho_sweep_refuses_rhos_sharing_a_directory(self, rhos, same,
+                                                        refused_spec, tmp_path):
+        out = tmp_path / "sweep"
+        args = ["rho-sweep", "--spec", str(refused_spec), "--out", str(out),
+                "--allow-uncertified"]
+        proc = run_cli(args + [tok for rho in rhos for tok in ("--rho", rho)])
+        self.assert_one_line_error(proc)
+        assert f"rho values {same} would all write rho_1/" in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, token", [
         ("nan 1:1\n1 1:2\n2 1:3\n", "'nan'"),
@@ -304,6 +319,24 @@ class TestFailClosed:
                         "-1", "--out", str(out)])
         self.assert_one_line_error(proc)
         assert "seed must be >= 0, got -1" in proc.stderr
+        assert not out.exists()
+
+    def test_gen_data_overlap_takes_d(self, tmp_path):
+        out = tmp_path / "x.libsvm"
+        proc = run_cli(["gen-data", "--kind", "overlap", "--n", "5", "--d", "9",
+                        "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert "wrote 5 samples x 9 features" in proc.stdout
+        meta = json.loads((tmp_path / "x.libsvm.meta.json").read_text())
+        assert meta["d"] == 9
+
+    @pytest.mark.parametrize("d", ["3", "0"])
+    def test_gen_data_overlap_d_not_a_square(self, d, tmp_path):
+        out = tmp_path / "x.libsvm"
+        proc = run_cli(["gen-data", "--kind", "overlap", "--n", "5", "--d", d,
+                        "--out", str(out)])
+        self.assert_one_line_error(proc)
+        assert f"d must be a positive perfect square, got {d}" in proc.stderr
         assert not out.exists()
 
     def test_libsvm_support_too_large_for_memory(self, refused_spec, tmp_path):
