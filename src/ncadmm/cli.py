@@ -100,13 +100,25 @@ def _check_numbers(owner, where, reals=(), ints=None):
             )
 
 
+def _check_strings(owner, where, keys):
+    """Refuse a present value that is not a string."""
+    for key in keys:
+        value = owner.get(key, "")
+        if value is None and key == "name":
+            continue  # a null name means the variant's
+        if not isinstance(value, str):
+            raise ConfigError(f"{where}: {key} must be a string, got {value!r}")
+
+
 def _check_problem_spec(problem):
     """Refuse a problem spec that build_problem could not assemble."""
     _require(problem, ("kind",), "problem")
+    _check_strings(problem, "problem", ("kind",))
     kind = problem["kind"]
     if kind not in _PROBLEM_KEYS:
         raise ConfigError(f"unknown problem kind {kind!r}")
     _require(problem, _PROBLEM_KEYS[kind], f"{kind} problem")
+    _check_strings(problem, f"{kind} problem", ("path",))
     _check_numbers(problem, f"{kind} problem", _PROBLEM_REALS, _PROBLEM_INTS)
     return problem
 
@@ -121,6 +133,7 @@ def _check_spec(spec, solver_keys=_SOLVER_KEYS):
         raise ConfigError("experiment spec lists no solvers")
     for i, entry in enumerate(spec["solvers"]):
         _require(entry, solver_keys, f"solver entry {i}")
+        _check_strings(entry, f"solver entry {i}", ("variant", "name"))
         _check_numbers(entry, f"solver entry {i}", _SOLVER_REALS, _SOLVER_INTS)
     names = [s.get("name") or s["variant"] for s in spec["solvers"]]
     if len(set(names)) != len(names):
@@ -481,6 +494,8 @@ def cmd_rho_sweep(ctx, spec_path, out_dir, rhos, allow_uncertified):
     with _fail_closed(ctx):
         # the sweep sets every solver's rho itself
         spec = load_spec(spec_path, solver_keys=("variant",))
+        for rho in rhos:
+            _check_numbers({"rho": rho}, "rho-sweep", _SOLVER_REALS)
         if any(rho <= 0 for rho in rhos):
             raise ConfigError("all rho values must be > 0")
         # each rho writes rho_{rho:g}/, so no two may share that name

@@ -84,6 +84,20 @@ def stationarity(problem, x, y, lam, x_prev=None, rho=None, grad=None):
     )
 
 
+def apply_H_over_eta(constraints, v, eta, rho, r):
+    """(H / eta) v with H = rI - rho*eta*A^T A, without forming H."""
+    return (r / eta) * v - rho * (constraints.AT @ (constraints.A @ v))
+
+
+def dual_identity_residual(problem, g_hat, x_old, x_new, lam_new, eta, rho, r):
+    """||A^T lam_{t+1} - g_hat + (H/eta)(x_t - x_{t+1})|| / (1 + ||g_hat||)."""
+    cs = problem.constraints
+    lhs = cs.AT @ lam_new - g_hat + apply_H_over_eta(
+        cs, x_old - x_new, eta, rho, r
+    )
+    return float(np.linalg.norm(lhs)) / (1.0 + float(np.linalg.norm(g_hat)))
+
+
 def _require_diag(records, *fields):
     for rec in records:
         for f in fields:

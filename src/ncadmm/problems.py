@@ -33,10 +33,6 @@ def _as_matrix(A):
     return A
 
 
-def _dense(M):
-    return M.toarray() if sp.issparse(M) else np.asarray(M)
-
-
 class ConstraintSystem:
     """The linear coupling Ax - y = c with cached spectral data of A^T A.
 
@@ -46,7 +42,7 @@ class ConstraintSystem:
     A^T A is formed in A's own format. When it has no nonzero off-diagonal
     entry (stacked identities, column scalings of them) its eigenvalues are
     its diagonal, read in O(nnz); any other A^T A goes through a dense
-    eigvalsh. The dense A^T A itself is built only when `AtA` is read.
+    eigvalsh. No dense A^T A outlives the constructor.
     """
 
     def __init__(self, A, c):
@@ -55,7 +51,6 @@ class ConstraintSystem:
         q = self.A.shape[0]
         if self.c.shape != (q,):
             raise ConfigError(f"c has shape {self.c.shape}, expected ({q},)")
-        self._AtA = None
         # built once: scipy's .T makes a new matrix object on every access
         self.AT = self.A.T
         AtA = self.AT @ self.A
@@ -66,8 +61,7 @@ class ConstraintSystem:
             self.phi_min_A = float(diag.min())
             self.norm_AtA = float(diag.max())
         else:
-            self._AtA = _dense(AtA)
-            evals = np.linalg.eigvalsh(self._AtA)
+            evals = np.linalg.eigvalsh(AtA.toarray() if sp.issparse(AtA) else AtA)
             self.phi_min_A = float(evals[0])
             self.norm_AtA = float(evals[-1])
         if self.phi_min_A <= 1e-10 * max(1.0, self.norm_AtA):
@@ -75,13 +69,6 @@ class ConstraintSystem:
                 "A is (numerically) column rank deficient: "
                 f"smallest eigenvalue of A^T A is {self.phi_min_A:.3e}"
             )
-
-    @property
-    def AtA(self):
-        """Dense A^T A, built on first read and cached."""
-        if self._AtA is None:
-            self._AtA = _dense(self.AT @ self.A)
-        return self._AtA
 
     @property
     def q(self):

@@ -37,8 +37,6 @@ class SolverConfig:
     m: int = None  # epoch length, svrg only
     seed: int = 0
     trace_stride: int = 1
-    record_iterates: bool = False
-    check_dual_identity: bool = False
 
     def __post_init__(self):
         self.variant = self.variant.lower()
@@ -120,60 +118,30 @@ class RunResult:
     x_rand: np.ndarray
     y_rand: np.ndarray
     t_rand: int
-    iterates: list = None
-    dual_identity_max: float = 0.0
 
 
-def y_update(problem, x_t, lambda_t, rho, Ax_t=None):
-    """argmin_y L_rho(x_t, y, lambda_t), blockwise prox.
-
-    Ax_t, when given, is A x_t already computed by the caller.
-    """
-    cs = problem.constraints
-    if Ax_t is None:
-        Ax_t = cs.A @ x_t
-    v = Ax_t - cs.c - lambda_t / rho
+def y_update(problem, Ax_t, lambda_t, rho):
+    """argmin_y L_rho(x_t, y, lambda_t), blockwise prox; Ax_t is A x_t."""
+    v = Ax_t - problem.constraints.c - lambda_t / rho
     return problem.regularizer.prox(np.asarray(v).ravel(), 1.0 / rho)
 
 
-def x_update_uzawa(problem, x_t, y_new, lambda_t, g_hat, eta, rho, r, Ax_t=None):
+def x_update_uzawa(problem, x_t, y_new, lambda_t, g_hat, eta, rho, r, Ax_t):
     """Single inexact-Uzawa step; equals the minimizer of the linearized
-    surrogate with H = rI - rho*eta*A^T A.
-
-    Ax_t, when given, is A x_t already computed by the caller.
+    surrogate with H = rI - rho*eta*A^T A. Ax_t is A x_t.
     """
     g_hat = np.asarray(g_hat, dtype=float)
     if g_hat.shape != x_t.shape:
         raise InputError("gradient estimate has the wrong dimension")
     cs = problem.constraints
-    if Ax_t is None:
-        Ax_t = cs.A @ x_t
     resid = Ax_t - y_new - cs.c - lambda_t / rho
     return x_t - (eta / r) * (g_hat + rho * (cs.AT @ resid))
 
 
-def lambda_update(x_new, y_new, lambda_t, rho, constraints, Ax_new=None):
-    """lambda_{t+1} = lambda_t - rho * (A x_{t+1} - y_{t+1} - c).
-
-    Ax_new, when given, is A x_{t+1} already computed by the caller.
-    """
-    if Ax_new is None:
-        Ax_new = constraints.A @ x_new
+def lambda_update(Ax_new, y_new, lambda_t, rho, constraints):
+    """lambda_{t+1} = lambda_t - rho * (A x_{t+1} - y_{t+1} - c); Ax_new is
+    A x_{t+1}."""
     return lambda_t - rho * (Ax_new - y_new - constraints.c)
-
-
-def apply_H_over_eta(constraints, v, eta, rho, r):
-    """(H / eta) v with H = rI - rho*eta*A^T A, without forming H."""
-    return (r / eta) * v - rho * (constraints.AT @ (constraints.A @ v))
-
-
-def dual_identity_residual(problem, g_hat, x_old, x_new, lam_new, eta, rho, r):
-    """||A^T lam_{t+1} - g_hat + (H/eta)(x_t - x_{t+1})|| / (1 + ||g_hat||)."""
-    cs = problem.constraints
-    lhs = cs.AT @ lam_new - g_hat + apply_H_over_eta(
-        cs, x_old - x_new, eta, rho, r
-    )
-    return float(np.linalg.norm(lhs)) / (1.0 + float(np.linalg.norm(g_hat)))
 
 
 def stoc_gradient(problem, x, batch):
@@ -439,11 +407,11 @@ class SagaEstimator(BatchMean):
     def snap_sq(self, x, x_prev):
         return self.table.spread(x), None
 
-    def finish(self, rtol=1e-8):
+    def finish(self):
         # a tolerance check: the O(nnz) product is an independent recomputation
         recomputed = self.table.product_mean()
         scale = max(1.0, float(np.linalg.norm(recomputed)))
-        if np.linalg.norm(self.table.psi - recomputed) > rtol * scale:
+        if np.linalg.norm(self.table.psi - recomputed) > 1e-8 * scale:
             raise InternalInvariantError("SAGA running mean psi drifted from its table")
 
 
@@ -482,7 +450,7 @@ def run(problem, config, callback=None):
     """Execute the configured variant for T effective iterations.
 
     callback, when given, is invoked as callback(record, state) as each
-    TraceRecord is recorded.
+    TraceRecord is recorded; at trace_stride=1 that is after every step.
     Raises DivergenceError on NaN/Inf state or runaway norms.
 
     Each iteration makes two products with A: A x_{t+1}, carried into the
@@ -502,22 +470,20 @@ def run(problem, config, callback=None):
     x_rand, y_rand = state.x.copy(), state.y.copy()
 
     trace = []
-    iterates = [] if config.record_iterates else None
-    dual_identity_max = 0.0
     solver_time = 0.0
 
     for t in range(config.T):
         tic = time.perf_counter()
 
         estimator.begin(t, state.x)
-        y_new = y_update(problem, state.x, state.lam, rho, Ax)
+        y_new = y_update(problem, Ax, state.lam, rho)
         batch = _draw_batch(rng_batch, n, estimator.M)
         g_hat = estimator.estimate(state.x, batch)
         x_new = x_update_uzawa(
             problem, state.x, y_new, state.lam, g_hat, eta, rho, r, Ax
         )
         Ax = cs.A @ x_new
-        lam_new = lambda_update(x_new, y_new, state.lam, rho, cs, Ax)
+        lam_new = lambda_update(Ax, y_new, state.lam, rho, cs)
         estimator.commit(x_new)
 
         state.x_prev = state.x
@@ -532,17 +498,6 @@ def run(problem, config, callback=None):
 
         if t + 1 == t_rand:
             x_rand, y_rand = state.x.copy(), state.y.copy()
-
-        if config.check_dual_identity:
-            dual_identity_max = max(
-                dual_identity_max,
-                dual_identity_residual(
-                    problem, g_hat, state.x_prev, state.x, state.lam, eta, rho, r
-                ),
-            )
-
-        if iterates is not None:
-            iterates.append((state.x.copy(), state.y.copy(), state.lam.copy()))
 
         if (t + 1) % config.trace_stride == 0 or t + 1 == config.T:
             rec = _record(problem, config, state, estimator, solver_time)
@@ -559,8 +514,6 @@ def run(problem, config, callback=None):
         x_rand=x_rand,
         y_rand=y_rand,
         t_rand=t_rand,
-        iterates=iterates,
-        dual_identity_max=dual_identity_max,
     )
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ncadmm import data, problems
+from ncadmm import data, problems, solvers
 
 
 def make_graph_guided_problem(n=120, d=8, seed=0, nu=1e-5, empty_support=False):
@@ -34,6 +34,42 @@ def make_multitask_problem(n=60, features=30, classes=3, density=0.06,
         classes, features, nu1, nu2, loss.kappa0
     )
     return problems.CompositeProblem(loss=loss, regularizer=reg, constraints=cs)
+
+
+def dense_AtA(cs):
+    """A^T A formed in cs.A's own format, then made dense."""
+    AtA = cs.AT @ cs.A
+    return AtA.toarray() if sp.issparse(AtA) else AtA
+
+
+def run_with_iterates(problem, config):
+    """run() and every (x, y, lam) it stepped through, in order, taken from
+    its callback; a stride-1 trace calls it after every step."""
+    assert config.trace_stride == 1
+    iterates = []
+
+    def keep(rec, state):
+        iterates.append((state.x.copy(), state.y.copy(), state.lam.copy()))
+
+    return solvers.run(problem, config, callback=keep), iterates
+
+
+@pytest.fixture
+def gradient_estimates(monkeypatch):
+    """Every gradient estimate run()'s estimators return, in order.
+
+    The estimators look the gradient functions up on the solvers module at
+    call time, so wrapping them there captures the g_hat the x-step used.
+    """
+    seen = []
+    for name in ("stoc_gradient", "svrg_gradient", "saga_gradient"):
+        def capture(*args, _orig=getattr(solvers, name)):
+            g_hat = _orig(*args)
+            seen.append(g_hat)
+            return g_hat
+
+        monkeypatch.setattr(solvers, name, capture)
+    return seen
 
 
 @pytest.fixture

@@ -13,7 +13,12 @@ import numpy as np
 
 from ncadmm import data, metrics, params, problems, solvers
 
-from conftest import make_graph_guided_problem, make_overlap_problem
+from conftest import (
+    dense_AtA,
+    make_graph_guided_problem,
+    make_overlap_problem,
+    run_with_iterates,
+)
 
 
 def _report(num, desc, ok, detail=""):
@@ -50,10 +55,10 @@ def rate_problem():
 def run_min_theta(prob, variant, T, eta, rho, r, M=100, m=None, seed=0):
     cfg = solvers.SolverConfig(
         variant=variant, eta=eta, rho=rho, r=r, M=M, T=T, m=m, seed=seed,
-        record_iterates=True, trace_stride=T,
+        trace_stride=1,
     )
-    res = solvers.run(prob, cfg)
-    xs = np.array([it[0] for it in res.iterates])
+    res, iterates = run_with_iterates(prob, cfg)
+    xs = np.array([it[0] for it in iterates])
     dx = np.sum(np.diff(xs, axis=0) ** 2, axis=1)
     summary = metrics.rate_summary(dx)
     return summary, res.trace[-1].ifo
@@ -112,19 +117,28 @@ def test_criterion_02_variance_bounds():
             worst <= 1.0 + 1e-12, f"worst var/bound {worst:.3f}")
 
 
-def test_criterion_03_dual_identity():
+def test_criterion_03_dual_identity(gradient_estimates):
     prob = make_graph_guided_problem(n=200, d=10, seed=3)
     eta, rho = 1.0, 2.0
     r = params.min_admissible_r(prob.constraints, eta, rho)
     worst = 0.0
+
+    def check(rec, state):
+        # the estimate of step t is the t-th the estimators returned
+        nonlocal worst
+        g_hat = gradient_estimates[rec.t - 1]
+        worst = max(worst, metrics.dual_identity_residual(
+            prob, g_hat, state.x_prev, state.x, state.lam, eta, rho, r
+        ))
+
     for variant in solvers.VARIANTS:
         cfg = solvers.SolverConfig(
             variant=variant, eta=eta, rho=rho, r=r, M=20, T=1000,
-            m=20 if variant == "svrg" else None, seed=0,
-            trace_stride=1000, check_dual_identity=True,
+            m=20 if variant == "svrg" else None, seed=0, trace_stride=1,
         )
-        res = solvers.run(prob, cfg)
-        worst = max(worst, res.dual_identity_max)
+        gradient_estimates.clear()
+        solvers.run(prob, cfg, callback=check)
+        assert len(gradient_estimates) == cfg.T
     _report(3, "dual identity residual stays below 1e-6 relative for 1000 steps",
             worst <= 1e-6, f"worst rel residual {worst:.2e}")
 
@@ -145,10 +159,11 @@ def test_criterion_04_surrogate_minimizer():
         y = rng.standard_normal(q)
         lam = rng.standard_normal(q)
         g = rng.standard_normal(d)
-        step = solvers.x_update_uzawa(holder, x, y, lam, g, eta, rho, r)
+        step = solvers.x_update_uzawa(holder, x, y, lam, g, eta, rho, r, cs.A @ x)
         # dense solve of the linearized subproblem's normal equations
-        H = r * np.eye(d) - rho * eta * cs.AtA
-        lhs = H / eta + rho * cs.AtA
+        AtA = dense_AtA(cs)
+        H = r * np.eye(d) - rho * eta * AtA
+        lhs = H / eta + rho * AtA
         rhs = (H / eta) @ x - g - rho * A.T @ (-y - cs.c - lam / rho)
         direct = np.linalg.solve(lhs, rhs)
         worst = max(
@@ -358,15 +373,15 @@ def test_criterion_10_full_batch_degeneracy():
     def run_variant(variant, m=None):
         cfg = solvers.SolverConfig(
             variant=variant, eta=eta, rho=rho, r=r, M=n, T=T, m=m, seed=9,
-            record_iterates=True, trace_stride=T,
+            trace_stride=1,
         )
-        return solvers.run(prob, cfg)
+        return run_with_iterates(prob, cfg)
 
-    ref = run_variant("dete")
+    ref, ref_iterates = run_variant("dete")
     ok = True
     for variant, m in [("stoc", None), ("svrg", 10), ("saga", None)]:
-        res = run_variant(variant, m)
-        for (xa, ya, la), (xb, yb, lb) in zip(ref.iterates, res.iterates):
+        res, iterates = run_variant(variant, m)
+        for (xa, ya, la), (xb, yb, lb) in zip(ref_iterates, iterates):
             if not (
                 np.array_equal(xa, xb)
                 and np.array_equal(ya, yb)

@@ -27,7 +27,10 @@ def test_tracer_installs_and_restores():
     names = [(params, "check_feasible"), (params, "min_admissible_r"),
              (params, "suggest_params"), (cli, "_aggregate_rows"),
              (cli, "build_problem"), (solvers, "svrg_gradient"),
-             (solvers, "saga_gradient"), (solvers, "stoc_gradient")]
+             (solvers, "saga_gradient"), (solvers, "stoc_gradient"),
+             (solvers, "y_update"), (solvers, "x_update_uzawa"),
+             (solvers, "lambda_update"), (solvers, "_record"),
+             (solvers, "run")]
     before = [getattr(owner, attr) for owner, attr in names]
     with tracing.Tracer().installed():
         during = [getattr(owner, attr) for owner, attr in names]

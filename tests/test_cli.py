@@ -275,6 +275,18 @@ class TestFailClosed:
         assert f"rho values {same} would all write rho_1/" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_rho_sweep_refuses_non_finite_rho_before_any_run(self, rho,
+                                                             refused_spec,
+                                                             tmp_path):
+        out = tmp_path / "sweep"
+        proc = run_cli(["rho-sweep", "--spec", str(refused_spec), "--out",
+                        str(out), "--rho", "1", "--rho", rho,
+                        "--allow-uncertified"])
+        self.assert_one_line_error(proc)
+        assert f"rho-sweep: rho must be a finite number, got {rho}" in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, token", [
         ("nan 1:1\n1 1:2\n2 1:3\n", "'nan'"),
         ("1 1:1\n-1 99999999999999999999:1\n", "'99999999999999999999:1'"),
@@ -498,6 +510,7 @@ class TestFailClosed:
     @pytest.mark.parametrize("key, value", [
         ("M", "20"), ("eta", "1"), ("rho", "1"), ("r", "x"), ("T", 1.5),
         ("m", "5"), ("T", None), ("eta", float("nan")), ("M", True),
+        ("variant", 5), ("variant", None), ("name", 5),
     ])
     def test_non_numeric_solver_value(self, key, value, refused_spec, tmp_path):
         spec = json.loads(refused_spec.read_text())
@@ -520,6 +533,28 @@ class TestFailClosed:
                         str(tmp_path / "o"), "--allow-uncertified"])
         self.assert_one_line_error(proc)
         assert f"experiment spec: {key} must be" in proc.stderr
+
+    @pytest.mark.parametrize("command, problem, message", [
+        ("run", {"kind": ["graph_guided"], "n": 400, "d": 20},
+         "problem: kind must be a string, got ['graph_guided']"),
+        ("check-params", {"kind": ["graph_guided"], "n": 400, "d": 20},
+         "problem: kind must be a string, got ['graph_guided']"),
+        ("run", {"kind": "multitask", "path": 5},
+         "multitask problem: path must be a string, got 5"),
+    ], ids=["run-kind", "check-params-kind", "run-path"])
+    def test_non_string_problem_value(self, command, problem, message,
+                                      refused_spec, tmp_path):
+        spec = json.loads(refused_spec.read_text())
+        spec["problem"] = problem
+        refused_spec.write_text(json.dumps(spec))
+        args = [command, "--spec", str(refused_spec)]
+        args += (["--out", str(tmp_path / "o"), "--allow-uncertified"]
+                 if command == "run" else
+                 ["--variant", "stoc", "--eta", "1", "--rho", "1"])
+        proc = run_cli(args)
+        self.assert_one_line_error(proc)
+        assert message in proc.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_zero_iterations_refused(self, refused_spec, tmp_path):
         spec = json.loads(refused_spec.read_text())

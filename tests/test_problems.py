@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from ncadmm import problems
 from ncadmm.exceptions import ConfigError, InputError
 
-from conftest import make_graph_guided_problem
+from conftest import dense_AtA, make_graph_guided_problem
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -373,8 +373,8 @@ class TestDiagonalSpectrum:
         q = A.shape[0]
         for system in (A, A.toarray()):
             cs = problems.ConstraintSystem(system, np.zeros(q))
-            # cs.AtA is the product in cs.A's own format, as eigvalsh saw it
-            lo, hi = np.linalg.eigvalsh(cs.AtA)[[0, -1]]
+            # the product in cs.A's own format, as eigvalsh would see it
+            lo, hi = np.linalg.eigvalsh(dense_AtA(cs))[[0, -1]]
             assert (cs.phi_min_A, cs.norm_AtA) == (lo, hi)
             if sp.issparse(cs.A):
                 assert (lo, hi) == tuple(self.dense_reference(A))
@@ -420,12 +420,13 @@ class TestDiagonalSpectrum:
         lambda: make_graph_guided_problem(d=30).constraints,
         lambda: make_graph_guided_problem(d=8, empty_support=True).constraints,
     ], ids=["overlap-sparse", "overlap-dense", "graph", "graph-empty"])
-    def test_lazy_AtA_equals_product(self, build):
+    def test_spectrum_kept_without_dense_AtA(self, build):
         cs = build()
         # entries of A are 0 and +-1, so every product is exact
         A = cs.A.toarray() if sp.issparse(cs.A) else cs.A
-        assert np.array_equal(cs.AtA, A.T @ A)
-        assert cs.AtA is cs.AtA
+        lo, hi = np.linalg.eigvalsh(A.T @ A)[[0, -1]]
+        assert (cs.phi_min_A, cs.norm_AtA) == (lo, hi)
+        assert set(vars(cs)) == {"A", "AT", "c", "phi_min_A", "norm_AtA"}
 
 
 class TestBuilders:

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncadmm import params, problems, solvers
+from ncadmm import metrics, params, problems, solvers
 from ncadmm.exceptions import ConfigError, DivergenceError, InternalInvariantError
 
 from conftest import (
+    dense_AtA,
     make_graph_guided_problem,
     make_multitask_problem,
     make_overlap_problem,
+    run_with_iterates,
 )
 
 
@@ -59,7 +61,7 @@ class TestPureUpdates:
         x = rng.standard_normal(gg_problem.d)
         lam = rng.standard_normal(gg_problem.constraints.q)
         rho = 3.0
-        y = solvers.y_update(gg_problem, x, lam, rho)
+        y = solvers.y_update(gg_problem, gg_problem.constraints.A @ x, lam, rho)
         v = np.asarray(gg_problem.constraints.A @ x).ravel() - lam / rho
         assert np.allclose(y, gg_problem.regularizer.prox(v, 1.0 / rho))
 
@@ -77,7 +79,7 @@ class TestPureUpdates:
                 + 0.5 * rho * float(resid @ resid)
             )
 
-        y_star = solvers.y_update(gg_problem, x, lam, rho)
+        y_star = solvers.y_update(gg_problem, cs.A @ x, lam, rho)
         base = lrho_y(y_star)
         for _ in range(30):
             assert base <= lrho_y(y_star + 0.1 * rng.standard_normal(y_star.size)) + 1e-12
@@ -89,7 +91,9 @@ class TestPureUpdates:
         lam = rng.standard_normal(cs.q)
         g = rng.standard_normal(gg_problem.d)
         eta, rho, r = 0.7, 2.5, 9.0
-        out = solvers.x_update_uzawa(gg_problem, x, y, lam, g, eta, rho, r)
+        out = solvers.x_update_uzawa(
+            gg_problem, x, y, lam, g, eta, rho, r, cs.A @ x
+        )
         resid = np.asarray(cs.A @ x - y - cs.c).ravel() - lam / rho
         expected = x - (eta / r) * (g + rho * np.asarray(cs.A.T @ resid).ravel())
         assert np.allclose(out, expected, atol=1e-14)
@@ -99,16 +103,16 @@ class TestPureUpdates:
         x = rng.standard_normal(gg_problem.d)
         y = rng.standard_normal(gg_problem.p)
         lam = rng.standard_normal(cs.q)
-        out = solvers.lambda_update(x, y, lam, 1.5, cs)
+        out = solvers.lambda_update(cs.A @ x, y, lam, 1.5, cs)
         assert np.allclose(out, lam - 1.5 * cs.residual(x, y))
 
     def test_apply_H_over_eta_matches_dense(self, gg_problem, rng):
         cs = gg_problem.constraints
         eta, rho, r = 0.4, 3.0, 12.0
-        H = r * np.eye(cs.d) - rho * eta * cs.AtA
+        H = r * np.eye(cs.d) - rho * eta * dense_AtA(cs)
         v = rng.standard_normal(cs.d)
         assert np.allclose(
-            solvers.apply_H_over_eta(cs, v, eta, rho, r), (H / eta) @ v
+            metrics.apply_H_over_eta(cs, v, eta, rho, r), (H / eta) @ v
         )
 
     def test_gradient_estimators_at_full_batch(self, gg_problem, rng):
@@ -184,10 +188,10 @@ class TestRun:
         assert [t for t, _ in seen] == [1, 2, 3, 4, 5]
 
     def test_output_iterate_drawn_from_trajectory(self, gg_problem):
-        cfg = build(gg_problem, "stoc", T=30, record_iterates=True)
-        res = solvers.run(gg_problem, cfg)
+        cfg = build(gg_problem, "stoc", T=30)
+        res, iterates = run_with_iterates(gg_problem, cfg)
         assert 1 <= res.t_rand <= 30
-        assert np.array_equal(res.x_rand, res.iterates[res.t_rand - 1][0])
+        assert np.array_equal(res.x_rand, iterates[res.t_rand - 1][0])
 
     def test_feasibility_decreases(self, identity_problem):
         cfg = build(identity_problem, "dete", eta=1.0, rho=50.0, T=200)
@@ -233,11 +237,19 @@ class TestRun:
         assert rec.lrho is not None and rec.dx_sq is not None
         assert rec.snap_sq is None and rec.snap_prev_sq is None
 
-    def test_dual_identity_tracked(self, gg_problem):
-        res = solvers.run(
-            gg_problem, build(gg_problem, "saga", T=20, check_dual_identity=True)
-        )
-        assert res.dual_identity_max < 1e-10
+    def test_dual_identity_tracked(self, gg_problem, gradient_estimates):
+        cfg = build(gg_problem, "saga", T=20)
+        residuals = []
+
+        def check(rec, state):
+            residuals.append(metrics.dual_identity_residual(
+                gg_problem, gradient_estimates[rec.t - 1], state.x_prev,
+                state.x, state.lam, cfg.eta, cfg.rho, cfg.r,
+            ))
+
+        solvers.run(gg_problem, cfg, callback=check)
+        assert len(gradient_estimates) == len(residuals) == 20
+        assert max(residuals) < 1e-10
 
 
 def reference_run(problem, config):
@@ -256,7 +268,7 @@ def reference_run(problem, config):
         if config.variant == "svrg" and t % config.m == 0:
             x_snap = state.x.copy()
             snap_grad = problem.grad(x_snap, all_idx)
-        y = solvers.y_update(problem, state.x, state.lam, rho)
+        y = solvers.y_update(problem, cs.A @ state.x, state.lam, rho)
         if config.variant == "dete":
             g = problem.grad(state.x, all_idx)
         else:
@@ -267,8 +279,10 @@ def reference_run(problem, config):
                 g = solvers.svrg_gradient(problem, state.x, batch, x_snap, snap_grad)
             else:
                 g = problem.grad(state.x, batch) + (psi - table[batch].mean(axis=0))
-        x = solvers.x_update_uzawa(problem, state.x, y, state.lam, g, eta, rho, r)
-        lam = solvers.lambda_update(x, y, state.lam, rho, cs)
+        x = solvers.x_update_uzawa(
+            problem, state.x, y, state.lam, g, eta, rho, r, cs.A @ state.x
+        )
+        lam = solvers.lambda_update(cs.A @ x, y, state.lam, rho, cs)
         if config.variant == "saga":
             uniq = np.unique(batch)
             new = problem.grad_matrix(x, uniq)
@@ -288,9 +302,9 @@ PROBLEM_MAKERS = [
 ]
 
 
-def assert_same_iterates(res, ref, T):
-    assert len(res.iterates) == len(ref) == T
-    for got, want in zip(res.iterates, ref):
+def assert_same_iterates(iterates, ref, T):
+    assert len(iterates) == len(ref) == T
+    for got, want in zip(iterates, ref):
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
@@ -300,9 +314,9 @@ class TestCarriedProducts:
     @pytest.mark.parametrize("make", PROBLEM_MAKERS)
     def test_run_matches_step_by_step_reference(self, variant, make):
         prob = make()
-        cfg = build(prob, variant, T=30, record_iterates=True)
-        res = solvers.run(prob, cfg)
-        assert_same_iterates(res, reference_run(prob, cfg), 30)
+        cfg = build(prob, variant, T=30)
+        _, iterates = run_with_iterates(prob, cfg)
+        assert_same_iterates(iterates, reference_run(prob, cfg), 30)
 
 
 class TestCompactSagaTable:
@@ -311,12 +325,12 @@ class TestCompactSagaTable:
     @pytest.mark.parametrize("make", PROBLEM_MAKERS)
     def test_run_matches_dense_table_with_duplicate_indices(self, make):
         prob = make()
-        cfg = build(prob, "saga", M=10, T=30, record_iterates=True)
+        cfg = build(prob, "saga", M=10, T=30)
         _, rng_batch, _ = solvers.init_state(prob, cfg)
         batches = [solvers._draw_batch(rng_batch, prob.n, 10) for _ in range(30)]
         assert any(np.unique(b).size < b.size for b in batches)
-        res = solvers.run(prob, cfg)
-        assert_same_iterates(res, reference_run(prob, cfg), 30)
+        _, iterates = run_with_iterates(prob, cfg)
+        assert_same_iterates(iterates, reference_run(prob, cfg), 30)
 
     @pytest.mark.parametrize("nu1", [0.0, 1e-2])
     @pytest.mark.parametrize("M", [10, 60])
@@ -324,8 +338,8 @@ class TestCompactSagaTable:
         """Rows rebuilt from stored entries only give, byte for byte, the
         iterates of a table rebuilt by einsum over densified rows."""
         prob = make_multitask_problem(nu1=nu1)
-        cfg = build(prob, "saga", M=M, T=30, record_iterates=True)
-        res = solvers.run(prob, cfg)
+        cfg = build(prob, "saga", M=M, T=30)
+        _, iterates = run_with_iterates(prob, cfg)
 
         def einsum_rows(loss, P, feats, shared):
             G = np.einsum("ic,ij->icj", P, feats.toarray())
@@ -336,17 +350,17 @@ class TestCompactSagaTable:
             problems.SmoothedMultiTaskLoss, "component_rows", einsum_rows
         )
         ref = reference_run(prob, cfg)
-        assert len(res.iterates) == len(ref) == 30
-        for got, want in zip(res.iterates, ref):
+        assert len(iterates) == len(ref) == 30
+        for got, want in zip(iterates, ref):
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("make", PROBLEM_MAKERS)
     def test_run_matches_dense_table_at_full_batch(self, make):
         prob = make()
-        cfg = build(prob, "saga", M=prob.n, T=8, record_iterates=True)
-        res = solvers.run(prob, cfg)
-        assert_same_iterates(res, reference_run(prob, cfg), 8)
+        cfg = build(prob, "saga", M=prob.n, T=8)
+        _, iterates = run_with_iterates(prob, cfg)
+        assert_same_iterates(iterates, reference_run(prob, cfg), 8)
 
     @pytest.mark.parametrize("make", PROBLEM_MAKERS)
     def test_blocked_mean_equals_dense_mean(self, make, monkeypatch, rng):
@@ -420,13 +434,13 @@ class TestPooledPoints:
         prob = make()
         n = prob.n
         M = n if full_batch else 10
-        cfg = build(prob, "saga", M=M, T=30, record_iterates=True)
-        res = solvers.run(prob, cfg)
+        cfg = build(prob, "saga", M=M, T=30)
+        res, iterates = run_with_iterates(prob, cfg)
         # replay the batches into the dense table of stored points
         state, rng_batch, _ = solvers.init_state(prob, cfg)
         points = np.tile(state.x, (n, 1))
         repeats = 0
-        for rec, (x, _, _) in zip(res.trace, res.iterates, strict=True):
+        for rec, (x, _, _) in zip(res.trace, iterates, strict=True):
             batch = solvers._draw_batch(rng_batch, n, M)
             repeats += np.unique(batch).size < batch.size
             points[batch] = x
