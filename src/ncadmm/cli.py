@@ -12,9 +12,10 @@ import csv
 import dataclasses
 import json
 import math
+import operator
 import os
-import sys
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -48,168 +49,166 @@ _REFUSED = (
 )
 
 
-# keys build_problem reads without a default, per problem kind
-_PROBLEM_KEYS = {
-    "graph_guided": ("n", "d"),
-    "overlap": ("n",),
-    "libsvm": ("path",),
-    "multitask": ("path",),
+class _Key(NamedTuple):
+    """One spec key: its type, its least value and its default. A key
+    without a default is required; one whose default is None takes null."""
+    type: type
+    least: int = None
+    default: object = dataclasses.MISSING
+
+
+_TYPES = {int: (int, "an integer"), float: ((int, float), "a finite number"),
+          str: (str, "a string"), bool: (bool, "true or false")}
+
+_EXPERIMENT_KEYS = {
+    "repetitions": _Key(int, 1, 1),
+    "seed_base": _Key(int, 0, 0),
+    "trace_stride": _Key(int, 1, 1),
 }
-_SOLVER_KEYS = ("variant", "rho")
+# null r, M or m is filled in by `solvers.config_defaults`; a null or
+# empty name means the variant's
+_SOLVER_KEYS = {
+    "variant": _Key(str),
+    "name": _Key(str, default=None),
+    "eta": _Key(float, default=1.0),
+    "rho": _Key(float),
+    "r": _Key(float, default=None),
+    "M": _Key(int, 1, None),
+    "m": _Key(int, 1, None),
+    "T": _Key(int, 1, 1000),
+    "seed": _Key(int, 0, 0),
+}
+_PROBLEM_KEYS = {
+    "seed": _Key(int, 0, 0),
+    "nu": _Key(float, default=1e-5),
+    "train_fraction": _Key(float, default=0.5),
+}
+_KIND_KEYS = {
+    "graph_guided": {"n": _Key(int, 1), "d": _Key(int, 1),
+                     "empty_support": _Key(bool, default=False)},
+    "overlap": {"n": _Key(int, 1), "grid": _Key(int, 1, 20), "k": _Key(int, 1, 2)},
+    "libsvm": {"path": _Key(str), "support_density": _Key(float, default=0.05),
+               "support_seed": _Key(int, 0, operator.itemgetter("seed"))},
+    "multitask": {"path": _Key(str), "nu1": _Key(float, default=1e-5),
+                  "nu2": _Key(float, default=1e-4), "beta": _Key(float, default=1.0),
+                  "theta": _Key(float, default=1.0)},
+}
 
-# spec values read as numbers: reals, and integers with their lower bound
-_SOLVER_REALS = ("eta", "rho", "r")
-_SOLVER_INTS = {"T": 1, "M": 1, "m": 1, "seed": 0}
-_SPEC_INTS = {"repetitions": 1, "seed_base": 0, "trace_stride": 1}
-_PROBLEM_REALS = ("nu", "train_fraction", "support_density", "nu1", "nu2",
-                  "beta", "theta")
-_PROBLEM_INTS = {"n": 1, "d": 1, "grid": 1, "k": 1, "seed": 0, "support_seed": 0}
-# `config_defaults` fills these in when they are null
-_NULL_MEANS_DEFAULT = ("r", "M", "m")
 
-
-def _require(entry, keys, where):
-    if not isinstance(entry, dict):
+def _checked(owner, keys, where):
+    """A copy of `owner` with each of `keys` checked against its Key and
+    each absent default filled in; other entries are kept unchecked."""
+    if not isinstance(owner, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    for key in keys:
-        if key not in entry:
-            raise ConfigError(f"{where} lacks required key {key!r}")
-
-
-def _check_numbers(owner, where, reals=(), ints=None):
-    """Refuse a present value that is not a finite number, or not an
-    integer at or above its bound."""
-    ints = ints or {}
-    for key in (*reals, *ints):
-        if key not in owner:
+    out = dict(owner)
+    for name, key in keys.items():
+        if name not in owner:
+            if key.default is dataclasses.MISSING:
+                raise ConfigError(f"{where} lacks required key {name!r}")
+            out[name] = key.default(out) if callable(key.default) else key.default
             continue
-        value = owner[key]
-        if value is None and key in _NULL_MEANS_DEFAULT:
+        value = owner[name]
+        if value is None and key.default is None:
             continue
-        integer = key in ints
-        ok = (isinstance(value, int if integer else (int, float))
-              and not isinstance(value, bool))
-        if ok and isinstance(value, float):
-            ok = math.isfinite(value)
-        if not ok:
-            kind = "an integer" if integer else "a finite number"
-            raise ConfigError(f"{where}: {key} must be {kind}, got {value!r}")
-        if integer and value < ints[key]:
-            raise ConfigError(
-                f"{where}: {key} must be >= {ints[key]}, got {value!r}"
-            )
-
-
-def _check_strings(owner, where, keys):
-    """Refuse a present value that is not a string."""
-    for key in keys:
-        value = owner.get(key, "")
-        if value is None and key == "name":
-            continue  # a null name means the variant's
-        if not isinstance(value, str):
-            raise ConfigError(f"{where}: {key} must be a string, got {value!r}")
+        accepts, noun = _TYPES[key.type]
+        if (not isinstance(value, accepts)
+                or isinstance(value, bool) != (key.type is bool)
+                or isinstance(value, float) and not math.isfinite(value)):
+            raise ConfigError(f"{where}: {name} must be {noun}, got {value!r}")
+        if key.least is not None and value < key.least:
+            raise ConfigError(f"{where}: {name} must be >= {key.least}, got {value!r}")
+    return out
 
 
 def _check_problem_spec(problem):
-    """Refuse a problem spec that build_problem could not assemble."""
-    _require(problem, ("kind",), "problem")
-    _check_strings(problem, "problem", ("kind",))
-    kind = problem["kind"]
-    if kind not in _PROBLEM_KEYS:
+    """A copy of a problem spec checked against its kind's keys."""
+    kind = _checked(problem, {"kind": _Key(str)}, "problem")["kind"]
+    if kind not in _KIND_KEYS:
         raise ConfigError(f"unknown problem kind {kind!r}")
-    _require(problem, _PROBLEM_KEYS[kind], f"{kind} problem")
-    _check_strings(problem, f"{kind} problem", ("path",))
-    _check_numbers(problem, f"{kind} problem", _PROBLEM_REALS, _PROBLEM_INTS)
-    return problem
+    return _checked(problem, {**_PROBLEM_KEYS, **_KIND_KEYS[kind]}, f"{kind} problem")
 
 
-def _check_spec(spec, solver_keys=_SOLVER_KEYS):
-    """Refuse an experiment spec with a wrong version or a missing key."""
-    _require(spec, ("problem",), "experiment spec")
-    if spec.get("version") != "v1":
-        raise ConfigError(f"unsupported spec version {spec.get('version')!r}")
-    _check_problem_spec(spec["problem"])
-    if not spec.get("solvers"):
+def _check_spec(spec):
+    """A copy of an experiment spec checked level by level, with every
+    default filled in. Keys no level declares are kept and ignored."""
+    out = _checked(spec, _EXPERIMENT_KEYS, "experiment spec")
+    if "problem" not in out:
+        raise ConfigError("experiment spec lacks required key 'problem'")
+    if out.get("version") != "v1":
+        raise ConfigError(f"unsupported spec version {out.get('version')!r}")
+    out["problem"] = _check_problem_spec(out["problem"])
+    solvers = out.get("solvers")
+    if not solvers:
         raise ConfigError("experiment spec lists no solvers")
-    for i, entry in enumerate(spec["solvers"]):
-        _require(entry, solver_keys, f"solver entry {i}")
-        _check_strings(entry, f"solver entry {i}", ("variant", "name"))
-        _check_numbers(entry, f"solver entry {i}", _SOLVER_REALS, _SOLVER_INTS)
-    names = [s.get("name") or s["variant"] for s in spec["solvers"]]
+    if not isinstance(solvers, list):
+        raise ConfigError(f"experiment spec: solvers must be a list, got {solvers!r}")
+    out["solvers"] = []
+    for i, entry in enumerate(solvers):
+        where = f"solver entry {i}"
+        entry = _checked(entry, _SOLVER_KEYS, where)
+        name = entry["name"]
+        # a name prefixes the solver's file names in the output directory
+        if name and (name in (".", "..") or any(
+                sep and sep in name for sep in ("/", os.sep, os.altsep, "\0"))):
+            raise ConfigError(f"{where}: name must be one path component, got {name!r}")
+        out["solvers"].append(entry)
+    names = [s["name"] or s["variant"] for s in out["solvers"]]
     if len(set(names)) != len(names):
         raise ConfigError("solver names must be distinct")
-    _check_numbers(spec, "experiment spec", ints=_SPEC_INTS)
-    return spec
+    return out
 
 
-def load_spec(path, solver_keys=_SOLVER_KEYS):
-    return _check_spec(_load_json(path), solver_keys)
+def load_spec(path):
+    return _check_spec(_load_json(path))
 
 
 def build_problem(problem_spec):
-    """Assemble (CompositeProblem, test Dataset, info) from a spec dict."""
-    kind = problem_spec["kind"]
-    seed = problem_spec.get("seed", 0)
-    nu = problem_spec.get("nu", 1e-5)
-    frac = problem_spec.get("train_fraction", 0.5)
+    """Assemble (CompositeProblem, test Dataset, info) from a problem spec,
+    which is checked and its defaults filled in first."""
+    spec = _check_problem_spec(problem_spec)
+    kind, seed, frac = spec["kind"], spec["seed"], spec["train_fraction"]
     info = {"kind": kind, "seed": seed}
 
     if kind in ("graph_guided", "overlap"):
         # generated straight into split order; train and test are views
-        train_idx, test_idx = data_mod.split_indices(problem_spec["n"], frac, seed + 1)
+        train_idx, test_idx = data_mod.split_indices(spec["n"], frac, seed + 1)
         order = np.concatenate([train_idx, test_idx])
     if kind == "graph_guided":
-        ds, prec, x_star = data_mod.gen_graph_guided(
-            problem_spec["n"], problem_spec["d"], seed, order=order
-        )
+        ds, prec, _ = data_mod.gen_graph_guided(spec["n"], spec["d"], seed, order=order)
         support = prec.support
-        if problem_spec.get("empty_support"):
+        if spec["empty_support"]:
             support = np.zeros_like(support)
         cs = build_graph_guided_A(support)
         train, test = data_mod.split_views(ds, train_idx.size)
-        loss = SigmoidLoss(train.features, train.labels)
-        reg = BlockSeparableRegularizer.l1(cs.q, nu)
         info["edges"] = int(support.sum() // 2)
     elif kind == "overlap":
-        ds, x_star = data_mod.gen_overlap(
-            problem_spec["n"], seed, grid=problem_spec.get("grid", 20), order=order
-        )
-        k = problem_spec.get("k", 2)
-        cs = build_overlap_A(ds.d, k)
+        ds, _ = data_mod.gen_overlap(spec["n"], seed, grid=spec["grid"], order=order)
+        cs = build_overlap_A(ds.d, spec["k"])
         train, test = data_mod.split_views(ds, train_idx.size)
-        loss = SigmoidLoss(train.features, train.labels)
-        reg = BlockSeparableRegularizer.l1(cs.q, nu)
     elif kind == "libsvm":
-        ds = data_mod.parse_libsvm(problem_spec["path"], label_mode="binary")
+        ds = data_mod.parse_libsvm(spec["path"], label_mode="binary")
         train, test = data_mod.split(ds, frac, seed + 1)
-        d = ds.d
-        support = _random_support(
-            d,
-            problem_spec.get("support_density", 0.05),
-            problem_spec.get("support_seed", seed),
+        cs = build_graph_guided_A(
+            _random_support(ds.d, spec["support_density"], spec["support_seed"])
         )
-        cs = build_graph_guided_A(support)
-        loss = SigmoidLoss(train.features, train.labels)
-        reg = BlockSeparableRegularizer.l1(cs.q, nu)
-    elif kind == "multitask":
-        ds = data_mod.parse_libsvm(problem_spec["path"], label_mode="multiclass")
+    else:
+        ds = data_mod.parse_libsvm(spec["path"], label_mode="multiclass")
         train, test = data_mod.split(ds, frac, seed + 1)
         m = ds.meta["classes"]
         data_mod.check_dim(
             m * ds.d, f"multitask model of {m} classes x {ds.d} features"
         )
-        nu1 = problem_spec.get("nu1", 1e-5)
-        nu2 = problem_spec.get("nu2", 1e-4)
-        beta = problem_spec.get("beta", 1.0)
-        theta = problem_spec.get("theta", 1.0)
         loss = SmoothedMultiTaskLoss(
-            train.features, train.labels.astype(int), m, nu1,
-            beta=beta, theta=theta,
+            train.features, train.labels.astype(int), m, spec["nu1"],
+            beta=spec["beta"], theta=spec["theta"],
         )
-        cs, reg = build_multitask_constraints(m, ds.d, nu1, nu2, loss.kappa0)
+        cs, reg = build_multitask_constraints(
+            m, ds.d, spec["nu1"], spec["nu2"], loss.kappa0
+        )
         info["classes"] = m
-    else:
-        raise ConfigError(f"unknown problem kind {kind!r}")
+    if kind != "multitask":
+        loss = SigmoidLoss(train.features, train.labels)
+        reg = BlockSeparableRegularizer.l1(cs.q, spec["nu"])
 
     problem = CompositeProblem(loss=loss, regularizer=reg, constraints=cs)
     return problem, test, info
@@ -258,16 +257,14 @@ def make_test_evaluator(problem, test):
 
 
 def solver_config_from_spec(entry, problem, trace_stride=1):
-    variant = entry["variant"]
-    eta = entry.get("eta", 1.0)
-    rho = entry["rho"]
+    """SolverConfig of a checked solver entry (see `_check_spec`)."""
+    variant, eta, rho = entry["variant"], entry["eta"], entry["rho"]
     r, M, m = solvers_mod.config_defaults(
-        problem, variant, eta, rho, entry.get("r"), entry.get("M"), entry.get("m")
+        problem, variant, eta, rho, entry["r"], entry["M"], entry["m"]
     )
     return solvers_mod.SolverConfig(
-        variant=variant, eta=eta, rho=rho, r=r, M=M,
-        T=entry.get("T", 1000), m=m, seed=entry.get("seed", 0),
-        trace_stride=trace_stride,
+        variant=variant, eta=eta, rho=rho, r=r, M=M, T=entry["T"], m=m,
+        seed=entry["seed"], trace_stride=trace_stride,
     )
 
 
@@ -307,7 +304,7 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=1, echo=print
     summary.json with the certificates and returns EXIT_CONFIG. Repetitions
     run one after another in the calling process; `workers` takes only 1.
     """
-    _check_spec(spec)
+    spec = _check_spec(spec)
     if workers != 1:
         raise ConfigError(
             f"workers must be 1, got {workers!r}: repetitions run one after "
@@ -316,20 +313,18 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=1, echo=print
     os.makedirs(out_dir, exist_ok=True)
     problem, test, info = build_problem(spec["problem"])
     L = params_mod.estimate_lipschitz(problem)
-    reps = spec.get("repetitions", 1)
-    seed_base = spec.get("seed_base", 0)
-    stride = spec.get("trace_stride", 1)
+    reps, seed_base = spec["repetitions"], spec["seed_base"]
 
     summary = {"problem": info, "L": L, "solvers": {}}
     any_success = False
 
     planned = []
     for entry in spec["solvers"]:
-        name = entry.get("name") or entry["variant"]
-        cfg = solver_config_from_spec(entry, problem, trace_stride=stride)
+        name = entry["name"] or entry["variant"]
+        cfg = solver_config_from_spec(entry, problem, spec["trace_stride"])
         cert = params_mod.check_feasible(
             cfg.variant, L, problem.constraints, cfg.eta, cfg.rho, cfg.r,
-            n=problem.n, M=cfg.M, m=cfg.m, T=max(1, cfg.T),
+            n=problem.n, M=cfg.M, m=cfg.m, T=cfg.T,
         )
         planned.append((name, cfg, cert))
     if not allow_uncertified and not all(c.accepted for _, _, c in planned):
@@ -455,14 +450,12 @@ def cmd_run(ctx, spec_path, out_dir, seed, allow_uncertified):
 def cmd_check_params(ctx, spec_path, variant, eta, rho, r_val, M, m, T):
     """Evaluate the feasibility certificate for one configuration."""
     with _fail_closed(ctx):
-        _check_numbers({"eta": eta, "rho": rho, "r": r_val}, "check-params",
-                       _SOLVER_REALS)
+        given = {"eta": eta, "rho": rho, "r": r_val}
+        _checked(given, {key: _SOLVER_KEYS[key] for key in given}, "check-params")
         raw = _load_json(spec_path)
         if isinstance(raw, dict) and raw.get("version") == "v1":
-            problem_spec = _check_spec(raw)["problem"]
-        else:
-            problem_spec = _check_problem_spec(raw)
-        problem, _, _ = build_problem(problem_spec)
+            raw = _check_spec(raw)["problem"]
+        problem, _, _ = build_problem(raw)
         L = params_mod.estimate_lipschitz(problem)
         r_val, M, m = solvers_mod.config_defaults(
             problem, variant, eta, rho, r_val, M, m
@@ -483,6 +476,16 @@ def _load_json(path):
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _at_rho(spec, rho):
+    """`spec` with each solver's rho set and r null, to take its default."""
+    if isinstance(spec, dict) and isinstance(spec.get("solvers"), list):
+        spec = {**spec, "solvers": [
+            {**entry, "rho": rho, "r": None} if isinstance(entry, dict) else entry
+            for entry in spec["solvers"]
+        ]}
+    return spec
+
+
 @main.command("rho-sweep")
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
@@ -492,10 +495,9 @@ def _load_json(path):
 def cmd_rho_sweep(ctx, spec_path, out_dir, rhos, allow_uncertified):
     """Rerun the spec's solvers across a rho grid; emit per-rho aggregates."""
     with _fail_closed(ctx):
-        # the sweep sets every solver's rho itself
-        spec = load_spec(spec_path, solver_keys=("variant",))
+        raw = _load_json(spec_path)
         for rho in rhos:
-            _check_numbers({"rho": rho}, "rho-sweep", _SOLVER_REALS)
+            _checked({"rho": rho}, {"rho": _SOLVER_KEYS["rho"]}, "rho-sweep")
         if any(rho <= 0 for rho in rhos):
             raise ConfigError("all rho values must be > 0")
         # each rho writes rho_{rho:g}/, so no two may share that name
@@ -509,14 +511,11 @@ def cmd_rho_sweep(ctx, spec_path, out_dir, rhos, allow_uncertified):
                     f"{name}/; give values that differ in their first 6 "
                     "significant digits"
                 )
+        specs = [_check_spec(_at_rho(raw, rho)) for rho in rhos]
         table = []
         worst = EXIT_OK
         refused = []
-        for rho in rhos:
-            sub = json.loads(json.dumps(spec))
-            for entry in sub["solvers"]:
-                entry["rho"] = rho
-                entry.pop("r", None)
+        for rho, sub in zip(rhos, specs):
             sub_dir = os.path.join(out_dir, f"rho_{rho:g}")
             code = run_experiment(
                 sub, sub_dir, allow_uncertified=allow_uncertified, echo=click.echo

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from ncadmm import cli, data
 from ncadmm.exceptions import ConfigError
@@ -556,6 +558,45 @@ class TestFailClosed:
         assert message in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["run", "rho-sweep"])
+    @pytest.mark.parametrize("solvers", [5, {}, "stoc", [], {"stoc": {}}])
+    def test_solvers_not_a_non_empty_list(self, command, solvers, refused_spec,
+                                          tmp_path):
+        spec = json.loads(refused_spec.read_text())
+        spec["solvers"] = solvers
+        refused_spec.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        args = [command, "--spec", str(refused_spec), "--out", str(out),
+                "--allow-uncertified"]
+        proc = run_cli(args + (["--rho", "1"] if command == "rho-sweep" else []))
+        self.assert_one_line_error(proc)
+        assert "solvers" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["no", 1, None, [], 0.0])
+    def test_empty_support_must_be_a_bool(self, value, refused_spec, tmp_path):
+        spec = json.loads(refused_spec.read_text())
+        spec["problem"]["empty_support"] = value
+        refused_spec.write_text(json.dumps(spec))
+        proc = run_cli(["run", "--spec", str(refused_spec), "--out",
+                        str(tmp_path / "o"), "--allow-uncertified"])
+        self.assert_one_line_error(proc)
+        assert (f"graph_guided problem: empty_support must be true or false, "
+                f"got {value!r}") in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["../x", "a/b", "/x", ".", "..", "x\0"])
+    def test_name_is_one_path_component(self, name, refused_spec, tmp_path):
+        spec = json.loads(refused_spec.read_text())
+        spec["solvers"][0]["name"] = name
+        refused_spec.write_text(json.dumps(spec))
+        before = sorted(tmp_path.rglob("*"))
+        proc = run_cli(["run", "--spec", str(refused_spec), "--out",
+                        str(tmp_path / "o"), "--allow-uncertified"])
+        self.assert_one_line_error(proc)
+        assert "solver entry 0: name must be one path component" in proc.stderr
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_zero_iterations_refused(self, refused_spec, tmp_path):
         spec = json.loads(refused_spec.read_text())
         spec["solvers"][0]["T"] = 0
@@ -639,6 +680,28 @@ class TestBuildProblem:
         with pytest.raises(ConfigError):
             cli.build_problem({"kind": "mystery"})
 
+    def test_empty_support_is_a_bool(self):
+        spec = {"kind": "graph_guided", "n": 40, "d": 6, "seed": 3}
+        edges = {flag: cli.build_problem(dict(spec, empty_support=flag))[2]["edges"]
+                 for flag in (True, False)}
+        assert edges == {True: 0, False: cli.build_problem(spec)[2]["edges"]}
+        assert edges[False] > 0
+
+    @pytest.mark.parametrize("name", [None, ""])
+    def test_null_or_empty_name_means_the_variant(self, name, tmp_path):
+        spec = {
+            "version": "v1",
+            "problem": {"kind": "graph_guided", "n": 40, "d": 4},
+            "solvers": [{"name": name, "variant": "stoc", "rho": 1.0, "T": 2}],
+        }
+        given = json.dumps(spec)
+        code = cli.run_experiment(spec, str(tmp_path), allow_uncertified=True,
+                                  echo=lambda *_: None)
+        assert code == cli.EXIT_OK
+        assert json.dumps(spec) == given  # ncbench's gate reads it afterwards
+        assert sorted(os.listdir(tmp_path)) == ["stoc_mean.csv", "stoc_rep0.csv",
+                                                "summary.json"]
+
     def test_dict_spec_checked_like_a_file(self, tmp_path):
         from ncadmm.exceptions import ConfigError
 
@@ -686,3 +749,79 @@ class TestAggregateRows:
             # repr tells -0.0 from 0.0 and int from float
             assert repr(got) == repr(want)
 
+
+
+# every JSON value: null, bools, integers, floats with nan and +-inf, text,
+# and lists and objects nesting them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+PROBLEMS = {"graph_guided": {"n": 40, "d": 5}, "overlap": {"n": 40},
+            "libsvm": {"path": "a.libsvm"}, "multitask": {"path": "b.libsvm"}}
+
+
+def conforms(value, key):
+    """Whether a checked spec value has its Key's declared type and bound."""
+    if value is None:
+        return key.default is None
+    if key.type is float:
+        ok = type(value) in (int, float) and math.isfinite(value)
+    else:
+        ok = type(value) is key.type
+    return ok and (key.least is None or value >= key.least)
+
+
+def assert_conforms(spec):
+    assert spec["version"] == "v1"
+    problem = spec["problem"]
+    levels = [(spec, cli._EXPERIMENT_KEYS),
+              (problem, {**cli._PROBLEM_KEYS, **cli._KIND_KEYS[problem["kind"]]})]
+    assert isinstance(spec["solvers"], list) and spec["solvers"]
+    levels += [(entry, cli._SOLVER_KEYS) for entry in spec["solvers"]]
+    for owner, keys in levels:
+        for name, key in keys.items():
+            assert conforms(owner[name], key), (name, owner[name])
+    # an unknown variant, which a null name stands for, is refused by
+    # SolverConfig before any file is written
+    for name in (entry["name"] or "" for entry in spec["solvers"]):
+        assert "/" not in name and "\0" not in name and name not in (".", "..")
+
+
+class TestSpecSchema:
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(PROBLEMS)), data=st.data(),
+           value=JSON_VALUES)
+    def test_one_key_set_to_any_json_value(self, kind, data, value):
+        spec = {
+            "version": "v1",
+            "problem": {"kind": kind, **PROBLEMS[kind]},
+            "solvers": [{"variant": "stoc", "rho": 1.0},
+                        {"name": "b", "variant": "dete", "rho": 2.0, "M": 7}],
+        }
+        level = data.draw(st.sampled_from(["experiment", "problem", "solver"]))
+        owner, keys = {
+            "experiment": (spec, [*cli._EXPERIMENT_KEYS, "version", "problem",
+                                  "solvers"]),
+            "problem": (spec["problem"], [*cli._PROBLEM_KEYS,
+                                          *cli._KIND_KEYS[kind], "kind"]),
+            "solver": (data.draw(st.sampled_from(spec["solvers"])),
+                       list(cli._SOLVER_KEYS)),
+        }[level]
+        owner[data.draw(st.sampled_from([*keys, "unknown"]))] = value
+        given_json = json.dumps(spec)
+        # rho-sweep sets every solver's rho before its check
+        for check in (cli._check_spec, lambda s: cli._check_spec(cli._at_rho(s, 2.0))):
+            try:
+                checked = check(spec)
+            except ConfigError:
+                checked = None
+            assert json.dumps(spec) == given_json
+            if checked is not None:
+                assert_conforms(checked)
+                # checking a filled spec gives it back and leaves it as it is
+                filled = json.dumps(checked)
+                assert json.dumps(cli._check_spec(checked)) == filled
+                assert json.dumps(checked) == filled
