@@ -76,7 +76,6 @@ _SOLVER_KEYS = {
     "M": _Key(int, 1, None),
     "m": _Key(int, 1, None),
     "T": _Key(int, 1, 1000),
-    "seed": _Key(int, 0, 0),
 }
 _PROBLEM_KEYS = {
     "seed": _Key(int, 0, 0),
@@ -264,7 +263,7 @@ def solver_config_from_spec(entry, problem, trace_stride=1):
     )
     return solvers_mod.SolverConfig(
         variant=variant, eta=eta, rho=rho, r=r, M=M, T=entry["T"], m=m,
-        seed=entry["seed"], trace_stride=trace_stride,
+        trace_stride=trace_stride,
     )
 
 
@@ -332,7 +331,8 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=1, echo=print
             summary["solvers"][name] = {"certificate": cert.to_dict()}
             if not cert.accepted:
                 echo(f"[{name}] refused: configuration fails its certificate")
-                echo(json.dumps(cert.to_dict(), indent=2, default=str))
+                echo(json.dumps(_null_non_finite(cert.to_dict()), indent=2,
+                                default=str))
         _write_summary(out_dir, summary)
         return EXIT_CONFIG
 
@@ -379,7 +379,20 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=1, echo=print
 
 def _write_summary(out_dir, summary):
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, default=str)
+        json.dump(_null_non_finite(summary), fh, indent=2, default=str)
+
+
+def _null_non_finite(obj):
+    """obj with each non-finite float in it, at any depth, set to None.
+    JSON has no inf or NaN; an overflowed certificate schedule is written
+    as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _null_non_finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(value) for value in obj]
+    return obj
 
 
 def _aggregate_rows(rep_rows):
@@ -464,7 +477,8 @@ def cmd_check_params(ctx, spec_path, variant, eta, rho, r_val, M, m, T):
             variant, L, problem.constraints, eta, rho, r_val,
             n=problem.n, M=M, m=m, T=T,
         )
-    click.echo(json.dumps(cert.to_dict(), indent=2, default=str))
+    click.echo(json.dumps(_null_non_finite(cert.to_dict()), indent=2,
+                          default=str))
     ctx.exit(EXIT_OK if cert.accepted else EXIT_CONFIG)
 
 

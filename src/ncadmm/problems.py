@@ -203,31 +203,9 @@ class _LinearModelLoss:
         coef, shared = self._coefficients(x, feats, labels)
         return self.component_rows(coef, feats, shared)
 
-    def coefficients_at(self, x, rows, positions, subtract_from=None):
-        """Bitwise `coefficients(x, new)` for `new = rows.take(positions)` of
-        gathered Rows. `subtract_from`, when given, is overwritten with
-        itself minus the component rows of `new` at x, bitwise
-        `subtract_from - component_rows(coef, new.features, shared)`.
-
-        A sparse product computes each row from that row's stored entries
-        alone, so sparse rows are computed where they are and indexed. BLAS
-        can round a dense row differently by its place in the matrix, so
-        dense rows are taken first.
-        """
-        if not sp.issparse(rows.features):
-            new = rows.take(positions)
-            coef, shared = self.coefficients(x, new)
-            if subtract_from is not None:
-                subtract_from -= self.component_rows(coef, new.features, shared)
-            return coef, shared
-        coef, shared = self.coefficients(x, rows)
-        coef = coef[positions]
-        if subtract_from is not None:
-            self._subtract_sparse_rows(subtract_from, coef, rows, positions, shared)
-        return coef, shared
-
-    def _subtract_sparse_rows(self, out, coef, rows, positions, shared):
-        out -= self.component_rows(coef, rows.take(positions).features, shared)
+    def subtract_rows(self, out, coef, feats, shared):
+        """out -= component_rows(coef, feats, shared), in place."""
+        out -= self.component_rows(coef, feats, shared)
 
 
 def _sigmoid_losses(scores, labels):
@@ -389,20 +367,17 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
         G[flat] = prod
         return G.reshape(len(P), self.d)
 
-    def _subtract_sparse_rows(self, out, P, rows, positions, shared):
-        """out -= the component rows of the sparse rows at `positions`.
+    def subtract_rows(self, out, P, feats, shared):
+        """out -= component_rows(P, feats, shared), in place.
 
-        `out` first loses shared + 0.0 everywhere, the new rows' value off
-        their stored entries (see `add_products`); the stored entries are
-        then set to the old value minus the new one.
+        Sparse rows skip the rebuild: `out` first loses shared + 0.0
+        everywhere, the rows' value off their stored entries (see
+        `add_products`); the stored entries are then set to the old value
+        minus the new one.
         """
-        row, col, val = _nonzeros(rows.features)
-        # place of each batch row among `positions`, -1 if not among them
-        place = np.full(len(rows), -1)
-        place[positions] = np.arange(len(positions))
-        row = place[row]
-        keep = row >= 0
-        flat, cell, prod = self._stored_products(P, row[keep], col[keep], val[keep])
+        if not sp.issparse(feats):
+            return super().subtract_rows(out, P, feats, shared)
+        flat, cell, prod = self._stored_products(P, *_nonzeros(feats))
         shared = (shared + 0.0).ravel()
         prod += shared[cell]
         out_flat = out.reshape(-1)

@@ -326,9 +326,11 @@ def saga_table_update(problem, table, batch, x_new):
     n = table.n
     rows = problem.gather(batch)
     uniq, first = np.unique(rows.index, return_index=True)
-    diff = table.kept_rows(rows, first) if uniq.size < n else None
-    coef, shared = problem.loss.coefficients_at(x_new, rows, first, diff)
-    if diff is not None:
+    new = rows.take(first)
+    coef, shared = problem.loss.coefficients(x_new, new)
+    if uniq.size < n:
+        diff = table.kept_rows(rows, first)
+        problem.loss.subtract_rows(diff, coef, new.features, shared)
         table.psi = table.psi - diff.sum(axis=0) / n
     table.write(uniq, x_new, coef, shared)
     if uniq.size == n:

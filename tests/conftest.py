@@ -36,6 +36,20 @@ def make_multitask_problem(n=60, features=30, classes=3, density=0.06,
     return problems.CompositeProblem(loss=loss, regularizer=reg, constraints=cs)
 
 
+def make_sparse_sigmoid_problem(n=80, d=20, density=0.08, seed=3, nu=1e-5):
+    """Sigmoid loss on csr features over a random graph, as the libsvm kind
+    builds it (stored sparse below 10% density)."""
+    rng = np.random.default_rng(seed)
+    feats = sp.random(n, d, density=density, format="csr", random_state=rng,
+                      data_rvs=rng.standard_normal)
+    labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    upper = np.triu(rng.random((d, d)) < 0.2, k=1)
+    cs = problems.build_graph_guided_A(upper | upper.T)
+    loss = problems.SigmoidLoss(feats, labels)
+    reg = problems.BlockSeparableRegularizer.l1(cs.q, nu)
+    return problems.CompositeProblem(loss=loss, regularizer=reg, constraints=cs)
+
+
 def dense_AtA(cs):
     """A^T A formed in cs.A's own format, then made dense."""
     AtA = cs.AT @ cs.A

@@ -122,6 +122,44 @@ class TestRun:
         assert all(np.isfinite(vals))
 
 
+    def test_solver_seed_is_ignored(self, runner, tmp_path):
+        """Repetition k runs at seed_base + k, so a solver-level seed is an
+        undeclared key: kept, unchecked and without effect."""
+        outs = []
+        for tag, extra in (("a", {}), ("b", {"seed": 5})):
+            spec = tmp_path / f"{tag}.json"
+            write_spec(
+                spec, problem={"kind": "graph_guided", "n": 60, "d": 4, "seed": 0},
+                solvers=[{"variant": "stoc", "eta": 1.0, "rho": 1.0, "M": 5,
+                          "T": 5, **extra}],
+                trace_stride=1,
+            )
+            out = tmp_path / tag
+            res = runner.invoke(cli.main, ["run", "--spec", str(spec), "--out",
+                                           str(out), "--allow-uncertified"])
+            assert res.exit_code == 0, res.output
+            outs.append(out)
+        wt = cli.CSV_COLUMNS.index("wall_time_s")
+        for name in ("stoc_rep0.csv", "stoc_rep1.csv", "stoc_mean.csv"):
+            a, b = read_csv(outs[0] / name), read_csv(outs[1] / name)
+            assert len(a) == len(b) == 6
+            for ra, rb in zip(a, b):
+                ra[wt] = rb[wt] = ""
+                assert ra == rb
+        spec = json.loads((tmp_path / "b.json").read_text())
+        spec["solvers"][0]["seed"] = "x"
+        assert cli._check_spec(spec)["solvers"][0]["seed"] == "x"
+
+
+def strict_json(text, start=0):
+    """The JSON value at `start` of text; Infinity, -Infinity and NaN, which
+    JSON does not have, are refused."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.JSONDecoder(parse_constant=refuse).raw_decode(text, start)[0]
+
+
 class TestCheckParams:
     def test_accept_and_reject(self, runner, tmp_path):
         spec = tmp_path / "exp.json"
@@ -163,6 +201,29 @@ class TestCheckParams:
         assert cert["accepted"] is accepted
         assert res.exit_code == (0 if accepted else 2)
         assert all(type(g) is float for g in cert["gamma_sequence"])
+
+
+    def test_overflowing_certificate_is_strict_json(self, runner, tmp_path):
+        # the saga shift schedule overflows to inf, and Gamma with it
+        spec = tmp_path / "exp.json"
+        write_spec(
+            spec, problem={"kind": "graph_guided", "n": 2000, "d": 10, "seed": 0},
+            solvers=[{"variant": "saga", "eta": 1.0, "rho": 1.0, "M": 20,
+                      "T": 1200}],
+        )
+        res = runner.invoke(cli.main, [
+            "check-params", "--spec", str(spec), "--variant", "saga", "--eta",
+            "1", "--rho", "1", "--batch", "20", "--iterations", "1200",
+        ])
+        assert res.exit_code == 2
+        cert = strict_json(res.output)
+        assert cert["gamma"] is None and None in cert["schedule"]
+        out = tmp_path / "out"
+        res = runner.invoke(cli.main, ["run", "--spec", str(spec), "--out", str(out)])
+        assert res.exit_code == 2
+        assert strict_json(res.output, res.output.index("{")) == cert
+        summary = strict_json((out / "summary.json").read_text())
+        assert summary["solvers"]["saga"]["certificate"] == cert
 
 
 class TestRhoSweep:

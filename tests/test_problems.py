@@ -544,10 +544,10 @@ class TestSparseRebuild:
         shape=st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 7)),
         data=st.data(),
     )
-    def test_old_minus_new(self, shape, data):
+    def test_subtract_rows(self, shape, data):
         n, C, dF = shape
         feats = data.draw(csr_features(n, dF))
-        # repeated indices: only each sample's first place is rebuilt
+        # repeated indices: only each sample's first place is subtracted
         batch = np.array(data.draw(
             st.lists(st.integers(0, n - 1), min_size=1, max_size=8)
         ))
@@ -559,13 +559,14 @@ class TestSparseRebuild:
         shared = data.draw(hnp.arrays(float, (C, dF), elements=_VALUE))
         want = old - einsum_rows(P, feats.toarray()[uniq], shared)
         got = old.copy()
-        loss._subtract_sparse_rows(got, P, rows, first, shared)
+        loss.subtract_rows(got, P, rows.take(first).features, shared)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("kind", ["sigmoid", "multitask"])
+    @pytest.mark.parametrize("kind, nu1", [
+        ("sigmoid", None), ("multitask", 0.0), ("multitask", 1e-2),
+    ])
     @pytest.mark.parametrize("layout", ["dense", "csr"])
-    @pytest.mark.parametrize("nu1", [0.0, 1e-2])
-    def test_coefficients_at_equal_taken_rows(self, kind, layout, nu1, rng):
+    def test_subtract_rows_equal_old_minus_new(self, kind, nu1, layout, rng):
         loss = TestFullIndexSet.make(kind, layout, rng)
         if kind == "multitask":
             loss.nu1 = nu1
@@ -573,17 +574,18 @@ class TestSparseRebuild:
         x[::3] = -0.0
         rows = loss.gather(rng.integers(0, loss.n, size=25))
         uniq, first = np.unique(rows.index, return_index=True)
+        assert uniq.size < len(rows)
+        new = rows.take(first)
+        coef, shared = loss.coefficients(x, new)
+        if layout == "csr":
+            # a sparse row's coefficients do not depend on the rows around it
+            assert coef.tobytes() == loss.coefficients(x, rows)[0][first].tobytes()
         old = rng.standard_normal((uniq.size, loss.d))
         old[:, ::4] = -0.0
-        diff = old.copy()
-        coef, shared = loss.coefficients_at(x, rows, first, subtract_from=diff)
-        new = rows.take(first)
-        want_coef, want_shared = loss.coefficients(x, new)
-        assert coef.tobytes() == want_coef.tobytes()
-        if shared is not None:
-            assert shared.tobytes() == want_shared.tobytes()
-        want = old - loss.component_rows(want_coef, new.features, want_shared)
-        assert diff.tobytes() == want.tobytes()
+        got = old.copy()
+        loss.subtract_rows(got, coef, new.features, shared)
+        want = old - loss.component_rows(coef, new.features, shared)
+        assert got.tobytes() == want.tobytes()
 
     def test_sparse_rows_never_densify(self, monkeypatch, rng):
         class NoDense(sp.csr_matrix):
@@ -600,8 +602,8 @@ class TestSparseRebuild:
         assert isinstance(rows.features, NoDense)
         monkeypatch.setattr(np, "einsum", no_einsum)
         loss.component_rows(P, rows.features, shared)
-        loss._subtract_sparse_rows(
-            np.zeros((3, 90)), P[:3], rows, np.array([0, 1, 3]), shared
+        loss.subtract_rows(
+            np.zeros((3, 90)), P[:3], rows.take(np.array([0, 1, 3])).features, shared
         )
 
     def test_gathered_csr_equals_scipy_row_index(self, rng):

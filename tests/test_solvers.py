@@ -13,6 +13,7 @@ from conftest import (
     make_graph_guided_problem,
     make_multitask_problem,
     make_overlap_problem,
+    make_sparse_sigmoid_problem,
     run_with_iterates,
 )
 
@@ -299,6 +300,7 @@ def reference_run(problem, config):
 
 PROBLEM_MAKERS = [
     make_graph_guided_problem, make_overlap_problem, make_multitask_problem,
+    make_sparse_sigmoid_problem,
 ]
 
 
