@@ -38,7 +38,7 @@ from .params import (
     min_admissible_r,
     suggest_params,
 )
-from .metrics import StationarityReport, stationarity, variance_diagnostics
+from .metrics import StationarityReport, stationarity
 from .data import Dataset, gen_graph_guided, gen_overlap, parse_libsvm, split
 
 __all__ = [
@@ -80,7 +80,6 @@ __all__ = [
     "split",
     "stationarity",
     "suggest_params",
-    "variance_diagnostics",
 ]
 
 __version__ = "0.1.0"

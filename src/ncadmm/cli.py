@@ -215,14 +215,7 @@ def build_problem(problem_spec):
 
 def _random_support(d, density, seed):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    try:
-        draw = rng.random((d, d))
-    except MemoryError:
-        raise ConfigError(
-            f"the random support over d={d} features needs a d x d array "
-            "that does not fit in memory"
-        ) from None
-    upper = draw < density
+    upper = rng.random((d, d)) < density
     upper = np.triu(upper, k=1)
     return upper | upper.T
 
@@ -299,9 +292,10 @@ def run_single(problem, evaluate, config, zeta):
 def run_experiment(spec, out_dir, allow_uncertified=False, workers=1, echo=print):
     """Full cmd_run workflow; returns the process exit code.
 
-    Every solver is certified before any of them runs. A refusal writes
-    summary.json with the certificates and returns EXIT_CONFIG. Repetitions
-    run one after another in the calling process; `workers` takes only 1.
+    Every solver's r is checked and every solver certified before any of
+    them runs. A refusal writes summary.json with the certificates and
+    returns EXIT_CONFIG. Repetitions run one after another in the calling
+    process; `workers` takes only 1.
     """
     spec = _check_spec(spec)
     if workers != 1:
@@ -321,6 +315,7 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=1, echo=print
     for entry in spec["solvers"]:
         name = entry["name"] or entry["variant"]
         cfg = solver_config_from_spec(entry, problem, spec["trace_stride"])
+        cfg.validate_against(problem)
         cert = params_mod.check_feasible(
             cfg.variant, L, problem.constraints, cfg.eta, cfg.rho, cfg.r,
             n=problem.n, M=cfg.M, m=cfg.m, T=cfg.T,
@@ -345,7 +340,9 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=1, echo=print
             try:
                 rows, _ = run_single(problem, evaluate, cfg, cert.constants.zeta)
             except DivergenceError as exc:
-                diverged.append({"rep": rep, "error": str(exc)})
+                diverged.append(
+                    {"rep": rep, "error": str(exc), "iteration": exc.iteration}
+                )
                 continue
             _write_csv_atomic(os.path.join(out_dir, f"{name}_rep{rep}.csv"), rows)
             rep_rows.append(rows)
@@ -413,12 +410,14 @@ def _aggregate_rows(rep_rows):
 
 @contextmanager
 def _fail_closed(ctx):
-    """End a command on a NcadmmError, or an OSError on a path it was given,
-    with one `error:` line and exit 2."""
+    """End a command on a NcadmmError, an OSError on a path it was given or
+    a MemoryError from a size too large to allocate, with one `error:` line
+    and exit 2."""
     try:
         yield
-    except (NcadmmError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+    except (NcadmmError, OSError, MemoryError) as exc:
+        # a bare MemoryError carries no message
+        click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
         ctx.exit(EXIT_CONFIG)
 
 

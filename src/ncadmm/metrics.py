@@ -1,4 +1,4 @@
-"""Stationarity residuals, Lyapunov sequences and convergence diagnostics.
+"""Stationarity residuals and Lyapunov sequences.
 
 Expectations in the convergence statements are replaced by single-run values
 here; decrease assertions on noisy variants belong in seeded Monte-Carlo
@@ -84,20 +84,6 @@ def stationarity(problem, x, y, lam, x_prev=None, rho=None, grad=None):
     )
 
 
-def apply_H_over_eta(constraints, v, eta, rho, r):
-    """(H / eta) v with H = rI - rho*eta*A^T A, without forming H."""
-    return (r / eta) * v - rho * (constraints.AT @ (constraints.A @ v))
-
-
-def dual_identity_residual(problem, g_hat, x_old, x_new, lam_new, eta, rho, r):
-    """||A^T lam_{t+1} - g_hat + (H/eta)(x_t - x_{t+1})|| / (1 + ||g_hat||)."""
-    cs = problem.constraints
-    lhs = cs.AT @ lam_new - g_hat + apply_H_over_eta(
-        cs, x_old - x_new, eta, rho, r
-    )
-    return float(np.linalg.norm(lhs)) / (1.0 + float(np.linalg.norm(g_hat)))
-
-
 def _require_diag(records, *fields):
     for rec in records:
         for f in fields:
@@ -155,65 +141,3 @@ def lyapunov_theta(records, alpha_schedule, zeta, rho):
         )
         prev_snap = rec.snap_sq
     return np.array(vals)
-
-
-def variance_diagnostics(problem, variant, x, L, M=1, snapshot_x=None,
-                         snapshot_grad=None, point_table=None, n_draws=2000,
-                         rng=None):
-    """Empirical gradient-estimator variance vs. its closed-form bound
-    (L^2 / M) * snap_sq, snap_sq the estimator's own diagnostic at x.
-
-    saga builds its table, and psi as the table's mean, from point_table
-    (row i stored at point_table[i]).
-    Exhaustive enumeration over single-index batches when n <= 8 and M = 1,
-    Monte-Carlo with n_draws otherwise.
-    """
-    from . import solvers
-
-    n = problem.n
-    full_grad = problem.grad(x)
-    variant = variant.lower()
-    if variant == "svrg":
-        if snapshot_x is None or snapshot_grad is None:
-            raise CapabilityError("svrg variance diagnostics need the snapshot")
-        estimator = solvers.SvrgEstimator(problem, M, None, snapshot_x, snapshot_grad)
-    elif variant == "saga":
-        if point_table is None:
-            raise CapabilityError("saga variance diagnostics need point_table")
-        table = solvers.SagaTable.from_points(problem, point_table)
-        estimator = solvers.SagaEstimator(problem, M, table)
-    else:
-        raise InputError("variance diagnostics apply to svrg and saga only")
-    bound = (L**2 / M) * estimator.snap_sq(x, x)[0]
-
-    if n <= 8 and M == 1:
-        batches = [np.array([i]) for i in range(n)]
-    else:
-        rng = rng or np.random.default_rng(0)
-        batches = [rng.integers(0, n, size=M) for _ in range(n_draws)]
-    errors = (estimator.estimate(x, batch) - full_grad for batch in batches)
-    empirical = float(np.mean([float(e @ e) for e in errors]))
-    return {"empirical_var": empirical, "bound": bound}
-
-
-def rate_summary(dx_sq):
-    """Running min of theta_t = ||x_{t+1}-x_t||^2 + ||x_t-x_{t-1}||^2 vs T.
-
-    dx_sq[t] is the squared consecutive-step length at effective iteration
-    t+1; the slope is a log-log least-squares fit over the tail half.
-    """
-    dx_sq = np.asarray(dx_sq, dtype=float)
-    if dx_sq.size < 4:
-        raise InputError("need at least 4 recorded steps for a rate summary")
-    theta = dx_sq[1:] + dx_sq[:-1]
-    running_min = np.minimum.accumulate(theta)
-    tail = running_min[running_min.size // 2 :]
-    ts = np.arange(running_min.size // 2, running_min.size) + 2.0
-    positive = tail > 0
-    if positive.sum() < 2 or np.allclose(tail[positive], tail[positive][0]):
-        slope = 0.0
-    else:
-        slope = float(
-            np.polyfit(np.log(ts[positive]), np.log(tail[positive]), 1)[0]
-        )
-    return {"min_theta_by_T": running_min, "slope_estimate": slope}

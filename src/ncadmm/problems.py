@@ -555,11 +555,6 @@ class CompositeProblem:
     def full_index_set(self):
         return np.arange(self.n)
 
-    def smooth_value(self, x, index_set=None):
-        if index_set is None:
-            index_set = self.full_index_set()
-        return self.loss.value(x, index_set)
-
     def grad(self, x, index_set=None):
         if index_set is None:
             index_set = self.full_index_set()
@@ -578,14 +573,6 @@ class CompositeProblem:
 
     def reg_value(self, y):
         return self.regularizer.value(y)
-
-    def objective(self, x, y):
-        """f(x) + g(y), the constrained-form objective."""
-        return self.smooth_value(x) + self.reg_value(y)
-
-    def objective_x(self, x):
-        """f(x) + g(Ax). Only meaningful for c = 0."""
-        return self.smooth_value(x) + self.reg_value(self.constraints.A @ x)
 
 
 def build_graph_guided_A(precision_support):

@@ -201,18 +201,6 @@ class SagaTable:
                    None if shared is None else shared[None],
                    np.zeros(loss.n, dtype=np.intp))
 
-    @classmethod
-    def from_points(cls, problem, points):
-        """Sample i stored at points[i]."""
-        loss = problem.loss
-        points = np.array(points, dtype=float)
-        if len(points) != loss.n:
-            raise InputError(f"need one stored point per sample, n={loss.n}")
-        parts = [loss.coefficients(p, [i]) for i, p in enumerate(points)]
-        coef = np.concatenate([c for c, _ in parts])
-        shared = None if parts[0][1] is None else np.stack([s for _, s in parts])
-        return cls(loss, coef, points, shared, np.arange(loss.n))
-
     @property
     def nbytes(self):
         arrays = (self.coef, self.points, self.slot, self.refs, self.shared)

@@ -87,6 +87,24 @@ def gradient_estimates(monkeypatch):
 
 
 @pytest.fixture
+def x_steps(monkeypatch):
+    """Every x_{t+1} run()'s x-step returns, in order, at any trace_stride.
+
+    run() looks x_update_uzawa up on the solvers module at call time, as
+    the estimators do the gradient functions (see gradient_estimates).
+    """
+    seen = []
+
+    def capture(*args, _orig=solvers.x_update_uzawa):
+        x_new = _orig(*args)
+        seen.append(x_new)
+        return x_new
+
+    monkeypatch.setattr(solvers, "x_update_uzawa", capture)
+    return seen
+
+
+@pytest.fixture
 def gg_problem():
     return make_graph_guided_problem()
 

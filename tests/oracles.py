@@ -1,0 +1,111 @@
+"""Dense and Monte-Carlo oracles for the paper's claims: unbiased gradient
+estimators, their variance bounds, the dual-update identity and the O(1/T)
+rate. No run calls them; the tests check the solvers against them.
+"""
+
+import numpy as np
+
+from ncadmm import solvers
+from ncadmm.exceptions import CapabilityError, InputError
+
+
+def smooth_value(problem, x, index_set=None):
+    if index_set is None:
+        index_set = problem.full_index_set()
+    return problem.loss.value(x, index_set)
+
+
+def objective(problem, x, y):
+    """f(x) + g(y), the constrained-form objective."""
+    return smooth_value(problem, x) + problem.reg_value(y)
+
+
+def objective_x(problem, x):
+    """f(x) + g(Ax). Only meaningful for c = 0."""
+    return smooth_value(problem, x) + problem.reg_value(problem.constraints.A @ x)
+
+
+def saga_table_from_points(problem, points):
+    """A SagaTable with sample i stored at points[i]."""
+    loss = problem.loss
+    points = np.array(points, dtype=float)
+    if len(points) != loss.n:
+        raise InputError(f"need one stored point per sample, n={loss.n}")
+    parts = [loss.coefficients(p, [i]) for i, p in enumerate(points)]
+    coef = np.concatenate([c for c, _ in parts])
+    shared = None if parts[0][1] is None else np.stack([s for _, s in parts])
+    return solvers.SagaTable(loss, coef, points, shared, np.arange(loss.n))
+
+
+def apply_H_over_eta(constraints, v, eta, rho, r):
+    """(H / eta) v with H = rI - rho*eta*A^T A, without forming H."""
+    return (r / eta) * v - rho * (constraints.AT @ (constraints.A @ v))
+
+
+def dual_identity_residual(problem, g_hat, x_old, x_new, lam_new, eta, rho, r):
+    """||A^T lam_{t+1} - g_hat + (H/eta)(x_t - x_{t+1})|| / (1 + ||g_hat||)."""
+    cs = problem.constraints
+    lhs = cs.AT @ lam_new - g_hat + apply_H_over_eta(
+        cs, x_old - x_new, eta, rho, r
+    )
+    return float(np.linalg.norm(lhs)) / (1.0 + float(np.linalg.norm(g_hat)))
+
+
+def variance_diagnostics(problem, variant, x, L, M=1, snapshot_x=None,
+                         snapshot_grad=None, point_table=None, n_draws=2000,
+                         rng=None):
+    """Empirical gradient-estimator variance vs. its closed-form bound
+    (L^2 / M) * snap_sq, snap_sq the estimator's own diagnostic at x.
+
+    saga builds its table, and psi as the table's mean, from point_table
+    (row i stored at point_table[i]).
+    Exhaustive enumeration over single-index batches when n <= 8 and M = 1,
+    Monte-Carlo with n_draws otherwise.
+    """
+    n = problem.n
+    full_grad = problem.grad(x)
+    variant = variant.lower()
+    if variant == "svrg":
+        if snapshot_x is None or snapshot_grad is None:
+            raise CapabilityError("svrg variance diagnostics need the snapshot")
+        estimator = solvers.SvrgEstimator(problem, M, None, snapshot_x, snapshot_grad)
+    elif variant == "saga":
+        if point_table is None:
+            raise CapabilityError("saga variance diagnostics need point_table")
+        table = saga_table_from_points(problem, point_table)
+        estimator = solvers.SagaEstimator(problem, M, table)
+    else:
+        raise InputError("variance diagnostics apply to svrg and saga only")
+    bound = (L**2 / M) * estimator.snap_sq(x, x)[0]
+
+    if n <= 8 and M == 1:
+        batches = [np.array([i]) for i in range(n)]
+    else:
+        rng = rng or np.random.default_rng(0)
+        batches = [rng.integers(0, n, size=M) for _ in range(n_draws)]
+    errors = (estimator.estimate(x, batch) - full_grad for batch in batches)
+    empirical = float(np.mean([float(e @ e) for e in errors]))
+    return {"empirical_var": empirical, "bound": bound}
+
+
+def rate_summary(dx_sq):
+    """Running min of theta_t = ||x_{t+1}-x_t||^2 + ||x_t-x_{t-1}||^2 vs T.
+
+    dx_sq[t] is the squared consecutive-step length at effective iteration
+    t+1; the slope is a log-log least-squares fit over the tail half.
+    """
+    dx_sq = np.asarray(dx_sq, dtype=float)
+    if dx_sq.size < 4:
+        raise InputError("need at least 4 recorded steps for a rate summary")
+    theta = dx_sq[1:] + dx_sq[:-1]
+    running_min = np.minimum.accumulate(theta)
+    tail = running_min[running_min.size // 2 :]
+    ts = np.arange(running_min.size // 2, running_min.size) + 2.0
+    positive = tail > 0
+    if positive.sum() < 2 or np.allclose(tail[positive], tail[positive][0]):
+        slope = 0.0
+    else:
+        slope = float(
+            np.polyfit(np.log(ts[positive]), np.log(tail[positive]), 1)[0]
+        )
+    return {"min_theta_by_T": running_min, "slope_estimate": slope}

@@ -19,6 +19,7 @@ from conftest import (
     make_overlap_problem,
     run_with_iterates,
 )
+import oracles
 
 
 def _report(num, desc, ok, detail=""):
@@ -52,15 +53,19 @@ def rate_problem():
     return prob, cfg.eta, cfg.rho, cfg.r
 
 
-def run_min_theta(prob, variant, T, eta, rho, r, M=100, m=None, seed=0):
+def run_min_theta(prob, variant, T, eta, rho, r, x_steps, M=100, m=None,
+                  seed=0):
+    """Rate summary of a run's iterates, which x_steps (the fixture's list)
+    collects from the x-step; the trace keeps only the last record."""
     cfg = solvers.SolverConfig(
         variant=variant, eta=eta, rho=rho, r=r, M=M, T=T, m=m, seed=seed,
-        trace_stride=1,
+        trace_stride=T,
     )
-    res, iterates = run_with_iterates(prob, cfg)
-    xs = np.array([it[0] for it in iterates])
+    x_steps.clear()
+    res = solvers.run(prob, cfg)
+    xs = np.array(x_steps)
     dx = np.sum(np.diff(xs, axis=0) ** 2, axis=1)
-    summary = metrics.rate_summary(dx)
+    summary = oracles.rate_summary(dx)
     return summary, res.trace[-1].ifo
 
 
@@ -85,7 +90,7 @@ def test_criterion_01_unbiasedness():
         worst = max(worst, np.linalg.norm(np.mean(svrg, 0) - full) / scale)
 
         pts = snap[None, :] + 0.2 * rng.standard_normal((n, prob.d))
-        table = solvers.SagaTable.from_points(prob, pts)
+        table = oracles.saga_table_from_points(prob, pts)
         saga = [
             solvers.saga_gradient(prob, table, x, np.array([i])) for i in range(n)
         ]
@@ -102,14 +107,14 @@ def test_criterion_02_variance_bounds():
         rng = np.random.default_rng(100 + n)
         x = rng.standard_normal(prob.d)
         snap = x + 0.5 * rng.standard_normal(prob.d)
-        out = metrics.variance_diagnostics(
+        out = oracles.variance_diagnostics(
             prob, "svrg", x, L, M=1,
             snapshot_x=snap, snapshot_grad=prob.grad(snap),
         )
         worst = max(worst, out["empirical_var"] / max(out["bound"], 1e-300))
 
         pts = x[None, :] + 0.4 * rng.standard_normal((n, prob.d))
-        out = metrics.variance_diagnostics(
+        out = oracles.variance_diagnostics(
             prob, "saga", x, L, M=1, point_table=pts,
         )
         worst = max(worst, out["empirical_var"] / max(out["bound"], 1e-300))
@@ -127,7 +132,7 @@ def test_criterion_03_dual_identity(gradient_estimates):
         # the estimate of step t is the t-th the estimators returned
         nonlocal worst
         g_hat = gradient_estimates[rec.t - 1]
-        worst = max(worst, metrics.dual_identity_residual(
+        worst = max(worst, oracles.dual_identity_residual(
             prob, g_hat, state.x_prev, state.x, state.lam, eta, rho, r
         ))
 
@@ -203,18 +208,19 @@ def _decay_slope(rm, head=10):
     return float(np.polyfit(np.log(t[mask]), np.log(excess[mask]), 1)[0])
 
 
-def test_criterion_06_rate_shapes():
+def test_criterion_06_rate_shapes(x_steps):
     prob, eta, rho, r = rate_problem()
-    dete, _ = run_min_theta(prob, "dete", 1500, eta, rho, r, M=prob.n)
+    dete, _ = run_min_theta(prob, "dete", 1500, eta, rho, r, x_steps, M=prob.n)
     slope_dete = dete["slope_estimate"]
 
-    stoc, ifo_s = run_min_theta(prob, "stoc", 10000, eta, rho, r, seed=2)
+    stoc, ifo_s = run_min_theta(prob, "stoc", 10000, eta, rho, r, x_steps, seed=2)
     slope_stoc = _decay_slope(stoc["min_theta_by_T"])
     floor_s = stoc["min_theta_by_T"][-1]
 
     # epoch snapshots cost n, so these iteration counts equalize total IFO
-    svrg, ifo_v = run_min_theta(prob, "svrg", 4900, eta, rho, r, m=20, seed=2)
-    saga, ifo_g = run_min_theta(prob, "saga", 9980, eta, rho, r, seed=2)
+    svrg, ifo_v = run_min_theta(prob, "svrg", 4900, eta, rho, r, x_steps, m=20,
+                                seed=2)
+    saga, ifo_g = run_min_theta(prob, "saga", 9980, eta, rho, r, x_steps, seed=2)
     floor_v = svrg["min_theta_by_T"][-1]
     floor_g = saga["min_theta_by_T"][-1]
     assert abs(ifo_v - ifo_s) <= 0.02 * ifo_s

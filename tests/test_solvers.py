@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncadmm import metrics, params, problems, solvers
+from ncadmm import params, problems, solvers
 from ncadmm.exceptions import ConfigError, DivergenceError, InternalInvariantError
 
 from conftest import (
@@ -16,6 +16,7 @@ from conftest import (
     make_sparse_sigmoid_problem,
     run_with_iterates,
 )
+import oracles
 
 
 def small_config(variant="dete", **kw):
@@ -113,7 +114,7 @@ class TestPureUpdates:
         H = r * np.eye(cs.d) - rho * eta * dense_AtA(cs)
         v = rng.standard_normal(cs.d)
         assert np.allclose(
-            metrics.apply_H_over_eta(cs, v, eta, rho, r), (H / eta) @ v
+            oracles.apply_H_over_eta(cs, v, eta, rho, r), (H / eta) @ v
         )
 
     def test_gradient_estimators_at_full_batch(self, gg_problem, rng):
@@ -243,7 +244,7 @@ class TestRun:
         residuals = []
 
         def check(rec, state):
-            residuals.append(metrics.dual_identity_residual(
+            residuals.append(oracles.dual_identity_residual(
                 gg_problem, gradient_estimates[rec.t - 1], state.x_prev,
                 state.x, state.lam, cfg.eta, cfg.rho, cfg.r,
             ))
