@@ -174,12 +174,9 @@ def build_problem(problem_spec):
         order = np.concatenate([train_idx, test_idx])
     if kind == "graph_guided":
         ds, prec, _ = data_mod.gen_graph_guided(spec["n"], spec["d"], seed, order=order)
-        support = prec.support
-        if spec["empty_support"]:
-            support = np.zeros_like(support)
-        cs = build_graph_guided_A(support)
+        # empty_support keeps the features and drops every edge
+        edges = np.nonzero(np.triu(prec.support & (not spec["empty_support"]), 1))
         train, test = data_mod.split_views(ds, train_idx.size)
-        info["edges"] = int(support.sum() // 2)
     elif kind == "overlap":
         ds, _ = data_mod.gen_overlap(spec["n"], seed, grid=spec["grid"], order=order)
         cs = build_overlap_A(ds.d, spec["k"])
@@ -187,9 +184,7 @@ def build_problem(problem_spec):
     elif kind == "libsvm":
         ds = data_mod.parse_libsvm(spec["path"], label_mode="binary")
         train, test = data_mod.split(ds, frac, seed + 1)
-        cs = build_graph_guided_A(
-            _random_support(ds.d, spec["support_density"], spec["support_seed"])
-        )
+        edges = _random_edges(ds.d, spec["support_density"], spec["support_seed"])
     else:
         ds = data_mod.parse_libsvm(spec["path"], label_mode="multiclass")
         train, test = data_mod.split(ds, frac, seed + 1)
@@ -205,6 +200,9 @@ def build_problem(problem_spec):
             m, ds.d, spec["nu1"], spec["nu2"], loss.kappa0
         )
         info["classes"] = m
+    if kind in ("graph_guided", "libsvm"):
+        cs = build_graph_guided_A(edges, ds.d)
+        info["edges"] = edges[0].size
     if kind != "multitask":
         loss = SigmoidLoss(train.features, train.labels)
         reg = BlockSeparableRegularizer.l1(cs.q, spec["nu"])
@@ -213,11 +211,18 @@ def build_problem(problem_spec):
     return problem, test, info
 
 
-def _random_support(d, density, seed):
+def _random_edges(d, density, seed):
+    """Edges (ii, jj), in row-major order, of a graph on d nodes with each
+    pair i < j drawn with probability `density` (clipped to [0, 1]). Row i
+    draws its edge count, then that many of its columns j > i: O(edges + d)
+    memory."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    upper = rng.random((d, d)) < density
-    upper = np.triu(upper, k=1)
-    return upper | upper.T
+    counts = rng.binomial(np.arange(d - 1, -1, -1), min(max(density, 0.0), 1.0))
+    jj = [np.arange(0)] + [
+        i + 1 + np.sort(rng.choice(d - 1 - i, k, replace=False, shuffle=False))
+        for i, k in enumerate(counts) if k
+    ]
+    return np.repeat(np.arange(d), counts), np.concatenate(jj)
 
 
 def make_test_evaluator(problem, test):
@@ -462,7 +467,7 @@ def cmd_run(ctx, spec_path, out_dir, seed, allow_uncertified):
 def cmd_check_params(ctx, spec_path, variant, eta, rho, r_val, M, m, T):
     """Evaluate the feasibility certificate for one configuration."""
     with _fail_closed(ctx):
-        given = {"eta": eta, "rho": rho, "r": r_val}
+        given = {"eta": eta, "rho": rho, "r": r_val, "M": M, "m": m, "T": T}
         _checked(given, {key: _SOLVER_KEYS[key] for key in given}, "check-params")
         raw = _load_json(spec_path)
         if isinstance(raw, dict) and raw.get("version") == "v1":

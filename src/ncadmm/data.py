@@ -61,6 +61,12 @@ def check_dim(d, what):
         )
 
 
+def check_count(count, what):
+    """Refuse, before any allocation, more 8-byte values than one array holds."""
+    if count > np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"{what}: {count} values of 8 bytes do not fit one array")
+
+
 def _substreams(seed, k):
     return [
         np.random.Generator(np.random.Philox(s))
@@ -126,6 +132,7 @@ def gen_graph_guided(n, d, seed, order=None):
     if n < 1 or d < 1:
         raise ConfigError("n and d must be >= 1")
     check_dim(d, "graph_guided features")
+    check_count(n * d, f"n={n} samples x d={d} features")
     rng_prec, rng_x, rng_feat, rng_noise = _substreams(seed, 4)
 
     raw = np.zeros((d, d))
@@ -163,6 +170,7 @@ def gen_overlap(n, seed, grid=20, order=None):
         raise ConfigError("n must be >= 1")
     d = grid * grid
     check_dim(d, f"overlap features on a {grid} x {grid} grid")
+    check_count(n * d, f"n={n} samples x d={d} features")
     rng_x, rng_feat, rng_noise = _substreams(seed, 3)
     X = np.zeros((grid, grid))
     X[:, 0] = rng_x.standard_normal(grid)
@@ -335,10 +343,7 @@ def _check_line(tokens, lineno):
 
 def write_libsvm(dataset, path, sidecar=None):
     """Write the sparse LIBSVM text form; optional JSON sidecar with meta."""
-    feats = dataset.features
-    if not sp.issparse(feats):
-        feats = sp.csr_matrix(feats)
-    feats = feats.tocsr()
+    feats = sp.csr_matrix(dataset.features)
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(feats.shape[0]):
             start, stop = feats.indptr[i], feats.indptr[i + 1]
@@ -364,6 +369,7 @@ def split_indices(n, fraction, seed):
         raise ConfigError(
             f"degenerate split: {n_train} train / {n - n_train} test samples"
         )
+    check_count(n, f"split of n={n} samples")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     perm = rng.permutation(n)
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])

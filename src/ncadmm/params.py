@@ -12,6 +12,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit
 
+from .data import check_count
 from .exceptions import ConfigError
 from .problems import SigmoidLoss, SmoothedMultiTaskLoss
 
@@ -148,6 +149,7 @@ def svrg_h_schedule(L, constraints, rho, M, m, beta):
     """Backward recursion h_m, ..., h_1 (returned in forward order h_1..h_m)."""
     if m < 1:
         raise ConfigError("epoch length m must be >= 1")
+    check_count(m, "svrg epoch length m")
     if beta <= 0:
         raise ConfigError("beta must be > 0")
     pa = constraints.phi_min_A
@@ -166,6 +168,7 @@ def saga_alpha_schedule(L, constraints, rho, n, M, T, beta):
     """Backward recursion alpha_T, ..., alpha_1 with alpha_{T+1} = 0."""
     if T < 1:
         raise ConfigError("T must be >= 1")
+    check_count(T + 1, "saga horizon T + 1")
     if not 1 <= M <= n:
         raise ConfigError("mini-batch size M must satisfy 1 <= M <= n")
     if beta <= 0:

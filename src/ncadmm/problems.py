@@ -12,25 +12,14 @@ from scipy.special import expit, logsumexp
 
 from .exceptions import ConfigError, InputError, NumericalError
 
-_SPARSE_DENSITY_CUTOFF = 0.10
-
-
 def _as_matrix(A):
-    """Return A as csr when it is sparse enough, dense float array otherwise."""
+    """A as a float csr matrix if it is sparse, a dense float array if not."""
     if sp.issparse(A):
         A = A.tocsr().astype(float)
         # one stored entry per position, as the row rebuilds assume
         A.sum_duplicates()
-        density = A.nnz / (A.shape[0] * A.shape[1])
-        if density >= _SPARSE_DENSITY_CUTOFF:
-            return A.toarray()
         return A
-    A = np.asarray(A, dtype=float)
-    if A.size >= 4:
-        density = np.count_nonzero(A) / A.size
-        if density < _SPARSE_DENSITY_CUTOFF:
-            return sp.csr_matrix(A)
-    return A
+    return np.asarray(A, dtype=float)
 
 
 class ConstraintSystem:
@@ -275,7 +264,7 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
 
     A component gradient is P_i (x) a_i + penalty_grad(X): the softmax
     residual P_i of the sample, one coefficient per class, and the penalty
-    gradient as the term every sample shares.
+    gradient as the term every sample shares. Features are stored as csr.
     """
 
     def __init__(self, features, labels, classes, nu1, beta=1.0, theta=1.0):
@@ -283,7 +272,7 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
             raise ConfigError("log-sum parameters beta, theta must be > 0")
         if nu1 < 0:
             raise ConfigError("penalty weight nu1 must be >= 0")
-        self.features = _as_matrix(features)
+        self.features = _as_matrix(sp.csr_matrix(features))
         self.labels = np.asarray(labels, dtype=int)
         self.classes = int(classes)
         if self.labels.size and (
@@ -355,12 +344,9 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
         rows are then bitwise `einsum("ic,ij->icj", P, dense feats) + s`:
         einsum forms each product as 0.0 + P_ic a_ij, which is +0.0 at a
         zero feature, and (0.0 + p) + s equals p + (s + 0.0) for every p and
-        s. So sparse features add their stored entries' products only; every
-        other entry keeps s + 0.0.
+        s. So the csr features add their stored entries' products only;
+        every other entry keeps s + 0.0.
         """
-        if not sp.issparse(feats):
-            G += np.einsum("ic,ij->icj", P, feats)
-            return G.reshape(len(P), self.d)
         flat, _, prod = self._stored_products(P, *_nonzeros(feats))
         G = G.reshape(-1)
         prod += G[flat]
@@ -370,13 +356,11 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
     def subtract_rows(self, out, P, feats, shared):
         """out -= component_rows(P, feats, shared), in place.
 
-        Sparse rows skip the rebuild: `out` first loses shared + 0.0
+        The rows are not rebuilt: `out` first loses shared + 0.0
         everywhere, the rows' value off their stored entries (see
         `add_products`); the stored entries are then set to the old value
         minus the new one.
         """
-        if not sp.issparse(feats):
-            return super().subtract_rows(out, P, feats, shared)
         flat, cell, prod = self._stored_products(P, *_nonzeros(feats))
         shared = (shared + 0.0).ravel()
         prod += shared[cell]
@@ -575,28 +559,26 @@ class CompositeProblem:
         return self.regularizer.value(y)
 
 
-def build_graph_guided_A(precision_support):
-    """Constraint system for the graph-guided fused lasso.
+def build_graph_guided_A(edges, d):
+    """Constraint system for the graph-guided fused lasso on d features.
 
-    One row e_i^T - e_j^T per upper-triangle edge of the support, followed by
-    an identity block so A has full column rank even for dense graphs; c = 0.
+    `edges` is (ii, jj): distinct pairs i < j in row-major order, as
+    `np.nonzero(np.triu(support, 1))` lists a symmetric support's. One row
+    e_i^T - e_j^T per edge, followed by an identity block so A has full
+    column rank even for dense graphs; c = 0.
     """
-    S = np.asarray(precision_support, dtype=bool)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise InputError("precision support must be a square matrix")
-    if not np.array_equal(S, S.T):
-        raise InputError("precision support must be symmetric")
-    d = S.shape[0]
-    ii, jj = np.nonzero(np.triu(S, k=1))
+    ii, jj = (np.asarray(e, dtype=np.intp) for e in edges)
+    if ii.ndim != 1 or ii.shape != jj.shape:
+        raise InputError("edges must be two 1-D index arrays of one length")
+    # with 0 <= i < j < d, keys i*d + j increase iff pairs are distinct, in order
+    if ii.size and not (0 <= ii.min() and jj.max() < d and (ii < jj).all()
+                        and (np.diff(ii * d + jj) > 0).all()):
+        raise InputError(f"edges must be distinct 0 <= i < j < d={d}, row-major")
     n_edges = ii.size
     q = n_edges + d
-    rows = np.concatenate(
-        [np.arange(n_edges), np.arange(n_edges), n_edges + np.arange(d)]
-    )
+    rows = np.concatenate([np.arange(n_edges)] * 2 + [n_edges + np.arange(d)])
     cols = np.concatenate([ii, jj, np.arange(d)])
-    vals = np.concatenate(
-        [np.ones(n_edges), -np.ones(n_edges), np.ones(d)]
-    )
+    vals = np.concatenate([np.ones(n_edges), -np.ones(n_edges), np.ones(d)])
     A = sp.csr_matrix((vals, (rows, cols)), shape=(q, d))
     return ConstraintSystem(A, np.zeros(q))
 

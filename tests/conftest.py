@@ -7,8 +7,8 @@ from ncadmm import data, problems, solvers
 
 def make_graph_guided_problem(n=120, d=8, seed=0, nu=1e-5, empty_support=False):
     ds, prec, x_star = data.gen_graph_guided(n, d, seed)
-    support = np.zeros_like(prec.support) if empty_support else prec.support
-    cs = problems.build_graph_guided_A(support)
+    edges = ([], []) if empty_support else np.nonzero(np.triu(prec.support, 1))
+    cs = problems.build_graph_guided_A(edges, d)
     loss = problems.SigmoidLoss(ds.features, ds.labels)
     reg = problems.BlockSeparableRegularizer.l1(cs.q, nu)
     return problems.CompositeProblem(loss=loss, regularizer=reg, constraints=cs)
@@ -24,7 +24,7 @@ def make_overlap_problem(n=100, grid=4, k=2, seed=1, nu=1e-5):
 
 def make_multitask_problem(n=60, features=30, classes=3, density=0.06,
                            seed=2, nu1=1e-2, nu2=1e-3):
-    """Multi-task problem on csr features (stored sparse below 10% density)."""
+    """Multi-task problem on csr features, which the loss stores as csr."""
     rng = np.random.default_rng(seed)
     feats = sp.random(n, features, density=density, format="csr", random_state=rng,
                       data_rvs=rng.standard_normal)
@@ -38,13 +38,13 @@ def make_multitask_problem(n=60, features=30, classes=3, density=0.06,
 
 def make_sparse_sigmoid_problem(n=80, d=20, density=0.08, seed=3, nu=1e-5):
     """Sigmoid loss on csr features over a random graph, as the libsvm kind
-    builds it (stored sparse below 10% density)."""
+    builds it; the loss keeps the csr layout."""
     rng = np.random.default_rng(seed)
     feats = sp.random(n, d, density=density, format="csr", random_state=rng,
                       data_rvs=rng.standard_normal)
     labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     upper = np.triu(rng.random((d, d)) < 0.2, k=1)
-    cs = problems.build_graph_guided_A(upper | upper.T)
+    cs = problems.build_graph_guided_A(np.nonzero(upper), d)
     loss = problems.SigmoidLoss(feats, labels)
     reg = problems.BlockSeparableRegularizer.l1(cs.q, nu)
     return problems.CompositeProblem(loss=loss, regularizer=reg, constraints=cs)

@@ -1,12 +1,41 @@
 """Dense and Monte-Carlo oracles for the paper's claims: unbiased gradient
 estimators, their variance bounds, the dual-update identity and the O(1/T)
-rate. No run calls them; the tests check the solvers against them.
+rate, plus the d x d support form of the graph-guided constraint builder.
+No run calls them; the tests check the package against them.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from ncadmm import solvers
 from ncadmm.exceptions import CapabilityError, InputError
+from ncadmm.problems import ConstraintSystem
+
+
+def build_graph_guided_A_from_support(precision_support):
+    """Constraint system for the graph-guided fused lasso.
+
+    One row e_i^T - e_j^T per upper-triangle edge of the support, followed by
+    an identity block so A has full column rank even for dense graphs; c = 0.
+    """
+    S = np.asarray(precision_support, dtype=bool)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise InputError("precision support must be a square matrix")
+    if not np.array_equal(S, S.T):
+        raise InputError("precision support must be symmetric")
+    d = S.shape[0]
+    ii, jj = np.nonzero(np.triu(S, k=1))
+    n_edges = ii.size
+    q = n_edges + d
+    rows = np.concatenate(
+        [np.arange(n_edges), np.arange(n_edges), n_edges + np.arange(d)]
+    )
+    cols = np.concatenate([ii, jj, np.arange(d)])
+    vals = np.concatenate(
+        [np.ones(n_edges), -np.ones(n_edges), np.ones(d)]
+    )
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(q, d))
+    return ConstraintSystem(A, np.zeros(q))
 
 
 def smooth_value(problem, x, index_set=None):

@@ -43,7 +43,7 @@ def rate_problem():
     """
     ds, prec, _ = data.gen_graph_guided(2000, 50, seed=5)
     feats = ds.features / np.linalg.norm(ds.features, axis=1, keepdims=True)
-    cs = problems.build_graph_guided_A(np.zeros((50, 50), dtype=bool))
+    cs = problems.build_graph_guided_A(([], []), 50)
     prob = problems.CompositeProblem(
         loss=problems.SigmoidLoss(feats, ds.labels),
         regularizer=problems.BlockSeparableRegularizer.l1(50, 2e-3),
@@ -243,7 +243,7 @@ def test_criterion_06_rate_shapes(x_steps):
 @functools.lru_cache(maxsize=None)
 def desk_problem():
     ds, prec, _ = data.gen_graph_guided(20000, 200, seed=11)
-    cs = problems.build_graph_guided_A(prec.support)
+    cs = problems.build_graph_guided_A(np.nonzero(np.triu(prec.support, 1)), 200)
     return problems.CompositeProblem(
         loss=problems.SigmoidLoss(ds.features, ds.labels),
         regularizer=problems.BlockSeparableRegularizer.l1(cs.q, 1e-5),
@@ -286,7 +286,7 @@ def test_criterion_07_desk_scale_speedup():
 
 def test_criterion_08_parameter_certificates():
     # closed-form penalty threshold, frozen oracle at L = 1, phi_min = 1
-    cs1 = problems.build_graph_guided_A(np.zeros((3, 3), dtype=bool))
+    cs1 = problems.build_graph_guided_A(([], []), 3)
     cert = params.check_feasible("stoc", 1.0, cs1, 1.0, 10.0, r=11.0)
     oracle = (2.0 + np.sqrt(44.0)) / 2.0
     resid_ok = abs(cert.rho_star - oracle) <= 1e-9

@@ -23,17 +23,11 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_certificates.jsonl")
 
 
-def _chain_support(d):
-    support = np.zeros((d, d), dtype=bool)
-    for i in range(d - 1):
-        support[i, i + 1] = support[i + 1, i] = True
-    return support
-
-
 CONSTRAINTS = {
-    "identity3": problems.build_graph_guided_A(np.zeros((3, 3), dtype=bool)),
+    "identity3": problems.build_graph_guided_A(([], []), 3),
     "overlap4x2": problems.build_overlap_A(4, 2),
-    "chain4": problems.build_graph_guided_A(_chain_support(4)),
+    # the path graph 0 - 1 - 2 - 3
+    "chain4": problems.build_graph_guided_A((np.arange(3), np.arange(1, 4)), 4),
 }
 
 # (n, M, m, T, beta) per variant. dete gives stoc's certificate, so one

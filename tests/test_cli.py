@@ -4,9 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
@@ -437,7 +440,8 @@ class TestFailClosed:
         assert not out.exists()
 
     def test_libsvm_support_too_large_for_memory(self, refused_spec, tmp_path):
-        # d = 1e8 asks the random support for an 80 PB d x d draw
+        # d = 1e8 would ask for an 80 PB d x d A^T A; the parse refuses it
+        # above MAX_DIM before any graph is drawn
         path = tmp_path / "wide.libsvm"
         path.write_text("1 1:1\n-1 100000000:1\n")
         spec = json.loads(refused_spec.read_text())
@@ -470,6 +474,50 @@ class TestFailClosed:
                         "stoc", "--eta", "1", "--rho", "1"])
         self.assert_one_line_error(proc)
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("args, message", [
+        (["--variant", "svrg", "--epoch-length", str(2**60)],
+         f"svrg epoch length m: {2**60} values of 8 bytes do not fit one array"),
+        (["--variant", "saga", "--iterations", str(2**60)],
+         f"saga horizon T + 1: {2**60 + 1} values of 8 bytes"),
+    ])
+    def test_check_params_size_no_array_holds(self, args, message,
+                                              refused_spec):
+        proc = run_cli(["check-params", "--spec", str(refused_spec),
+                        "--eta", "1", "--rho", "1", *args])
+        self.assert_one_line_error(proc)
+        assert message in proc.stderr
+
+    @pytest.mark.parametrize("kind", ["overlap", "graph_guided"])
+    def test_gen_data_size_no_array_holds(self, kind, tmp_path):
+        out = tmp_path / "x.libsvm"
+        proc = run_cli(["gen-data", "--kind", kind, "--n", str(2**60),
+                        "--out", str(out)])
+        self.assert_one_line_error(proc)
+        assert f"n={2**60} samples x d=" in proc.stderr
+        assert not out.exists()
+
+    def test_spec_size_no_array_holds(self, refused_spec):
+        spec = json.loads(refused_spec.read_text())
+        spec["problem"]["n"] = 2**60
+        refused_spec.write_text(json.dumps(spec))
+        proc = run_cli(["check-params", "--spec", str(refused_spec),
+                        "--variant", "stoc", "--eta", "1", "--rho", "1"])
+        self.assert_one_line_error(proc)
+        assert f"split of n={2**60} samples" in proc.stderr
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--iterations", "0", "T"), ("--iterations", "-5", "T"),
+        ("--batch", "0", "M"), ("--epoch-length", "0", "m"),
+    ])
+    def test_check_params_size_below_least(self, flag, value, key,
+                                           refused_spec):
+        proc = run_cli(["check-params", "--spec", str(refused_spec),
+                        "--variant", "svrg", "--eta", "1", "--rho", "1",
+                        flag, value])
+        self.assert_one_line_error(proc)
+        assert f"check-params: {key} must be >= 1, got {value}" in proc.stderr
+        assert proc.stdout == ""
 
     def test_parse_refuses_index_above_bound(self, tmp_path):
         path = tmp_path / "huge.libsvm"
@@ -787,6 +835,49 @@ class TestBuildProblem:
         )
         assert prob.n + test.n == 60
         assert info["kind"] == "libsvm"
+
+    @pytest.mark.parametrize("kind", ["libsvm", "multitask"])
+    def test_dense_libsvm_file_stays_csr(self, kind, tmp_path):
+        # every feature of every line is stored: density 1
+        ds, _, _ = data.gen_graph_guided(40, 5, seed=2)
+        if kind == "multitask":
+            ds.labels = np.arange(40) % 3.0
+        path = tmp_path / "d.libsvm"
+        data.write_libsvm(ds, path)
+        prob, test, _ = cli.build_problem({"kind": kind, "path": str(path)})
+        assert sp.issparse(prob.loss.features)
+        assert prob.loss.features.nnz == prob.n * 5
+        assert sp.issparse(test.features)
+
+    def test_libsvm_graph_drawn_as_edges(self, tmp_path, monkeypatch):
+        # no d x d array before the constraint system: the parse, the split
+        # and the edge draw at d = 4000 peak well below d^2 bytes
+        d = 4000
+        path = tmp_path / "wide.libsvm"
+        path.write_text(f"1 1:1\n-1 {d}:1\n1 2:1\n-1 3:1\n")
+        seen = {}
+
+        def record(edges, d):
+            seen["edges"], seen["d"] = edges, d
+            return types.SimpleNamespace(d=d, q=edges[0].size + d)
+
+        monkeypatch.setattr(cli, "build_graph_guided_A", record)
+        tracemalloc.start()
+        try:
+            _, _, info = cli.build_problem(
+                {"kind": "libsvm", "path": str(path), "support_density": 0.01}
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d
+        ii, jj = seen["edges"]
+        assert seen["d"] == d and info["edges"] == ii.size == jj.size
+        # about density * d (d - 1) / 2 = 79980 edges
+        assert abs(ii.size - 79980) < 5 * math.sqrt(79980)
+        # distinct pairs i < j < d in row-major order
+        assert ii.min() >= 0 and jj.max() < d and (ii < jj).all()
+        assert (np.diff(ii * d + jj) > 0).all()
 
     def test_unknown_kind_rejected(self):
         from ncadmm.exceptions import ConfigError

@@ -188,7 +188,6 @@ class TestFullIndexSet:
     @staticmethod
     def make(kind, layout, rng, n=60, d=9, classes=3):
         feats = rng.standard_normal((n, d))
-        # losses store features below 10% density as csr, others dense
         feats[rng.random((n, d)) < (0.95 if layout == "csr" else 0.5)] = 0.0
         if layout == "csr":
             feats = sp.csr_matrix(feats)
@@ -202,7 +201,9 @@ class TestFullIndexSet:
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_bitwise_equal_to_gathered_rows(self, kind, layout, rng, monkeypatch):
         loss = self.make(kind, layout, rng)
-        assert sp.issparse(loss.features) == (layout == "csr")
+        # the sigmoid loss keeps the given layout; the multi-task loss
+        # stores csr for any input
+        assert sp.issparse(loss.features) == (layout == "csr" or kind == "multitask")
         x = rng.standard_normal(loss.d)
         full = np.arange(loss.n)
         fast = (loss.value(x, full), loss.grad(x, full), loss.grad_matrix(x, full))
@@ -432,9 +433,7 @@ class TestDiagonalSpectrum:
 
 class TestBuilders:
     def test_graph_guided_rows(self):
-        S = np.zeros((4, 4), dtype=bool)
-        S[0, 2] = S[2, 0] = True
-        cs = problems.build_graph_guided_A(S)
+        cs = problems.build_graph_guided_A(([0], [2]), 4)
         A = cs.A.toarray() if sp.issparse(cs.A) else cs.A
         assert A.shape == (5, 4)
         assert np.allclose(A[0], [1.0, 0.0, -1.0, 0.0])
@@ -442,15 +441,40 @@ class TestBuilders:
         assert cs.phi_min_A > 0
 
     def test_graph_guided_empty_support_is_identity(self):
-        cs = problems.build_graph_guided_A(np.zeros((5, 5), dtype=bool))
+        cs = problems.build_graph_guided_A(([], []), 5)
         A = cs.A.toarray() if sp.issparse(cs.A) else cs.A
         assert np.allclose(A, np.eye(5))
 
-    def test_graph_guided_asymmetric_rejected(self):
-        S = np.zeros((3, 3), dtype=bool)
-        S[0, 1] = True
+    @pytest.mark.parametrize("ii, jj", [
+        ([1, 0], [2, 1]),          # unordered
+        ([0, 0], [2, 1]),          # unordered within a row
+        ([0, 0], [1, 1]),          # duplicated
+        ([1], [1]),                # i = j
+        ([2], [1]),                # i > j
+        ([-1], [1]),               # i below 0
+        ([0], [3]),                # j = d
+        ([[0]], [[1]]),            # not 1-D
+        ([0, 1], [2]),             # lengths differ
+    ], ids=["unordered", "unordered-row", "duplicated", "i-eq-j", "i-gt-j",
+            "negative", "j-out-of-range", "2-d", "lengths"])
+    def test_graph_guided_bad_edges_rejected(self, ii, jj):
         with pytest.raises(InputError):
-            problems.build_graph_guided_A(S)
+            problems.build_graph_guided_A((ii, jj), 3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda d: hnp.arrays(bool, (d, d))))
+    def test_graph_guided_edges_match_support_builder(self, raw):
+        # any symmetric support, diagonal included, which both ignore
+        support = raw | raw.T
+        ref = oracles.build_graph_guided_A_from_support(support)
+        cs = problems.build_graph_guided_A(
+            np.nonzero(np.triu(support, 1)), support.shape[0]
+        )
+        for attr in ("data", "indices", "indptr"):
+            got, want = getattr(cs.A, attr), getattr(ref.A, attr)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert cs.A.shape == ref.A.shape
+        assert (cs.phi_min_A, cs.norm_AtA) == (ref.phi_min_A, ref.norm_AtA)
 
     def test_multitask_constraints(self):
         cs, reg = problems.build_multitask_constraints(2, 3, 1e-3, 1e-2, 0.5)

@@ -220,7 +220,7 @@ class TestRun:
             def grad_matrix(self, x, idx):
                 return np.full((len(idx), 3), 1e16)
 
-        cs = problems.build_graph_guided_A(np.zeros((3, 3), dtype=bool))
+        cs = problems.build_graph_guided_A(([], []), 3)
         prob = problems.CompositeProblem(
             loss=ExplodingLoss(),
             regularizer=problems.BlockSeparableRegularizer.l1(3, 1e-5),
