@@ -21,6 +21,7 @@ import click
 import numpy as np
 
 from . import data as data_mod
+from . import metrics as metrics_mod
 from . import params as params_mod
 from . import solvers as solvers_mod
 from .exceptions import ConfigError, DivergenceError, NcadmmError
@@ -227,30 +228,7 @@ def _random_edges(d, density, seed):
 
 def make_test_evaluator(problem, test):
     """Return f(x) -> (misclassification rate, mean test loss)."""
-    loss = problem.loss
-    if isinstance(loss, SigmoidLoss):
-        test_loss = SigmoidLoss(test.features, test.labels)
-        feats, labels = test_loss.features, test_loss.labels
-
-        def evaluate(x):
-            scores = np.asarray(feats @ x).ravel()
-            pred = np.where(scores >= 0, 1.0, -1.0)
-            err = float(np.mean(pred != labels))
-            return err, test_loss.value_from_scores(x, scores)
-    else:
-        test_loss = SmoothedMultiTaskLoss(
-            test.features, test.labels.astype(int), loss.classes, loss.nu1,
-            beta=loss.beta, theta=loss.theta,
-        )
-
-        def evaluate(x):
-            X = x.reshape(loss.classes, loss.d_features)
-            scores = np.asarray(test_loss.features @ X.T)
-            pred = scores.argmax(axis=1)
-            err = float(np.mean(pred != test_loss.labels))
-            return err, test_loss.value_from_scores(x, scores)
-
-    return evaluate
+    return problem.loss.on_rows(test.features, test.labels).error_and_value
 
 
 def solver_config_from_spec(entry, problem, trace_stride=1):
@@ -277,20 +255,18 @@ def _write_csv_atomic(path, rows):
 def run_single(problem, evaluate, config, zeta):
     """One solver run; returns (rows, result) with CSV-ready rows.
 
-    zeta fills the lyapunov column with
-    Psi_t = L_rho + (zeta/rho) ||x_t - x_{t-1}||^2.
+    The lyapunov column is `metrics.lyapunov_psi` of the trace at zeta.
     """
-    rows = []
-
-    def on_record(rec, state):
-        err, tloss = evaluate(state.x)
-        lyap = rec.lrho + (zeta / config.rho) * rec.dx_sq
-        rows.append([
-            rec.t, rec.wall_time, rec.ifo, rec.objective, err, tloss,
-            rec.feasibility_sq, rec.dual_sq, rec.subgrad_dist_sq, lyap,
-        ])
-
-    result = solvers_mod.run(problem, config, callback=on_record)
+    evals = []
+    result = solvers_mod.run(
+        problem, config, callback=lambda rec, state: evals.append(evaluate(state.x))
+    )
+    psi = metrics_mod.lyapunov_psi(result.trace, zeta, config.rho).tolist()
+    rows = [
+        [rec.t, rec.wall_time, rec.ifo, rec.objective, err, tloss,
+         rec.feasibility_sq, rec.dual_sq, rec.subgrad_dist_sq, lyap]
+        for rec, (err, tloss), lyap in zip(result.trace, evals, psi)
+    ]
     return rows, result
 
 
@@ -331,8 +307,7 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=1, echo=print
             summary["solvers"][name] = {"certificate": cert.to_dict()}
             if not cert.accepted:
                 echo(f"[{name}] refused: configuration fails its certificate")
-                echo(json.dumps(_null_non_finite(cert.to_dict()), indent=2,
-                                default=str))
+                echo(json.dumps(_null_non_finite(cert.to_dict()), indent=2))
         _write_summary(out_dir, summary)
         return EXIT_CONFIG
 
@@ -381,7 +356,7 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=1, echo=print
 
 def _write_summary(out_dir, summary):
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(_null_non_finite(summary), fh, indent=2, default=str)
+        json.dump(_null_non_finite(summary), fh, indent=2)
 
 
 def _null_non_finite(obj):
@@ -481,8 +456,7 @@ def cmd_check_params(ctx, spec_path, variant, eta, rho, r_val, M, m, T):
             variant, L, problem.constraints, eta, rho, r_val,
             n=problem.n, M=M, m=m, T=T,
         )
-    click.echo(json.dumps(_null_non_finite(cert.to_dict()), indent=2,
-                          default=str))
+    click.echo(json.dumps(_null_non_finite(cert.to_dict()), indent=2))
     ctx.exit(EXIT_OK if cert.accepted else EXIT_CONFIG)
 
 
@@ -598,7 +572,7 @@ def cmd_parse(ctx, path):
     """Validate a LIBSVM file and print its shape."""
     with _fail_closed(ctx):
         ds = data_mod.parse_libsvm(path)
-    click.echo(json.dumps(ds.meta, default=str))
+    click.echo(json.dumps(ds.meta))
 
 
 if __name__ == "__main__":

@@ -356,7 +356,7 @@ def write_libsvm(dataset, path, sidecar=None):
             fh.write(f"{label_s} {pairs}".rstrip() + "\n")
     if sidecar is not None:
         with open(sidecar, "w", encoding="utf-8") as fh:
-            json.dump(dataset.meta, fh, indent=2, default=str)
+            json.dump(dataset.meta, fh, indent=2)
 
 
 def split_indices(n, fraction, seed):

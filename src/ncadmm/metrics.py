@@ -37,12 +37,11 @@ def l1_subgrad_dist_sq(v, y, weight):
     return float(per_coord @ per_coord)
 
 
-def subgrad_dist_sq(problem, y, lam, x=None, x_prev=None, rho=None):
+def subgrad_dist_sq(problem, y, lam, x, x_prev, rho):
     """dist(-lam, subdifferential of g at y)^2, blockwise.
 
     l1 blocks are exact; nuclear blocks use the proof-side surrogate
-    ||rho * A (x - x_prev)||^2 restricted to the block, which needs the
-    consecutive iterates and rho.
+    ||rho * A (x - x_prev)||^2 restricted to the block.
     """
     cs = problem.constraints
     v = -np.asarray(lam).ravel()
@@ -52,10 +51,6 @@ def subgrad_dist_sq(problem, y, lam, x=None, x_prev=None, rho=None):
         if blk.kind == "l1":
             total += l1_subgrad_dist_sq(vb, y[blk.start : blk.stop], blk.weight)
         elif blk.kind == "nuclear":
-            if x is None or x_prev is None or rho is None:
-                raise CapabilityError(
-                    "nuclear-norm subgradient surrogate needs x, x_prev and rho"
-                )
             w = -np.asarray(cs.A @ (x - x_prev)).ravel()
             wb = rho * w[blk.start : blk.stop]
             total += float(wb @ wb)
@@ -64,23 +59,16 @@ def subgrad_dist_sq(problem, y, lam, x=None, x_prev=None, rho=None):
     return total
 
 
-def stationarity(problem, x, y, lam, x_prev=None, rho=None, grad=None):
-    """Feasibility, dual and subgradient-distance residuals at (x, y, lam).
-
-    grad, when given, is the full gradient at x already computed by the
-    caller.
-    """
+def stationarity(problem, x, y, lam, x_prev, rho, grad):
+    """Feasibility, dual and subgradient-distance residuals at (x, y, lam);
+    grad is the full gradient at x."""
     cs = problem.constraints
     resid = cs.residual(x, y)
-    if grad is None:
-        grad = problem.grad(x)
     dual = grad - np.asarray(cs.AT @ lam).ravel()
     return StationarityReport(
         feasibility_sq=float(resid @ resid),
         dual_sq=float(dual @ dual),
-        subgrad_dist_sq=subgrad_dist_sq(
-            problem, y, lam, x=x, x_prev=x_prev, rho=rho
-        ),
+        subgrad_dist_sq=subgrad_dist_sq(problem, y, lam, x, x_prev, rho),
     )
 
 

@@ -243,9 +243,17 @@ class SigmoidLoss(_LinearModelLoss):
         feats, labels = _select_rows(self.features, self.labels, index_set)
         return float(np.mean(_sigmoid_losses(feats @ x, labels)))
 
-    def value_from_scores(self, x, scores):
-        """value over every stored sample, given scores = features @ x."""
-        return float(np.mean(_sigmoid_losses(scores, self.labels)))
+    def on_rows(self, features, labels):
+        """This loss on other samples."""
+        return SigmoidLoss(features, labels)
+
+    def error_and_value(self, x):
+        """(misclassification rate, value) over every stored sample, both
+        from one product with the features; a score >= 0 predicts +1."""
+        scores = np.asarray(self.features @ x).ravel()
+        pred = np.where(scores >= 0, 1.0, -1.0)
+        err = float(np.mean(pred != self.labels))
+        return err, float(np.mean(_sigmoid_losses(scores, self.labels)))
 
     def value_and_grad(self, x, index_set):
         """(value, grad), both from one product with the rows."""
@@ -391,11 +399,21 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
         Z = np.asarray(feats @ X.T)
         return self._mean_nll(Z, labels) + self.penalty_value(X)
 
-    def value_from_scores(self, x, scores):
-        """value over every stored sample, given scores = features @ X^T."""
-        return self._mean_nll(scores, self.labels) + self.penalty_value(
-            self._as_X(x)
+    def on_rows(self, features, labels):
+        """This loss, with its classes and penalty, on other samples."""
+        return SmoothedMultiTaskLoss(
+            features, labels, self.classes, self.nu1,
+            beta=self.beta, theta=self.theta,
         )
+
+    def error_and_value(self, x):
+        """(misclassification rate, value) over every stored sample, both
+        from one product with the features; the top score's class is the
+        prediction."""
+        X = self._as_X(x)
+        scores = np.asarray(self.features @ X.T)
+        err = float(np.mean(scores.argmax(axis=1) != self.labels))
+        return err, self._mean_nll(scores, self.labels) + self.penalty_value(X)
 
     def value_and_grad(self, x, index_set):
         """(value, grad), both from one product with the rows."""
@@ -544,19 +562,11 @@ class CompositeProblem:
             index_set = self.full_index_set()
         return self.loss.grad(x, index_set)
 
-    def value_and_grad(self, x, index_set=None):
-        if index_set is None:
-            index_set = self.full_index_set()
-        return self.loss.value_and_grad(x, index_set)
-
     def gather(self, index_set):
         return self.loss.gather(index_set)
 
     def grad_matrix(self, x, index_set):
         return self.loss.grad_matrix(x, index_set)
-
-    def reg_value(self, y):
-        return self.regularizer.value(y)
 
 
 def build_graph_guided_A(edges, d):

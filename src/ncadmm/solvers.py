@@ -44,8 +44,8 @@ class SolverConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.eta <= 0 or self.rho <= 0:
             raise ConfigError("eta and rho must be > 0")
-        if self.T < 0:
-            raise ConfigError("T must be >= 0")
+        if self.T < 1:
+            raise ConfigError("T must be >= 1")
         if self.M < 1:
             raise ConfigError("mini-batch size M must be >= 1")
         if self.variant == "svrg":
@@ -456,7 +456,7 @@ def run(problem, config, callback=None):
     estimator = make_estimator(problem, config, state.x)
     state.grad_table = estimator.table
 
-    t_rand = int(rng_out.integers(1, config.T + 1)) if config.T > 0 else 0
+    t_rand = int(rng_out.integers(1, config.T + 1))
     x_rand, y_rand = state.x.copy(), state.y.copy()
 
     trace = []
@@ -495,8 +495,7 @@ def run(problem, config, callback=None):
             if callback is not None:
                 callback(rec, state)
 
-    if config.T > 0:
-        estimator.finish()
+    estimator.finish()
 
     return RunResult(
         trace=trace,
@@ -509,11 +508,10 @@ def run(problem, config, callback=None):
 
 def _record(problem, config, state, estimator, wall_time):
     rho = config.rho
-    f, grad = problem.value_and_grad(state.x)
-    obj = f + problem.reg_value(state.y)
+    f, grad = problem.loss.value_and_grad(state.x, problem.full_index_set())
+    obj = f + problem.regularizer.value(state.y)
     report = metrics.stationarity(
-        problem, state.x, state.y, state.lam,
-        x_prev=state.x_prev, rho=rho, grad=grad,
+        problem, state.x, state.y, state.lam, state.x_prev, rho, grad
     )
     resid = problem.constraints.residual(state.x, state.y)
     dx = state.x - state.x_prev

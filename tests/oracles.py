@@ -1,15 +1,18 @@
 """Dense and Monte-Carlo oracles for the paper's claims: unbiased gradient
 estimators, their variance bounds, the dual-update identity and the O(1/T)
-rate, plus the d x d support form of the graph-guided constraint builder.
+rate, the d x d support form of the graph-guided constraint builder and a
+test-set evaluator with one closure per loss type.
 No run calls them; the tests check the package against them.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
+from scipy.special import expit
+
 from ncadmm import solvers
 from ncadmm.exceptions import CapabilityError, InputError
-from ncadmm.problems import ConstraintSystem
+from ncadmm.problems import ConstraintSystem, SigmoidLoss, SmoothedMultiTaskLoss
 
 
 def build_graph_guided_A_from_support(precision_support):
@@ -46,12 +49,46 @@ def smooth_value(problem, x, index_set=None):
 
 def objective(problem, x, y):
     """f(x) + g(y), the constrained-form objective."""
-    return smooth_value(problem, x) + problem.reg_value(y)
+    return smooth_value(problem, x) + problem.regularizer.value(y)
 
 
 def objective_x(problem, x):
     """f(x) + g(Ax). Only meaningful for c = 0."""
-    return smooth_value(problem, x) + problem.reg_value(problem.constraints.A @ x)
+    return smooth_value(problem, x) + problem.regularizer.value(
+        problem.constraints.A @ x
+    )
+
+
+def make_test_evaluator(problem, test):
+    """Return f(x) -> (misclassification rate, mean test loss): a closure
+    per loss type over a loss built on the test rows, each loss value
+    written out from the scores."""
+    loss = problem.loss
+    if isinstance(loss, SigmoidLoss):
+        test_loss = SigmoidLoss(test.features, test.labels)
+        feats, labels = test_loss.features, test_loss.labels
+
+        def evaluate(x):
+            scores = np.asarray(feats @ x).ravel()
+            pred = np.where(scores >= 0, 1.0, -1.0)
+            err = float(np.mean(pred != labels))
+            return err, float(np.mean(expit(-(labels * scores))))
+    else:
+        test_loss = SmoothedMultiTaskLoss(
+            test.features, test.labels.astype(int), loss.classes, loss.nu1,
+            beta=loss.beta, theta=loss.theta,
+        )
+
+        def evaluate(x):
+            X = x.reshape(loss.classes, loss.d_features)
+            scores = np.asarray(test_loss.features @ X.T)
+            pred = scores.argmax(axis=1)
+            err = float(np.mean(pred != test_loss.labels))
+            return err, test_loss._mean_nll(
+                scores, test_loss.labels
+            ) + test_loss.penalty_value(test_loss._as_X(x))
+
+    return evaluate
 
 
 def saga_table_from_points(problem, points):

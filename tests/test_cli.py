@@ -13,8 +13,10 @@ import scipy.sparse as sp
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from ncadmm import cli, data, solvers
+from ncadmm import cli, data, metrics, solvers
 from ncadmm.exceptions import ConfigError, DivergenceError
+
+import oracles
 
 
 @pytest.fixture
@@ -114,15 +116,38 @@ class TestRun:
         )
         assert res.exit_code == 2
 
-    def test_lyapunov_column_filled(self, runner, tmp_path):
+    def test_lyapunov_column_filled(self, runner, tmp_path, monkeypatch):
+        # every variant's column is exactly Psi of its own trace at the
+        # certificate's zeta
+        runs = []
+
+        def keep(problem, config, callback=None, _orig=solvers.run):
+            result = _orig(problem, config, callback)
+            runs.append((config, result))
+            return result
+
+        monkeypatch.setattr(solvers, "run", keep)
         spec = tmp_path / "exp.json"
-        write_spec(spec)
+        write_spec(spec, solvers=[
+            {"name": v, "variant": v, "eta": 1.0, "rho": 60.0, "M": 20, "T": 30}
+            for v in solvers.VARIANTS
+        ])
         out = tmp_path / "out"
-        runner.invoke(cli.main, ["run", "--spec", str(spec), "--out", str(out)])
-        rows = read_csv(out / "dete_rep0.csv")
+        res = runner.invoke(cli.main, ["run", "--spec", str(spec), "--out",
+                                       str(out), "--allow-uncertified"])
+        assert res.exit_code == 0, res.output
+        summary = strict_json((out / "summary.json").read_text())
         col = cli.CSV_COLUMNS.index("lyapunov")
-        vals = [float(r[col]) for r in rows[1:]]
-        assert all(np.isfinite(vals))
+        assert [c.variant for c, _ in runs] == [
+            v for v in solvers.VARIANTS for _ in range(2)
+        ]
+        for i, (cfg, result) in enumerate(runs):
+            name, rep = cfg.variant, i % 2
+            rows = read_csv(out / f"{name}_rep{rep}.csv")
+            vals = [float(r[col]) for r in rows[1:]]
+            zeta = summary["solvers"][name]["certificate"]["constants"]["zeta"]
+            assert all(np.isfinite(vals))
+            assert vals == metrics.lyapunov_psi(result.trace, zeta, cfg.rho).tolist()
 
     def test_every_repetition_diverged_exits_3(self, runner, tmp_path,
                                                monkeypatch):
@@ -918,6 +943,32 @@ class TestBuildProblem:
         with pytest.raises(ConfigError, match="rho"):
             cli.run_experiment(spec, str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
+
+
+class TestTestEvaluator:
+    """The evaluator is the training loss on the test rows; it returns
+    bitwise what the oracle's closure for each loss type returns."""
+
+    @pytest.mark.parametrize("kind", ["graph_guided", "libsvm", "multitask"])
+    def test_equals_closure_per_loss_type(self, kind, tmp_path):
+        rng = np.random.default_rng(7)
+        if kind == "graph_guided":
+            spec = {"kind": kind, "n": 80, "d": 6, "seed": 3}
+        else:
+            ds, _, _ = data.gen_graph_guided(80, 6, seed=2)
+            ds.features[rng.random(ds.features.shape) < 0.6] = 0.0
+            if kind == "multitask":
+                ds.labels = np.arange(80) % 3.0
+            path = tmp_path / "d.libsvm"
+            data.write_libsvm(ds, path)
+            spec = {"kind": kind, "path": str(path)}
+        problem, test, _ = cli.build_problem(spec)
+        assert sp.issparse(test.features) == (kind != "graph_guided")
+        evaluate = cli.make_test_evaluator(problem, test)
+        oracle = oracles.make_test_evaluator(problem, test)
+        # x = 0 scores every row 0: a tie for every prediction
+        for x in (np.zeros(problem.d), *rng.standard_normal((3, problem.d))):
+            assert evaluate(x) == oracle(x)
 
 
 def _aggregate_rows_loop(rep_rows):

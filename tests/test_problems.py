@@ -237,7 +237,7 @@ class TestFullIndexSet:
 
 
 class TestOnePass:
-    """value_and_grad, value_from_scores and gathered Rows give bitwise the
+    """value_and_grad, error_and_value and gathered Rows give bitwise the
     numbers of the separate calls they replace."""
 
     make = staticmethod(TestFullIndexSet.make)
@@ -254,14 +254,12 @@ class TestOnePass:
 
     @pytest.mark.parametrize("kind", ["sigmoid", "multitask"])
     @pytest.mark.parametrize("layout", ["dense", "csr"])
-    def test_value_from_scores_equals_value(self, kind, layout, rng):
+    def test_error_and_value_equals_value(self, kind, layout, rng):
         loss = self.make(kind, layout, rng)
         x = rng.standard_normal(loss.d)
-        if kind == "sigmoid":
-            scores = np.asarray(loss.features @ x).ravel()
-        else:
-            scores = np.asarray(loss.features @ x.reshape(loss.classes, -1).T)
-        assert loss.value_from_scores(x, scores) == loss.value(x, np.arange(loss.n))
+        err, value = loss.error_and_value(x)
+        assert value == loss.value(x, np.arange(loss.n))
+        assert 0.0 <= err <= 1.0
 
     @pytest.mark.parametrize("kind", ["sigmoid", "multitask"])
     @pytest.mark.parametrize("layout", ["dense", "csr"])

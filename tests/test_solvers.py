@@ -47,6 +47,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             solvers.SolverConfig(variant="svrg", eta=1, rho=1, r=2, M=1, T=1)
 
+    def test_zero_iterations_rejected(self):
+        with pytest.raises(ConfigError, match="T must be >= 1"):
+            solvers.SolverConfig(variant="dete", eta=1, rho=1, r=2, M=1, T=0)
+
     def test_r_bound_enforced(self, gg_problem):
         cfg = build(gg_problem, r=1.0)
         with pytest.raises(ConfigError):
@@ -76,7 +80,7 @@ class TestPureUpdates:
         def lrho_y(y):
             resid = cs.residual(x, y)
             return (
-                gg_problem.reg_value(y)
+                gg_problem.regularizer.value(y)
                 - float(lam @ resid)
                 + 0.5 * rho * float(resid @ resid)
             )
