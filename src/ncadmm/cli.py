@@ -177,6 +177,8 @@ def build_problem(problem_spec):
         ds, prec, _ = data_mod.gen_graph_guided(spec["n"], spec["d"], seed, order=order)
         # empty_support keeps the features and drops every edge
         edges = np.nonzero(np.triu(prec.support & (not spec["empty_support"]), 1))
+        # Lambda and its support are d x d; neither is needed past the edges
+        del prec
         train, test = data_mod.split_views(ds, train_idx.size)
     elif kind == "overlap":
         ds, _ = data_mod.gen_overlap(spec["n"], seed, grid=spec["grid"], order=order)

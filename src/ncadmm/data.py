@@ -128,6 +128,9 @@ def gen_graph_guided(n, d, seed, order=None):
     [-0.75,-0.25] u [0.25,0.75]; the matrix is symmetrized and its diagonal
     shifted so the smallest eigenvalue is at least 0.1. With `order`, a
     permutation of range(n), sample order[k] is row k.
+
+    Lambda is built in place, and every other d x d array but its support
+    and Lambda^{-1/2} is freed before the features are drawn.
     """
     if n < 1 or d < 1:
         raise ConfigError("n and d must be >= 1")
@@ -135,22 +138,28 @@ def gen_graph_guided(n, d, seed, order=None):
     check_count(n * d, f"n={n} samples x d={d} features")
     rng_prec, rng_x, rng_feat, rng_noise = _substreams(seed, 4)
 
-    raw = np.zeros((d, d))
+    # the raw entries, signed magnitudes on the mask and +0.0 off it; a
+    # product with a sign of +-1.0 is exact, so negating in place is too
     mask = rng_prec.random((d, d)) >= 0.95
-    mags = rng_prec.uniform(0.25, 0.75, size=(d, d))
-    signs = np.where(rng_prec.random((d, d)) < 0.5, -1.0, 1.0)
-    raw[mask] = (signs * mags)[mask]
-    Lam = 0.5 * (raw + raw.T)
+    Lam = rng_prec.uniform(0.25, 0.75, size=(d, d))
+    np.negative(Lam, out=Lam, where=rng_prec.random((d, d)) < 0.5)
+    Lam[~mask] = 0.0
+    del mask
+    Lam += Lam.T
+    Lam *= 0.5
     evals, evecs = np.linalg.eigh(Lam)
     shift = max(0.0, _MIN_PRECISION_EIG - float(evals[0]))
-    Lam = Lam + shift * np.eye(d)
+    # shift * I adds +0.0 off the diagonal, which changes no entry: none is -0.0
+    Lam[np.diag_indices(d)] += shift
     evals = evals + shift
-    support = (np.abs(Lam) > 0) & ~np.eye(d, dtype=bool)
 
     x_star = rng_x.standard_normal(d)
 
     # N(0, Lam^{-1}) through the symmetric inverse square root
     inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
+    del evecs
+    support = Lam != 0
+    np.fill_diagonal(support, False)
     noise = rng_noise.uniform(0.0, 1.0, size=n)
     feats, labels = _draw_rows(rng_feat, n, d, x_star, noise, order, inv_sqrt)
     ds = Dataset(

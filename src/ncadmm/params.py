@@ -17,18 +17,34 @@ from .exceptions import ConfigError
 from .problems import SigmoidLoss, SmoothedMultiTaskLoss
 
 _RHO_STAR_RTOL = 1e-9
+_SCAN_CHUNK = 8192
 
 
 @functools.cache
 def sigmoid_curvature_bound():
-    """sup_u |d^2/du^2 1/(1+e^u)|, found by a dense 1-D scan (about 0.0962)."""
+    """The largest |d^2/du^2 1/(1+e^u)| = p(1-p)|1-2p| over 200001 evenly
+    spaced u in [-8, 8]: 0.09622504486472483.
+
+    This scanned maximum lies 2.1e-13 below the true supremum sqrt(3)/18,
+    taken where p = 1/2 +- sqrt(3)/6. The scan goes a chunk at a time; a
+    maximum is exact in any order, so it equals the one-pass maximum.
+    """
     u = np.linspace(-8.0, 8.0, 200001)
-    p = expit(-u)
-    return float(np.max(p * (1.0 - p) * np.abs(1.0 - 2.0 * p)))
+    best = 0.0
+    for start in range(0, u.size, _SCAN_CHUNK):
+        p = expit(-u[start:start + _SCAN_CHUNK])
+        best = max(best, float(np.max(p * (1.0 - p) * np.abs(1.0 - 2.0 * p))))
+    return best
 
 
 def estimate_lipschitz(problem):
-    """Upper bound on the Lipschitz constant of the full smooth gradient."""
+    """Bound on the Lipschitz constant of the full smooth gradient: the
+    largest squared feature-row norm times the loss's curvature bound.
+
+    For the sigmoid loss that curvature is the scanned
+    `sigmoid_curvature_bound`, 2.2e-12 (relative) below its true supremum,
+    so the sigmoid L is an upper bound up to that margin.
+    """
     loss = problem.loss
     feats = loss.features
     try:

@@ -4,6 +4,7 @@ Everything here is read-only after construction, so instances can be shared
 freely between solver runs and diagnostic code.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,11 +102,14 @@ class Rows:
     def take(self, positions):
         """Rows at `positions` (a slice or an index array) of this set.
 
-        Positions 0..len-1 in order return this set itself, not a copy.
+        A slice takes views where the features allow one: numpy's row
+        slice of dense features, scipy's of csr. Positions 0..len-1 in
+        order return this set itself, not a copy.
         """
         if isinstance(positions, slice):
-            positions = np.arange(len(self))[positions]
-        elif np.array_equal(positions, np.arange(len(self))):
+            return Rows(self.index[positions], self.features[positions],
+                        self.labels[positions])
+        if np.array_equal(positions, np.arange(len(self))):
             return self
         return Rows(
             self.index[positions],
@@ -276,6 +280,8 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
     """
 
     def __init__(self, features, labels, classes, nu1, beta=1.0, theta=1.0):
+        if not all(math.isfinite(v) for v in (nu1, beta, theta)):
+            raise ConfigError("nu1, beta and theta must be finite numbers")
         if beta <= 0 or theta <= 0:
             raise ConfigError("log-sum parameters beta, theta must be > 0")
         if nu1 < 0:
@@ -479,8 +485,10 @@ class BlockSeparableRegularizer:
                 raise ConfigError(
                     "block row-ranges must be contiguous and cover [0, p)"
                 )
-            if blk.weight < 0:
-                raise ConfigError("block weights must be >= 0")
+            if not (math.isfinite(blk.weight) and blk.weight >= 0):
+                raise ConfigError(
+                    f"block weights must be finite and >= 0, got {blk.weight!r}"
+                )
             pos = blk.stop
         self.blocks = blocks
         self.p = pos

@@ -5,6 +5,7 @@ x-step and the dual ascent; they differ only in how the smooth gradient
 estimate is built. Runs are bitwise reproducible for a fixed seed.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -42,6 +43,9 @@ class SolverConfig:
         self.variant = self.variant.lower()
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        # a NaN passes every comparison below, and an infinite r freezes x
+        if not all(math.isfinite(v) for v in (self.eta, self.rho, self.r)):
+            raise ConfigError("eta, rho and r must be finite numbers")
         if self.eta <= 0 or self.rho <= 0:
             raise ConfigError("eta and rho must be > 0")
         if self.T < 1:

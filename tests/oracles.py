@@ -1,7 +1,8 @@
 """Dense and Monte-Carlo oracles for the paper's claims: unbiased gradient
 estimators, their variance bounds, the dual-update identity and the O(1/T)
-rate, the d x d support form of the graph-guided constraint builder and a
-test-set evaluator with one closure per loss type.
+rate, the d x d support form of the graph-guided constraint builder, a
+test-set evaluator with one closure per loss type, and the one-pass forms
+of the sigmoid curvature scan and of the graph-guided generator.
 No run calls them; the tests check the package against them.
 """
 
@@ -11,7 +12,11 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from ncadmm import solvers
-from ncadmm.exceptions import CapabilityError, InputError
+from ncadmm.data import (
+    _MIN_PRECISION_EIG, Dataset, PrecisionModel, _draw_rows, _substreams,
+    check_count, check_dim,
+)
+from ncadmm.exceptions import CapabilityError, ConfigError, InputError
 from ncadmm.problems import ConstraintSystem, SigmoidLoss, SmoothedMultiTaskLoss
 
 
@@ -39,6 +44,50 @@ def build_graph_guided_A_from_support(precision_support):
     )
     A = sp.csr_matrix((vals, (rows, cols)), shape=(q, d))
     return ConstraintSystem(A, np.zeros(q))
+
+
+def sigmoid_curvature_bound():
+    """sup_u |d^2/du^2 1/(1+e^u)|, found by a dense 1-D scan (about 0.0962)."""
+    u = np.linspace(-8.0, 8.0, 200001)
+    p = expit(-u)
+    return float(np.max(p * (1.0 - p) * np.abs(1.0 - 2.0 * p)))
+
+
+def gen_graph_guided(n, d, seed, order=None):
+    """Sparse-precision Gaussian features with sigmoid-model labels; the
+    precision matrix built out of place, with every d x d temporary alive
+    until the features are drawn."""
+    if n < 1 or d < 1:
+        raise ConfigError("n and d must be >= 1")
+    check_dim(d, "graph_guided features")
+    check_count(n * d, f"n={n} samples x d={d} features")
+    rng_prec, rng_x, rng_feat, rng_noise = _substreams(seed, 4)
+
+    raw = np.zeros((d, d))
+    mask = rng_prec.random((d, d)) >= 0.95
+    mags = rng_prec.uniform(0.25, 0.75, size=(d, d))
+    signs = np.where(rng_prec.random((d, d)) < 0.5, -1.0, 1.0)
+    raw[mask] = (signs * mags)[mask]
+    Lam = 0.5 * (raw + raw.T)
+    evals, evecs = np.linalg.eigh(Lam)
+    shift = max(0.0, _MIN_PRECISION_EIG - float(evals[0]))
+    Lam = Lam + shift * np.eye(d)
+    evals = evals + shift
+    support = (np.abs(Lam) > 0) & ~np.eye(d, dtype=bool)
+
+    x_star = rng_x.standard_normal(d)
+
+    # N(0, Lam^{-1}) through the symmetric inverse square root
+    inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
+    noise = rng_noise.uniform(0.0, 1.0, size=n)
+    feats, labels = _draw_rows(rng_feat, n, d, x_star, noise, order, inv_sqrt)
+    ds = Dataset(
+        features=feats,
+        labels=labels,
+        meta={"name": "graph_guided", "n": n, "d": d, "classes": 2,
+              "source": "synthetic", "seed": seed},
+    )
+    return ds, PrecisionModel(Lambda=Lam, support=support, shift=shift), x_star
 
 
 def smooth_value(problem, x, index_set=None):

@@ -16,6 +16,8 @@ from hypothesis.extra import numpy as hnp
 from ncadmm import cli, data
 from ncadmm.exceptions import ConfigError, ParseError
 
+import oracles
+
 
 class TestGraphGuided:
     def test_shapes_and_labels(self):
@@ -57,6 +59,37 @@ class TestGraphGuided:
     def test_bad_sizes_rejected(self):
         with pytest.raises(ConfigError):
             data.gen_graph_guided(0, 5, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 30), d=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1), shuffled=st.booleans())
+    def test_bytes_equal_the_one_pass_generator(self, n, d, seed, shuffled):
+        order = np.random.default_rng(seed).permutation(n) if shuffled else None
+        ds, prec, x_star = data.gen_graph_guided(n, d, seed, order=order)
+        ref_ds, ref_prec, ref_x = oracles.gen_graph_guided(n, d, seed, order=order)
+        pairs = {
+            "Lambda": (prec.Lambda, ref_prec.Lambda),
+            "support": (prec.support, ref_prec.support),
+            "shift": (np.float64(prec.shift), np.float64(ref_prec.shift)),
+            "x_star": (x_star, ref_x),
+            "features": (ds.features, ref_ds.features),
+            "labels": (ds.labels, ref_ds.labels),
+        }
+        assert [name for name, (got, want) in pairs.items()
+                if got.dtype != want.dtype or got.shape != want.shape
+                or got.tobytes() != want.tobytes()] == []
+
+    def test_draw_holds_one_precision_and_one_transform(self):
+        # Lambda, eigh's vectors, their scaled copy and Lambda^{-1/2} are the
+        # most ever alive at once; the one-pass build held 7.25 d^2 floats
+        n, d = 64, 1000
+        tracemalloc.start()
+        try:
+            data.gen_graph_guided(n, d, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * d * d * 8 + n * d * 8
 
 
 class TestOverlap:

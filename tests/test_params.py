@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from ncadmm import params, problems
 from ncadmm.exceptions import ConfigError
 
 from conftest import make_graph_guided_problem
+import oracles
 
 
 def identity_constraints(d=4):
@@ -18,6 +20,22 @@ class TestLipschitz:
     def test_curvature_bound_closed_form(self):
         # max of p(1-p)|1-2p| over p in (0,1) is sqrt(3)/18
         assert abs(params.sigmoid_curvature_bound() - math.sqrt(3) / 18) < 1e-6
+
+    def test_curvature_bound_is_the_one_pass_scan(self):
+        # the scan's grid misses the true supremum by 2.1e-13, from below
+        bound = params.sigmoid_curvature_bound()
+        assert bound == oracles.sigmoid_curvature_bound() == 0.09622504486472483
+        assert bound <= math.sqrt(3) / 18
+
+    def test_curvature_scan_goes_a_chunk_at_a_time(self):
+        # the one-pass scan peaked at 7.6 MiB: the grid and five temporaries
+        tracemalloc.start()
+        try:
+            params.sigmoid_curvature_bound.__wrapped__()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
     def test_sigmoid_estimate(self, rng):
         prob = make_graph_guided_problem(n=40, d=5)

@@ -180,6 +180,15 @@ class TestMultiTaskLoss:
                 rng.standard_normal((4, 2)), np.array([0, 1, 2, 3]), 3, 1e-3
             )
 
+    @pytest.mark.parametrize("name", ["nu1", "beta", "theta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_penalty_parameter_rejected(self, name, value, rng):
+        kw = {"nu1": 1e-3, name: value}
+        with pytest.raises(ConfigError, match="finite"):
+            problems.SmoothedMultiTaskLoss(
+                rng.standard_normal((4, 2)), np.array([0, 1, 2, 0]), 3, **kw
+            )
+
 
 class TestFullIndexSet:
     """The full index set reads the stored rows in place; every result must
@@ -229,6 +238,25 @@ class TestFullIndexSet:
         feats, _ = problems._select_rows(loss.features, loss.labels, perm)
         assert feats is not loss.features
         assert np.array_equal(feats, loss.features[perm])
+
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_sliced_rows_equal_gathered_rows(self, layout, rng):
+        loss = self.make("sigmoid", layout, rng)
+        rows = loss.gather(np.arange(loss.n))
+        for part in (slice(7, 30), slice(50, None), slice(0, 60, 4)):
+            got, want = rows.take(part), rows.take(np.arange(loss.n)[part])
+            assert np.array_equal(got.index, want.index)
+            assert np.array_equal(got.labels, want.labels)
+            if layout == "csr":
+                assert (got.features != want.features).nnz == 0
+            else:
+                assert np.array_equal(got.features, want.features)
+
+    def test_dense_slice_is_a_view(self, rng):
+        loss = self.make("sigmoid", "dense", rng)
+        part = loss.gather(np.arange(loss.n)).take(slice(10, 40))
+        assert np.shares_memory(part.features, loss.features)
+        assert np.shares_memory(part.labels, loss.labels)
 
     def test_full_set_still_validated(self, rng):
         loss = self.make("sigmoid", "dense", rng)
@@ -315,6 +343,11 @@ class TestRegularizer:
         assert np.allclose(
             out[4:], problems.prox_nuclear(v[4:].reshape(2, 3), 0.4).ravel()
         )
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -1.0])
+    def test_block_weight_must_be_finite_and_nonnegative(self, weight):
+        with pytest.raises(ConfigError, match="block weights"):
+            problems.BlockSeparableRegularizer.l1(4, weight)
 
     def test_nuclear_block_shape_checked(self):
         with pytest.raises(ConfigError):

@@ -51,6 +51,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="T must be >= 1"):
             solvers.SolverConfig(variant="dete", eta=1, rho=1, r=2, M=1, T=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("eta", float("nan")), ("eta", float("inf")),
+        ("rho", float("nan")), ("rho", float("inf")),
+        ("r", float("nan")), ("r", float("inf")),
+    ])
+    def test_non_finite_parameter_rejected(self, name, value):
+        kw = dict(eta=1.0, rho=1.0, r=10.0, M=5, T=3)
+        kw[name] = value
+        with pytest.raises(ConfigError, match="finite"):
+            solvers.SolverConfig(variant="stoc", **kw)
+
     def test_r_bound_enforced(self, gg_problem):
         cfg = build(gg_problem, r=1.0)
         with pytest.raises(ConfigError):
