@@ -233,24 +233,40 @@ def make_test_evaluator(problem, test):
     return problem.loss.on_rows(test.features, test.labels).error_and_value
 
 
-def solver_config_from_spec(entry, problem, trace_stride=1):
-    """SolverConfig of a checked solver entry (see `_check_spec`)."""
-    variant, eta, rho = entry["variant"], entry["eta"], entry["rho"]
-    r, M, m = solvers_mod.config_defaults(
-        problem, variant, eta, rho, entry["r"], entry["M"], entry["m"]
-    )
-    return solvers_mod.SolverConfig(
-        variant=variant, eta=eta, rho=rho, r=r, M=M, T=entry["T"], m=m,
-        trace_stride=trace_stride,
-    )
+def _prepared(problem_spec):
+    """(problem, test Dataset, info, L): what every solver and rho shares."""
+    problem, test, info = build_problem(problem_spec)
+    return problem, test, info, params_mod.estimate_lipschitz(problem)
+
+
+def _planned(entries, problem, L, trace_stride):
+    """(name, SolverConfig, Certificate) of each checked solver entry (see
+    `_check_spec`), unset r, M and m from `solvers.config_defaults`. An r
+    below the H >= I bound raises ConfigError before anything runs."""
+    planned = []
+    for entry in entries:
+        variant, eta, rho = entry["variant"], entry["eta"], entry["rho"]
+        r, M, m = solvers_mod.config_defaults(
+            problem, variant, eta, rho, entry["r"], entry["M"], entry["m"]
+        )
+        cfg = solvers_mod.SolverConfig(
+            variant=variant, eta=eta, rho=rho, r=r, M=M, T=entry["T"], m=m,
+            trace_stride=trace_stride,
+        )
+        cfg.validate_against(problem)
+        cert = params_mod.check_feasible(
+            cfg.variant, L, problem.constraints, cfg.eta, cfg.rho, cfg.r,
+            n=problem.n, M=cfg.M, m=cfg.m, T=cfg.T,
+        )
+        planned.append((entry["name"] or variant, cfg, cert))
+    return planned
 
 
 def _write_csv_atomic(path, rows):
+    """Write rows, the header first, to path through a temporary file."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
+        csv.writer(fh).writerows(rows)
     os.replace(tmp, path)
 
 
@@ -286,24 +302,19 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=1, echo=print
             f"workers must be 1, got {workers!r}: repetitions run one after "
             "another in the calling process"
         )
-    os.makedirs(out_dir, exist_ok=True)
-    problem, test, info = build_problem(spec["problem"])
-    L = params_mod.estimate_lipschitz(problem)
+    prepared = problem, _, _, L = _prepared(spec["problem"])
+    planned = _planned(spec["solvers"], problem, L, spec["trace_stride"])
+    return _run_planned(spec, prepared, planned, out_dir, allow_uncertified, echo)[0]
+
+
+def _run_planned(spec, prepared, planned, out_dir, allow_uncertified, echo):
+    """Run every planned solver, or refuse them all if one is uncertified;
+    returns (exit code, summary) once summary.json is written."""
+    problem, test, info, L = prepared
     reps, seed_base = spec["repetitions"], spec["seed_base"]
-
+    os.makedirs(out_dir, exist_ok=True)
     summary = {"problem": info, "L": L, "solvers": {}}
-    any_success = False
 
-    planned = []
-    for entry in spec["solvers"]:
-        name = entry["name"] or entry["variant"]
-        cfg = solver_config_from_spec(entry, problem, spec["trace_stride"])
-        cfg.validate_against(problem)
-        cert = params_mod.check_feasible(
-            cfg.variant, L, problem.constraints, cfg.eta, cfg.rho, cfg.r,
-            n=problem.n, M=cfg.M, m=cfg.m, T=cfg.T,
-        )
-        planned.append((name, cfg, cert))
     if not allow_uncertified and not all(c.accepted for _, _, c in planned):
         for name, _, cert in planned:
             summary["solvers"][name] = {"certificate": cert.to_dict()}
@@ -311,7 +322,7 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=1, echo=print
                 echo(f"[{name}] refused: configuration fails its certificate")
                 echo(json.dumps(_null_non_finite(cert.to_dict()), indent=2))
         _write_summary(out_dir, summary)
-        return EXIT_CONFIG
+        return EXIT_CONFIG, summary
 
     evaluate = make_test_evaluator(problem, test)
     for name, base_cfg, cert in planned:
@@ -326,9 +337,9 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=1, echo=print
                     {"rep": rep, "error": str(exc), "iteration": exc.iteration}
                 )
                 continue
-            _write_csv_atomic(os.path.join(out_dir, f"{name}_rep{rep}.csv"), rows)
+            _write_csv_atomic(os.path.join(out_dir, f"{name}_rep{rep}.csv"),
+                              [CSV_COLUMNS, *rows])
             rep_rows.append(rows)
-            any_success = True
 
         solver_summary = {
             "certificate": cert.to_dict(),
@@ -337,7 +348,8 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=1, echo=print
         }
         if rep_rows:
             mean_rows = _aggregate_rows(rep_rows)
-            _write_csv_atomic(os.path.join(out_dir, f"{name}_mean.csv"), mean_rows)
+            _write_csv_atomic(os.path.join(out_dir, f"{name}_mean.csv"),
+                              [CSV_COLUMNS, *mean_rows])
             last = dict(zip(CSV_COLUMNS, mean_rows[-1]))
             feas_sq = CSV_COLUMNS.index("feas_sq")
             solver_summary.update({
@@ -351,9 +363,8 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=1, echo=print
         echo(f"[{name}] {len(rep_rows)}/{reps} repetitions completed")
 
     _write_summary(out_dir, summary)
-    if not any_success:
-        return EXIT_DIVERGED
-    return EXIT_OK
+    ran = any(s["repetitions_completed"] for s in summary["solvers"].values())
+    return (EXIT_OK if ran else EXIT_DIVERGED), summary
 
 
 def _write_summary(out_dir, summary):
@@ -444,20 +455,14 @@ def cmd_run(ctx, spec_path, out_dir, seed, allow_uncertified):
 def cmd_check_params(ctx, spec_path, variant, eta, rho, r_val, M, m, T):
     """Evaluate the feasibility certificate for one configuration."""
     with _fail_closed(ctx):
-        given = {"eta": eta, "rho": rho, "r": r_val, "M": M, "m": m, "T": T}
-        _checked(given, {key: _SOLVER_KEYS[key] for key in given}, "check-params")
+        entry = {"variant": variant, "name": None, "eta": eta, "rho": rho,
+                 "r": r_val, "M": M, "m": m, "T": T}
+        _checked(entry, _SOLVER_KEYS, "check-params")
         raw = _load_json(spec_path)
         if isinstance(raw, dict) and raw.get("version") == "v1":
             raw = _check_spec(raw)["problem"]
-        problem, _, _ = build_problem(raw)
-        L = params_mod.estimate_lipschitz(problem)
-        r_val, M, m = solvers_mod.config_defaults(
-            problem, variant, eta, rho, r_val, M, m
-        )
-        cert = params_mod.check_feasible(
-            variant, L, problem.constraints, eta, rho, r_val,
-            n=problem.n, M=M, m=m, T=T,
-        )
+        problem, _, _, L = _prepared(raw)
+        [(_, _, cert)] = _planned([entry], problem, L, 1)
     click.echo(json.dumps(_null_non_finite(cert.to_dict()), indent=2))
     ctx.exit(EXIT_OK if cert.accepted else EXIT_CONFIG)
 
@@ -506,34 +511,27 @@ def cmd_rho_sweep(ctx, spec_path, out_dir, rhos, allow_uncertified):
                     "significant digits"
                 )
         specs = [_check_spec(_at_rho(raw, rho)) for rho in rhos]
-        table = []
+        # the rhos share one problem; every one is planned before any runs
+        prepared = problem, _, _, L = _prepared(specs[0]["problem"])
+        plans = [_planned(sub["solvers"], problem, L, sub["trace_stride"])
+                 for sub in specs]
+        table = [["rho", "solver", "final_objective", "final_feas_sq", "certified"]]
         worst = EXIT_OK
         refused = []
-        for rho, sub in zip(rhos, specs):
-            sub_dir = os.path.join(out_dir, f"rho_{rho:g}")
-            code = run_experiment(
-                sub, sub_dir, allow_uncertified=allow_uncertified, echo=click.echo
+        for rho, sub, planned in zip(rhos, specs, plans):
+            code, summary = _run_planned(
+                sub, prepared, planned, os.path.join(out_dir, f"rho_{rho:g}"),
+                allow_uncertified, click.echo,
             )
             worst = max(worst, code)
             if code == EXIT_CONFIG:
                 refused.append(f"{rho:g}")
-            with open(os.path.join(sub_dir, "summary.json")) as fh:
-                summary = json.load(fh)
-            for name, solver in summary["solvers"].items():
-                table.append([
-                    rho, name,
-                    solver.get("final_objective", ""),
-                    solver.get("final_feas_sq", ""),
-                    solver["certificate"]["accepted"],
-                ])
-        os.makedirs(out_dir, exist_ok=True)
-        tmp = os.path.join(out_dir, "sweep_table.csv.tmp")
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rho", "solver", "final_objective",
-                             "final_feas_sq", "certified"])
-            writer.writerows(table)
-        os.replace(tmp, os.path.join(out_dir, "sweep_table.csv"))
+            # as summary.json has it: a non-finite value is null, an empty cell
+            for name, solver in _null_non_finite(summary)["solvers"].items():
+                table.append([rho, name, solver.get("final_objective", ""),
+                              solver.get("final_feas_sq", ""),
+                              solver["certificate"]["accepted"]])
+        _write_csv_atomic(os.path.join(out_dir, "sweep_table.csv"), table)
     if refused:
         click.echo(f"error: at rho={', '.join(refused)}: {_REFUSED}", err=True)
     ctx.exit(worst)

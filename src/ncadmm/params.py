@@ -207,7 +207,8 @@ def _shift_sequence(variant, L, constraints, rho, n, M, m, T, beta):
 
     None and None for dete and stoc. svrg shifts by (1+1/beta) h_{t+1} and,
     in the steady state where h_1 of the next epoch equals h[0], by h[0] at
-    the epoch's end; saga by ((n-M)/n)(1+1/beta) alpha_t.
+    the epoch's end; saga by ((n-M)/n)(1+1/beta) alpha_t. Its caller,
+    `check_feasible`, lets an overflowed schedule's shifts overflow to inf.
     """
     if variant in ("dete", "stoc"):
         return None, None
@@ -215,19 +216,18 @@ def _shift_sequence(variant, L, constraints, rho, n, M, m, T, beta):
         if m is None or M is None:
             raise ConfigError("svrg certificate needs m and M")
         h = svrg_h_schedule(L, constraints, rho, M, m, beta)
-        with np.errstate(over="ignore"):
-            shifts = [(1.0 + 1.0 / beta) * h[t + 1] for t in range(m - 1)]
+        shifts = [(1.0 + 1.0 / beta) * h[t + 1] for t in range(m - 1)]
         return h, shifts + [float(h[0])]
     if variant == "saga":
         if T is None or n is None or M is None:
             raise ConfigError("saga certificate needs T, n and M")
         alpha = saga_alpha_schedule(L, constraints, rho, n, M, T, beta)
         frac = (n - M) / n * (1.0 + 1.0 / beta)
-        with np.errstate(over="ignore"):
-            return alpha[:T], [frac * alpha[t] for t in range(1, T + 1)]
+        return alpha[:T], [frac * alpha[t] for t in range(1, T + 1)]
     raise ConfigError(f"unknown variant {variant!r}")
 
 
+@np.errstate(all="ignore")
 def check_feasible(variant, L, constraints, eta, rho, r, *, n=None, M=None,
                    m=None, T=None, beta=1.0):
     """Certificate for one (eta, rho, r) configuration of any variant.
@@ -237,10 +237,17 @@ def check_feasible(variant, L, constraints, eta, rho, r, *, n=None, M=None,
     L + 1 + 2*min(shift) and Gamma_t is the base minus shift_t. dete and
     stoc, with no shift, keep their own closed form of Gamma.
     svrg needs m and M, saga needs T, n and M.
+
+    The arithmetic runs on float64 scalars, which overflow to inf and divide
+    by zero to inf or nan where Python floats raise; a finite result is
+    bitwise the Python float's. A constant that is not finite refuses the
+    certificate and is named in its reasons, but for a Gamma of -inf, which
+    "Gamma <= 0" and an overflowed schedule name already.
     """
     variant = variant.lower()
     if eta <= 0 or rho <= 0 or r <= 0:
         raise ConfigError("eta, rho and r must all be > 0")
+    L, eta, rho, r = (np.float64(v) for v in (L, eta, rho, r))
     schedule, shifts = _shift_sequence(
         variant, L, constraints, rho, n, M, m, T, beta
     )
@@ -280,22 +287,27 @@ def check_feasible(variant, L, constraints, eta, rho, r, *, n=None, M=None,
             )
         if gamma <= 0:
             reasons.append(f"min Gamma = {gamma:g} <= 0")
+    constants = TheoryConstants(**{name: float(v) for name, v in dict(
+        L=L, L_tilde=L + 1.0, phi_min_A=pa,
+        norm_AtA=constraints.norm_AtA, phi_max_H=phi_max_H,
+        phi_min_H=phi_min_H, zeta=zeta, zeta1=zeta1, phi_H=phi_H,
+        rho_star=interval.rho_star, rho_0=interval.rho_0,
+        delta=interval.delta, gamma=gamma,
+    ).items()})
+    non_finite = [name for name, v in asdict(constants).items()
+                  if not (math.isfinite(v) or name == "gamma" and v < 0)]
+    if non_finite:
+        reasons.append(f"not finite in float64: {', '.join(non_finite)}")
     return Certificate(
         variant="stoc" if shifts is None else variant,
-        accepted=bool(interval.ok and gamma > 0),
-        gamma=float(gamma),
-        rho_star=interval.rho_star,
-        rho_0=interval.rho_0,
-        delta=interval.delta,
+        accepted=bool(interval.ok and gamma > 0 and not non_finite),
+        gamma=constants.gamma,
+        rho_star=constants.rho_star,
+        rho_0=constants.rho_0,
+        delta=constants.delta,
         case=interval.case,
-        eta_interval=(interval.lo, interval.hi),
-        constants=TheoryConstants(
-            L=L, L_tilde=L + 1.0, phi_min_A=pa,
-            norm_AtA=constraints.norm_AtA, phi_max_H=phi_max_H,
-            phi_min_H=phi_min_H, zeta=zeta, zeta1=zeta1, phi_H=phi_H,
-            rho_star=interval.rho_star, rho_0=interval.rho_0,
-            delta=interval.delta, gamma=gamma,
-        ),
+        eta_interval=(float(interval.lo), float(interval.hi)),
+        constants=constants,
         schedule=None if schedule is None else [float(v) for v in schedule],
         gamma_sequence=gammas,
         reasons=reasons,

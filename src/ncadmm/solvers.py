@@ -45,7 +45,10 @@ class SolverConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         # a NaN passes every comparison below, and an infinite r freezes x
         if not all(math.isfinite(v) for v in (self.eta, self.rho, self.r)):
-            raise ConfigError("eta, rho and r must be finite numbers")
+            raise ConfigError(
+                "eta, rho and r must be finite numbers, got "
+                f"eta={self.eta!r}, rho={self.rho!r}, r={self.r!r}"
+            )
         if self.eta <= 0 or self.rho <= 0:
             raise ConfigError("eta and rho must be > 0")
         if self.T < 1:

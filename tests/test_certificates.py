@@ -13,8 +13,11 @@ import json
 import math
 import os
 import sys
+import warnings
+from dataclasses import asdict
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncadmm import params, problems, solvers
@@ -144,6 +147,63 @@ def test_accepted_certificate_has_positive_gamma_inside_interval(cfg):
     assert all(g > 0 for g in cert.gamma_sequence or [])
     lo, hi = cert.eta_interval
     assert lo < cfg["eta"] <= hi * (1.0 + 1e-12)
+
+
+# kappa(A^T A) = 1 and a graph-guided system; the chain's kappa is about 5.8
+_EXTREME_CS = [CONSTRAINTS["identity3"], CONSTRAINTS["chain4"]]
+
+
+@st.composite
+def extreme_configurations(draw):
+    """Any finite positive eta and rho from 1e-300 to 1e300, r from its H >= I
+    bound up (inf where that bound overflows), as Python or numpy floats."""
+    cs = draw(st.sampled_from(_EXTREME_CS))
+    eta, rho = (10.0 ** draw(st.floats(-300.0, 300.0)) for _ in range(2))
+    r = draw(st.floats(1.0, 4.0)) * params.min_admissible_r(cs, eta, rho)
+    L = draw(st.floats(0.05, 20.0))
+    if draw(st.booleans()):
+        L, eta, rho, r = map(np.float64, (L, eta, rho, r))
+    n = draw(st.integers(1, 60))
+    return dict(
+        variant=draw(st.sampled_from(solvers.VARIANTS)), L=L, constraints=cs,
+        eta=eta, rho=rho, r=r, n=n, M=draw(st.integers(1, n)),
+        m=draw(st.integers(1, 8)), T=draw(st.integers(1, 40)),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(extreme_configurations())
+def test_certificate_never_raises_on_extreme_finite_input(cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cert = params.check_feasible(**cfg)
+    assert type(cert.accepted) is bool
+    if not cert.accepted:
+        assert cert.reasons
+        return
+    values = [*asdict(cert.constants).values(), *cert.eta_interval,
+              *(cert.gamma_sequence or []), *(cert.schedule or [])]
+    assert all(math.isfinite(v) for v in values)
+
+
+@pytest.mark.parametrize("eta, rho, named", [
+    (1.0, 1e300, "rho_0"), (1e-200, 1.0, "zeta, zeta1"),
+])
+@pytest.mark.parametrize("as_numpy", [False, True])
+def test_non_finite_constant_refuses_by_name(eta, rho, named, as_numpy):
+    # on the kappa = 1 system, r = rho * eta + 1 rounds to rho at rho = 1e300,
+    # so phi_H = 0 and rho_0 = 0/0; eta**2 = 1e-400 underflows to 0
+    cs = CONSTRAINTS["identity3"]
+    args = (1.0, eta, rho, params.min_admissible_r(cs, eta, rho))
+    if as_numpy:
+        args = tuple(map(np.float64, args))
+    L, eta, rho, r = args
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cert = params.check_feasible("stoc", L, cs, eta, rho, r)
+    assert cert.accepted is False
+    assert f"not finite in float64: {named}" in cert.reasons
+    assert all(type(v) is float for v in asdict(cert.constants).values())
 
 
 if __name__ == "__main__":

@@ -297,6 +297,57 @@ class TestRhoSweep:
                            "final_feas_sq", "certified"]
         assert {r[0] for r in rows[1:]} == {"40.0", "80.0"}
 
+    def test_problem_built_once(self, runner, tmp_path, monkeypatch):
+        calls = []
+
+        def build(problem_spec, _orig=cli.build_problem):
+            calls.append(problem_spec)
+            return _orig(problem_spec)
+
+        monkeypatch.setattr(cli, "build_problem", build)
+        spec = tmp_path / "exp.json"
+        write_spec(spec, repetitions=1)
+        res = runner.invoke(cli.main, [
+            "rho-sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep"),
+            "--rho", "40", "--rho", "80", "--allow-uncertified",
+        ])
+        assert res.exit_code == 0, res.output
+        assert len(calls) == 1
+
+    def test_each_rho_is_its_run(self, runner, tmp_path):
+        """Each rho_<v>/ holds what `run` writes for the spec at that rho,
+        up to wall time: the rhos share one problem, which no run changes."""
+        spec = tmp_path / "exp.json"
+        raw = write_spec(spec, solvers=[
+            {"variant": v, "eta": 1.0, "rho": 1.0, "M": 20, "T": 10}
+            for v in solvers.VARIANTS
+        ])
+        out = tmp_path / "sweep"
+        res = runner.invoke(cli.main, [
+            "rho-sweep", "--spec", str(spec), "--out", str(out),
+            "--rho", "40", "--rho", "80", "--allow-uncertified",
+        ])
+        assert res.exit_code == 0, res.output
+        wt = cli.CSV_COLUMNS.index("wall_time_s")
+        for rho in (40.0, 80.0):
+            at_rho = tmp_path / f"at_{rho:g}.json"
+            at_rho.write_text(json.dumps(cli._at_rho(raw, rho)))
+            single = tmp_path / f"run_{rho:g}"
+            res = runner.invoke(cli.main, ["run", "--spec", str(at_rho), "--out",
+                                           str(single), "--allow-uncertified"])
+            assert res.exit_code == 0, res.output
+            swept = out / f"rho_{rho:g}"
+            names = sorted(os.listdir(single))
+            assert sorted(os.listdir(swept)) == names and len(names) == 13
+            for name in names:
+                if name.endswith(".csv"):
+                    a, b = read_csv(swept / name), read_csv(single / name)
+                    for row in a + b:
+                        del row[wt]
+                    assert a == b, name
+            assert ((swept / "summary.json").read_text()
+                    == (single / "summary.json").read_text())
+
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -753,19 +804,57 @@ class TestFailClosed:
         assert "solver entry 0: name must be one path component" in proc.stderr
         assert sorted(tmp_path.rglob("*")) == before
 
-    def test_r_below_bound_refused_before_any_run(self, tmp_path):
+    @pytest.mark.parametrize("command, empty_support", [
+        ("run", False), ("check-params", False), ("check-params", True),
+    ], ids=["run", "check-params", "check-params-kappa-1"])
+    def test_r_below_bound_refused_before_any_run(self, command, empty_support,
+                                                  tmp_path):
+        # check-params refuses what run refuses; on the kappa = 1 system the
+        # certificate at r = 1 would divide by phi_H = 0
         spec = tmp_path / "exp.json"
         stoc = {"variant": "stoc", "eta": 1.0, "rho": 1.0, "M": 20, "T": 20}
         write_spec(
             spec,
-            problem={"kind": "graph_guided", "n": 200, "d": 8, "seed": 0},
+            problem={"kind": "graph_guided", "n": 200, "d": 8, "seed": 0,
+                     "empty_support": empty_support},
             solvers=[{**stoc, "name": "stoc"}, {**stoc, "name": "low", "r": 1.0}],
         )
         out = tmp_path / "o"
-        proc = run_cli(["run", "--spec", str(spec), "--out", str(out),
-                        "--allow-uncertified"])
+        args = (["--out", str(out), "--allow-uncertified"] if command == "run"
+                else ["--variant", "stoc", "--eta", "1", "--rho", "1", "--r", "1"])
+        proc = run_cli([command, "--spec", str(spec), *args])
         self.assert_one_line_error(proc)
         assert "error: r=1 below the H >= I bound" in proc.stderr
+        assert proc.stdout == ""
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("problem, solver, check_params, reason", [
+        ({"n": 400, "d": 20}, {"rho": 1e300}, None,
+         "not finite in float64: zeta, zeta1, phi_H, rho_0, delta"),
+        ({"n": 80, "d": 5}, {"rho": 1e300}, None, "not finite in float64: rho_0"),
+        ({"n": 80, "d": 5}, {"eta": 1e-200, "rho": 1.0}, None,
+         "not finite in float64: zeta, zeta1"),
+        ({"n": 80, "d": 5}, {"eta": 1e-200, "rho": 1.0},
+         ["--variant", "dete", "--eta", "1e300", "--rho", "1e300"], None),
+    ], ids=["rho-1e300", "rho-1e300-kappa-1", "eta-1e-200", "check-params-1e300"])
+    def test_extreme_finite_parameters_refused(self, problem, solver,
+                                               check_params, reason, tmp_path):
+        # n = 80, d = 5 draws no edge, so kappa(A^T A) = 1
+        spec = tmp_path / "exp.json"
+        write_spec(spec, problem={"kind": "graph_guided", "seed": 0, **problem},
+                   solvers=[{"variant": "stoc", "M": 10, "T": 5, **solver}])
+        out = tmp_path / "o"
+        args = (["run", "--out", str(out)] if check_params is None
+                else ["check-params", *check_params])
+        proc = run_cli([*args, "--spec", str(spec)],
+                       python_flags=("-W", "error::RuntimeWarning"))
+        self.assert_one_line_error(proc)
+        if check_params is not None:
+            assert "r=inf" in proc.stderr and proc.stdout == ""
+            return
+        cert = strict_json((out / "summary.json").read_text())[
+            "solvers"]["stoc"]["certificate"]
+        assert cert["accepted"] is False and reason in cert["reasons"]
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["run", "check-params"])
