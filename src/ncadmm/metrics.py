@@ -18,10 +18,6 @@ class StationarityReport:
     dual_sq: float
     subgrad_dist_sq: float
 
-    @property
-    def epsilon(self):
-        return max(self.feasibility_sq, self.dual_sq, self.subgrad_dist_sq)
-
 
 def l1_subgrad_dist_sq(v, y, weight):
     """Squared distance of v to the subdifferential of weight*||.||_1 at y.

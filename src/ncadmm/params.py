@@ -115,13 +115,19 @@ class _Interval(NamedTuple):
     reason: str  # why the condition fails; read only when ok is false
 
 
+def _rho_star(L, L_eff, phi_min_A):
+    """The penalty threshold rho*, the positive root of
+    phi_min_A rho^2 - L_eff rho - 10 L^2 / phi_min_A."""
+    return (L_eff + math.sqrt(40.0 * L**2 + L_eff**2)) / (2.0 * phi_min_A)
+
+
 def _interval_case(L, L_eff, constraints, eta, rho, r, phi_max_H, phi_min_H, phi_H):
     """Evaluate the three-case (eta, rho) admissibility condition.
 
     L_eff is the shifted smoothness constant L + 1 + 2*shift.
     """
     pa = constraints.phi_min_A
-    rho_star = (L_eff + math.sqrt(40.0 * L**2 + L_eff**2)) / (2.0 * pa)
+    rho_star = _rho_star(L, L_eff, pa)
     varphi = (L_eff + 10.0 * L**2 / (rho * pa)) - pa * rho
     delta = phi_min_H**2 + (20.0 * phi_max_H**2 / (rho * pa)) * (
         pa * rho - (L_eff + 10.0 * L**2 / (rho * pa))
@@ -339,9 +345,7 @@ def suggest_params(problem, variant, M=None, T=1000, m=None, beta=1.0):
     cs = problem.constraints
     n = problem.n
     variant = variant.lower()
-    rho_star_base = (L + 1.0 + math.sqrt(40.0 * L**2 + (L + 1.0) ** 2)) / (
-        2.0 * cs.phi_min_A
-    )
+    rho_star_base = _rho_star(L, L + 1.0, cs.phi_min_A)
     tried = []
     for mult in _RHO_MULTS:
         rho = mult * rho_star_base

@@ -86,7 +86,8 @@ class Rows:
     """Feature and label rows of a validated index set, gathered once.
 
     Pass it wherever an index set goes to reuse the same rows across calls;
-    len() is its row count.
+    len() is its row count. A loss's `all_rows` is the full set over its
+    stored arrays.
     """
 
     __slots__ = ("index", "features", "labels")
@@ -103,14 +104,11 @@ class Rows:
         """Rows at `positions` (a slice or an index array) of this set.
 
         A slice takes views where the features allow one: numpy's row
-        slice of dense features, scipy's of csr. Positions 0..len-1 in
-        order return this set itself, not a copy.
+        slice of dense features, scipy's of csr. An index array is gathered.
         """
         if isinstance(positions, slice):
             return Rows(self.index[positions], self.features[positions],
                         self.labels[positions])
-        if np.array_equal(positions, np.arange(len(self))):
-            return self
         return Rows(
             self.index[positions],
             _take_features(self.features, positions),
@@ -143,17 +141,11 @@ def _nonzeros(feats):
 
 
 def _gather(features, labels, index_set):
-    """Rows of an index set; already gathered Rows pass through.
-
-    The full index set in order, arange(n), selects the stored arrays
-    themselves, without a copy; any other set is gathered once.
-    """
+    """Rows of an index set, gathered once; Rows, a loss's `all_rows`
+    among them, pass through."""
     if isinstance(index_set, Rows):
         return index_set
-    n = features.shape[0]
-    idx = _check_index_set(index_set, n)
-    if idx.size == n and np.array_equal(idx, np.arange(n)):
-        return Rows(idx, features, labels)
+    idx = _check_index_set(index_set, features.shape[0])
     return Rows(idx, _take_features(features, idx), labels[idx])
 
 
@@ -171,7 +163,8 @@ class _LinearModelLoss:
     every sample (None when the loss has none). `coefficients` gives (c, s),
     `component_rows` rebuilds the rows from them, and `grad_matrix` is the
     two composed, so a row rebuilt later from stored coefficients is
-    bitwise the row `grad_matrix` gave.
+    bitwise the row `grad_matrix` gave. `all_rows` is every sample, read
+    from the stored arrays in place.
     """
 
     @property
@@ -219,6 +212,7 @@ class SigmoidLoss(_LinearModelLoss):
             raise ConfigError("sigmoid loss labels must be in {-1, +1}")
         if self.labels.shape[0] != self.features.shape[0]:
             raise ConfigError("feature/label count mismatch")
+        self.all_rows = Rows(np.arange(self.n), self.features, self.labels)
 
     @property
     def d(self):
@@ -293,6 +287,7 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
             self.labels.min() < 0 or self.labels.max() >= classes
         ):
             raise ConfigError("class labels must lie in [0, classes)")
+        self.all_rows = Rows(np.arange(self.n), self.features, self.labels)
         self.nu1 = float(nu1)
         self.beta = float(beta)
         self.theta = float(theta)
@@ -562,12 +557,9 @@ class CompositeProblem:
     def p(self):
         return self.regularizer.p
 
-    def full_index_set(self):
-        return np.arange(self.n)
-
     def grad(self, x, index_set=None):
         if index_set is None:
-            index_set = self.full_index_set()
+            index_set = self.loss.all_rows
         return self.loss.grad(x, index_set)
 
     def gather(self, index_set):

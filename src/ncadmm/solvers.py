@@ -122,9 +122,6 @@ class TraceRecord:
 class RunResult:
     trace: list
     state: SolverState
-    x_rand: np.ndarray
-    y_rand: np.ndarray
-    t_rand: int
 
 
 def y_update(problem, Ax_t, lambda_t, rho):
@@ -153,9 +150,6 @@ def lambda_update(Ax_new, y_new, lambda_t, rho, constraints):
 
 def stoc_gradient(problem, x, batch):
     """Mini-batch mean gradient over a with-replacement batch."""
-    batch = np.asarray(batch, dtype=int)
-    if batch.size == 0:
-        raise ConfigError("empty mini-batch")
     return problem.grad(x, batch)
 
 
@@ -203,7 +197,7 @@ class SagaTable:
     def at(cls, problem, x):
         """Every sample stored at the one point x, as SAGA starts."""
         loss = problem.loss
-        coef, shared = loss.coefficients(x, problem.full_index_set())
+        coef, shared = loss.coefficients(x, loss.all_rows)
         return cls(loss, coef, x[None] + 0.0,
                    None if shared is None else shared[None],
                    np.zeros(loss.n, dtype=np.intp))
@@ -232,7 +226,7 @@ class SagaTable:
         order. A single column it sums pairwise, so that goes in one block.
         """
         if rows is None:
-            rows = self.loss.gather(np.arange(self.n))
+            rows = self.loss.all_rows
         if len(rows) < self.n:
             block = self.rows(rows)
             self._kept = (rows, block)
@@ -253,8 +247,8 @@ class SagaTable:
         if self.shared is not None:
             live = np.flatnonzero(self.refs)
             shared = np.tensordot(self.refs[live], self.shared[live], axes=1) / self.n
-        rows = self.loss.gather(np.arange(self.n))
-        return self.loss.component_mean(self.coef, rows.features, shared)
+        feats = self.loss.all_rows.features
+        return self.loss.component_mean(self.coef, feats, shared)
 
     def spread(self, x):
         """mean_i ||x - phi_i||^2 over the stored points, one term per live
@@ -314,21 +308,23 @@ def saga_gradient(problem, table, x, batch):
 def saga_table_update(problem, table, batch, x_new):
     """Write grad f_i(x_new) for deduplicated batch indices, update psi.
 
-    The new coefficients are those of exactly the unique rows. Below the
-    full set, old minus new is formed in one buffer: the stored rows
-    `saga_gradient` rebuilt, minus the new rows in place.
+    The new coefficients are those of exactly the unique rows: the loss's
+    `all_rows` when the batch covers every sample. Below the full set, old
+    minus new is formed in one buffer: the stored rows `saga_gradient`
+    rebuilt, minus the new rows in place.
     """
     n = table.n
     rows = problem.gather(batch)
     uniq, first = np.unique(rows.index, return_index=True)
-    new = rows.take(first)
+    full = uniq.size == n
+    new = problem.loss.all_rows if full else rows.take(first)
     coef, shared = problem.loss.coefficients(x_new, new)
-    if uniq.size < n:
+    if not full:
         diff = table.kept_rows(rows, first)
         problem.loss.subtract_rows(diff, coef, new.features, shared)
         table.psi = table.psi - diff.sum(axis=0) / n
     table.write(uniq, x_new, coef, shared)
-    if uniq.size == n:
+    if full:
         table.psi = table.mean()
 
 
@@ -423,24 +419,22 @@ def make_estimator(problem, config, x0):
 
 
 def init_state(problem, config):
-    """Seeded standard-normal x0, y0 and zero dual start."""
-    ss = np.random.SeedSequence(config.seed)
-    init_ss, batch_ss, out_ss = ss.spawn(3)
+    """Seeded standard-normal x0, y0, zero dual start and the batch stream."""
+    init_ss, batch_ss = np.random.SeedSequence(config.seed).spawn(2)
     rng_init = np.random.Generator(np.random.Philox(init_ss))
     x0 = rng_init.standard_normal(problem.d)
     y0 = rng_init.standard_normal(problem.p)
     lam0 = np.zeros(problem.constraints.q)
     state = SolverState(x=x0, y=y0, lam=lam0, x_prev=x0.copy())
-    return state, np.random.Generator(np.random.Philox(batch_ss)), \
-        np.random.Generator(np.random.Philox(out_ss))
+    return state, np.random.Generator(np.random.Philox(batch_ss))
 
 
-def _draw_batch(rng, n, M):
-    # M == n degenerates to the deterministic full index set so that the
+def _draw_batch(rng, all_rows, M):
+    # M == n takes the full set itself, without a draw, so that the
     # variance-reduced corrections cancel exactly
-    if M == n:
-        return np.arange(n)
-    return rng.integers(0, n, size=M)
+    if M == len(all_rows):
+        return all_rows
+    return rng.integers(0, len(all_rows), size=M)
 
 
 def run(problem, config, callback=None):
@@ -454,17 +448,14 @@ def run(problem, config, callback=None):
     next iteration's y- and x-steps, and A^T times the x-step residual.
     """
     config.validate_against(problem)
-    n = problem.n
+    all_rows = problem.loss.all_rows
     cs = problem.constraints
     eta, rho, r = config.eta, config.rho, config.r
 
-    state, rng_batch, rng_out = init_state(problem, config)
+    state, rng_batch = init_state(problem, config)
     Ax = cs.A @ state.x
     estimator = make_estimator(problem, config, state.x)
     state.grad_table = estimator.table
-
-    t_rand = int(rng_out.integers(1, config.T + 1))
-    x_rand, y_rand = state.x.copy(), state.y.copy()
 
     trace = []
     solver_time = 0.0
@@ -474,7 +465,7 @@ def run(problem, config, callback=None):
 
         estimator.begin(t, state.x)
         y_new = y_update(problem, Ax, state.lam, rho)
-        batch = _draw_batch(rng_batch, n, estimator.M)
+        batch = _draw_batch(rng_batch, all_rows, estimator.M)
         g_hat = estimator.estimate(state.x, batch)
         x_new = x_update_uzawa(
             problem, state.x, y_new, state.lam, g_hat, eta, rho, r, Ax
@@ -493,9 +484,6 @@ def run(problem, config, callback=None):
         if np.linalg.norm(x_new) > _DIVERGENCE_NORM:
             raise DivergenceError("primal iterate norm exceeded 1e12", t + 1)
 
-        if t + 1 == t_rand:
-            x_rand, y_rand = state.x.copy(), state.y.copy()
-
         if (t + 1) % config.trace_stride == 0 or t + 1 == config.T:
             rec = _record(problem, config, state, estimator, solver_time)
             trace.append(rec)
@@ -503,19 +491,12 @@ def run(problem, config, callback=None):
                 callback(rec, state)
 
     estimator.finish()
-
-    return RunResult(
-        trace=trace,
-        state=state,
-        x_rand=x_rand,
-        y_rand=y_rand,
-        t_rand=t_rand,
-    )
+    return RunResult(trace=trace, state=state)
 
 
 def _record(problem, config, state, estimator, wall_time):
     rho = config.rho
-    f, grad = problem.loss.value_and_grad(state.x, problem.full_index_set())
+    f, grad = problem.loss.value_and_grad(state.x, problem.loss.all_rows)
     obj = f + problem.regularizer.value(state.y)
     report = metrics.stationarity(
         problem, state.x, state.y, state.lam, state.x_prev, rho, grad

@@ -92,7 +92,7 @@ def gen_graph_guided(n, d, seed, order=None):
 
 def smooth_value(problem, x, index_set=None):
     if index_set is None:
-        index_set = problem.full_index_set()
+        index_set = problem.loss.all_rows
     return problem.loss.value(x, index_set)
 
 

@@ -251,7 +251,12 @@ def desk_problem():
     )
 
 
-def test_criterion_07_desk_scale_speedup():
+@functools.lru_cache(maxsize=None)
+def desk_runs():
+    """Criterion 07's runs, which its wall-time gate and its IFO companion
+    share: per variant, one (wall ratio, IFO ratio) pair per seed. Each is
+    the first record reaching dete's objective after 100 steps, over dete's
+    wall time and IFO; both are inf when no record reaches it."""
     prob = desk_problem()
     eta, rho = 1.0, 1.0
     r = params.min_admissible_r(prob.constraints, eta, rho)
@@ -263,6 +268,7 @@ def test_criterion_07_desk_scale_speedup():
         )
         res = solvers.run(prob, base)
         W = res.trace[-1].wall_time
+        ifo = res.trace[-1].ifo
         target = res.trace[-1].objective
         for variant in fracs:
             cfg = solvers.SolverConfig(
@@ -274,13 +280,32 @@ def test_criterion_07_desk_scale_speedup():
             hit = next(
                 (rec for rec in run.trace if rec.objective <= target), None
             )
-            fracs[variant].append(np.inf if hit is None else hit.wall_time / W)
-    means = {v: float(np.mean(f)) for v, f in fracs.items()}
+            fracs[variant].append(
+                (np.inf, np.inf) if hit is None
+                else (hit.wall_time / W, hit.ifo / ifo)
+            )
+    return fracs
+
+
+def test_criterion_07_desk_scale_speedup():
+    means = {v: float(np.mean([w for w, _ in f])) for v, f in desk_runs().items()}
     ok = all(m <= 0.25 for m in means.values())
     _report(
         7, "stochastic variants reach the deterministic objective in a "
         "quarter of its wall time", ok,
         ", ".join(f"{v} {m:.3f}" for v, m in means.items()),
+    )
+
+
+def test_criterion_07_ifo_to_target():
+    """The deterministic companion of criterion 07: IFO counts, unlike wall
+    times, depend on the seed only."""
+    means = {v: float(np.mean([i for _, i in f])) for v, f in desk_runs().items()}
+    ok = all(m <= 0.05 for m in means.values())
+    _report(
+        7, "stochastic variants reach the deterministic objective within "
+        "5% of its IFO", ok,
+        ", ".join(f"{v} {m:.4f}" for v, m in means.items()),
     )
 
 

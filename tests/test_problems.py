@@ -191,7 +191,7 @@ class TestMultiTaskLoss:
 
 
 class TestFullIndexSet:
-    """The full index set reads the stored rows in place; every result must
+    """A loss's `all_rows` reads the stored rows in place; every result must
     be bitwise what the same formulas give on an explicitly gathered copy."""
 
     @staticmethod
@@ -214,7 +214,7 @@ class TestFullIndexSet:
         # stores csr for any input
         assert sp.issparse(loss.features) == (layout == "csr" or kind == "multitask")
         x = rng.standard_normal(loss.d)
-        full = np.arange(loss.n)
+        full = loss.all_rows
         fast = (loss.value(x, full), loss.grad(x, full), loss.grad_matrix(x, full))
 
         def gather(features, labels, index_set):
@@ -222,27 +222,28 @@ class TestFullIndexSet:
             return features[idx], labels[idx]
 
         monkeypatch.setattr(problems, "_select_rows", gather)
-        ref = (loss.value(x, full), loss.grad(x, full), loss.grad_matrix(x, full))
+        idx = np.arange(loss.n)
+        ref = (loss.value(x, idx), loss.grad(x, idx), loss.grad_matrix(x, idx))
         assert fast[0] == ref[0]
         assert np.array_equal(fast[1], ref[1])
         assert np.array_equal(fast[2], ref[2])
 
-    def test_full_set_selects_stored_rows(self, rng):
-        loss = self.make("sigmoid", "dense", rng)
-        feats, labels = problems._select_rows(
-            loss.features, loss.labels, np.arange(loss.n)
-        )
-        assert feats is loss.features and labels is loss.labels
-        # a reordered or repeated set of the same size is gathered
-        perm = np.arange(loss.n)[::-1]
-        feats, _ = problems._select_rows(loss.features, loss.labels, perm)
-        assert feats is not loss.features
-        assert np.array_equal(feats, loss.features[perm])
+    @pytest.mark.parametrize("kind", ["sigmoid", "multitask"])
+    def test_all_rows_are_the_stored_arrays(self, kind, rng):
+        loss = self.make(kind, "dense", rng)
+        full = loss.all_rows
+        assert full.features is loss.features and full.labels is loss.labels
+        assert np.array_equal(full.index, np.arange(loss.n))
+        assert loss.gather(full) is full
+        # an index array is gathered, arange(n) included
+        rows = loss.gather(np.arange(loss.n))
+        assert rows.features is not loss.features
+        assert not np.shares_memory(rows.labels, loss.labels)
 
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_sliced_rows_equal_gathered_rows(self, layout, rng):
         loss = self.make("sigmoid", layout, rng)
-        rows = loss.gather(np.arange(loss.n))
+        rows = loss.all_rows
         for part in (slice(7, 30), slice(50, None), slice(0, 60, 4)):
             got, want = rows.take(part), rows.take(np.arange(loss.n)[part])
             assert np.array_equal(got.index, want.index)
@@ -254,7 +255,7 @@ class TestFullIndexSet:
 
     def test_dense_slice_is_a_view(self, rng):
         loss = self.make("sigmoid", "dense", rng)
-        part = loss.gather(np.arange(loss.n)).take(slice(10, 40))
+        part = loss.all_rows.take(slice(10, 40))
         assert np.shares_memory(part.features, loss.features)
         assert np.shares_memory(part.labels, loss.labels)
 
@@ -275,7 +276,8 @@ class TestOnePass:
     def test_value_and_grad_equal_separate_calls(self, kind, layout, rng):
         loss = self.make(kind, layout, rng)
         x = rng.standard_normal(loss.d)
-        for idx in (np.arange(loss.n), rng.integers(0, loss.n, size=17)):
+        for idx in (loss.all_rows, np.arange(loss.n),
+                    rng.integers(0, loss.n, size=17)):
             value, grad = loss.value_and_grad(x, idx)
             assert value == loss.value(x, idx)
             assert np.array_equal(grad, loss.grad(x, idx))
@@ -286,7 +288,7 @@ class TestOnePass:
         loss = self.make(kind, layout, rng)
         x = rng.standard_normal(loss.d)
         err, value = loss.error_and_value(x)
-        assert value == loss.value(x, np.arange(loss.n))
+        assert value == loss.value(x, loss.all_rows)
         assert 0.0 <= err <= 1.0
 
     @pytest.mark.parametrize("kind", ["sigmoid", "multitask"])
@@ -312,10 +314,14 @@ class TestOnePass:
             loss.grad_matrix(x, rows),
         )
 
-    def test_take_in_order_is_the_same_rows(self, rng):
+    def test_take_of_an_index_array_gathers(self, rng):
         loss = self.make("sigmoid", "dense", rng)
+        full = loss.all_rows
+        taken = full.take(np.arange(loss.n))
+        assert taken is not full
+        assert not np.shares_memory(taken.features, loss.features)
+        assert np.array_equal(taken.features, loss.features)
         rows = loss.gather(np.array([5, 2, 9]))
-        assert rows.take(np.arange(3)) is rows
         assert np.array_equal(rows.take(np.array([2, 0])).index, [9, 5])
 
 

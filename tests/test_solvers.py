@@ -134,7 +134,7 @@ class TestPureUpdates:
 
     def test_gradient_estimators_at_full_batch(self, gg_problem, rng):
         x = rng.standard_normal(gg_problem.d)
-        full = gg_problem.full_index_set()
+        full = gg_problem.loss.all_rows
         g = gg_problem.grad(x)
         assert np.array_equal(solvers.stoc_gradient(gg_problem, x, full), g)
         snap = rng.standard_normal(gg_problem.d)
@@ -171,8 +171,6 @@ class TestRun:
         b = solvers.run(gg_problem, build(gg_problem, variant))
         assert np.array_equal(a.state.x, b.state.x)
         assert np.array_equal(a.state.lam, b.state.lam)
-        assert a.t_rand == b.t_rand
-        assert np.array_equal(a.x_rand, b.x_rand)
         assert [r.objective for r in a.trace] == [r.objective for r in b.trace]
 
     def test_seed_changes_run(self, gg_problem):
@@ -204,12 +202,6 @@ class TestRun:
         )
         assert [t for t, _ in seen] == [1, 2, 3, 4, 5]
 
-    def test_output_iterate_drawn_from_trajectory(self, gg_problem):
-        cfg = build(gg_problem, "stoc", T=30)
-        res, iterates = run_with_iterates(gg_problem, cfg)
-        assert 1 <= res.t_rand <= 30
-        assert np.array_equal(res.x_rand, iterates[res.t_rand - 1][0])
-
     def test_feasibility_decreases(self, identity_problem):
         cfg = build(identity_problem, "dete", eta=1.0, rho=50.0, T=200)
         res = solvers.run(identity_problem, cfg)
@@ -225,6 +217,7 @@ class TestRun:
         class ExplodingLoss:
             n = 4
             d = 3
+            all_rows = problems.Rows(np.arange(4), np.zeros((4, 3)), np.zeros(4))
 
             def value(self, x, idx):
                 return 0.0
@@ -269,14 +262,46 @@ class TestRun:
         assert max(residuals) < 1e-10
 
 
+class TestFullSetInPlace:
+    """Full passes read the stored features through the loss's `all_rows`
+    and never copy them."""
+
+    def test_full_passes_allocate_less_than_a_feature_copy(self):
+        prob = make_graph_guided_problem(n=2000, d=50)
+        assert isinstance(prob.loss.features, np.ndarray)
+        copy_bytes = prob.n * prob.d * 8
+        cfg = build(prob, "svrg", M=prob.n, T=1)
+        state, rng_batch = solvers.init_state(prob, cfg)
+        dete = solvers.make_estimator(prob, build(prob, "dete", T=1), state.x)
+        svrg = solvers.make_estimator(prob, cfg, state.x)
+        passes = {
+            "dete step": lambda: dete.estimate(
+                state.x, solvers._draw_batch(rng_batch, prob.loss.all_rows, dete.M)
+            ),
+            "svrg snapshot": lambda: svrg.begin(0, state.x),
+            "trace record": lambda: solvers._record(prob, cfg, state, svrg, 0.0),
+        }
+        tracemalloc.start()
+        try:
+            for name, full_pass in passes.items():
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                full_pass()
+                grown = tracemalloc.get_traced_memory()[1] - before
+                assert grown < copy_bytes, name
+        finally:
+            tracemalloc.stop()
+
+
 def reference_run(problem, config):
     """run()'s iterates rebuilt from the public step functions, with every
     product with A recomputed inside the step that uses it. saga keeps the
-    dense n x d table of component gradients the paper describes."""
+    dense n x d table of component gradients the paper describes. At
+    M = n the batch is the loss's `all_rows`; its index addresses the table."""
     n, cs = problem.n, problem.constraints
     eta, rho, r = config.eta, config.rho, config.r
-    state, rng_batch, _ = solvers.init_state(problem, config)
-    all_idx = problem.full_index_set()
+    state, rng_batch = solvers.init_state(problem, config)
+    all_idx = np.arange(n)
     if config.variant == "saga":
         table = problem.grad_matrix(state.x, all_idx)
         psi = table.mean(axis=0)
@@ -289,19 +314,20 @@ def reference_run(problem, config):
         if config.variant == "dete":
             g = problem.grad(state.x, all_idx)
         else:
-            batch = solvers._draw_batch(rng_batch, n, config.M)
+            batch = solvers._draw_batch(rng_batch, problem.loss.all_rows, config.M)
+            idx = batch.index if isinstance(batch, problems.Rows) else batch
             if config.variant == "stoc":
                 g = solvers.stoc_gradient(problem, state.x, batch)
             elif config.variant == "svrg":
                 g = solvers.svrg_gradient(problem, state.x, batch, x_snap, snap_grad)
             else:
-                g = problem.grad(state.x, batch) + (psi - table[batch].mean(axis=0))
+                g = problem.grad(state.x, batch) + (psi - table[idx].mean(axis=0))
         x = solvers.x_update_uzawa(
             problem, state.x, y, state.lam, g, eta, rho, r, cs.A @ state.x
         )
         lam = solvers.lambda_update(cs.A @ x, y, state.lam, rho, cs)
         if config.variant == "saga":
-            uniq = np.unique(batch)
+            uniq = np.unique(idx)
             new = problem.grad_matrix(x, uniq)
             if uniq.size == n:
                 table[:] = new
@@ -344,8 +370,9 @@ class TestCompactSagaTable:
     def test_run_matches_dense_table_with_duplicate_indices(self, make):
         prob = make()
         cfg = build(prob, "saga", M=10, T=30)
-        _, rng_batch, _ = solvers.init_state(prob, cfg)
-        batches = [solvers._draw_batch(rng_batch, prob.n, 10) for _ in range(30)]
+        _, rng_batch = solvers.init_state(prob, cfg)
+        batches = [solvers._draw_batch(rng_batch, prob.loss.all_rows, 10)
+                   for _ in range(30)]
         assert any(np.unique(b).size < b.size for b in batches)
         _, iterates = run_with_iterates(prob, cfg)
         assert_same_iterates(iterates, reference_run(prob, cfg), 30)
@@ -384,7 +411,7 @@ class TestCompactSagaTable:
     def test_blocked_mean_equals_dense_mean(self, make, monkeypatch, rng):
         prob = make()
         x = rng.standard_normal(prob.d)
-        dense = prob.grad_matrix(x, prob.full_index_set()).mean(axis=0)
+        dense = prob.grad_matrix(x, np.arange(prob.n)).mean(axis=0)
         for rows_per_block in (1, 3, 7, prob.n):
             monkeypatch.setattr(solvers, "_BLOCK_BYTES", 8 * prob.d * rows_per_block)
             assert np.array_equal(solvers.SagaTable.at(prob, x).mean(), dense)
@@ -455,11 +482,13 @@ class TestPooledPoints:
         cfg = build(prob, "saga", M=M, T=30)
         res, iterates = run_with_iterates(prob, cfg)
         # replay the batches into the dense table of stored points
-        state, rng_batch, _ = solvers.init_state(prob, cfg)
+        state, rng_batch = solvers.init_state(prob, cfg)
         points = np.tile(state.x, (n, 1))
         repeats = 0
         for rec, (x, _, _) in zip(res.trace, iterates, strict=True):
-            batch = solvers._draw_batch(rng_batch, n, M)
+            batch = solvers._draw_batch(rng_batch, prob.loss.all_rows, M)
+            if full_batch:
+                batch = batch.index
             repeats += np.unique(batch).size < batch.size
             points[batch] = x
             diff = x[None, :] - points
@@ -490,7 +519,7 @@ def test_saga_table_follows_dense_reference(kind, seed, rows_per_block, steps):
     """Under any batch sequence psi equals the table's blocked mean, and every
     rebuilt row equals, bitwise, the row grad_matrix gave at its stored point."""
     prob = _SMALL[kind]
-    n, full = prob.n, prob.full_index_set()
+    n, full = prob.n, prob.loss.all_rows
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(prob.d)
     with mock.patch.object(solvers, "_BLOCK_BYTES", 8 * prob.d * rows_per_block):
@@ -499,10 +528,11 @@ def test_saga_table_follows_dense_reference(kind, seed, rows_per_block, steps):
         psi = dense.mean(axis=0)
         assert np.array_equal(table.psi, psi)
         for k, batch in enumerate(steps, start=1):
-            batch = full if batch is None else np.array(batch)
+            # the full set is the loss's all_rows, as _draw_batch gives it
+            rows = full if batch is None else prob.gather(batch)
+            batch = rows.index
             x = rng.standard_normal(prob.d)
             x_new = rng.standard_normal(prob.d)
-            rows = prob.gather(batch)
             g = solvers.saga_gradient(prob, table, x, rows)
             want = prob.grad(x, batch) + (psi - dense[batch].mean(axis=0))
             assert np.array_equal(g, want)
@@ -516,6 +546,6 @@ def test_saga_table_follows_dense_reference(kind, seed, rows_per_block, steps):
                 psi = psi - (dense[uniq] - new).sum(axis=0) / n
                 dense[uniq] = new
             assert np.array_equal(table.psi, psi)
-            assert np.array_equal(table.rows(prob.gather(full)), dense)
+            assert np.array_equal(table.rows(full), dense)
             assert np.allclose(table.psi, table.mean(), atol=1e-12)
             assert np.count_nonzero(table.refs) <= min(n, k + 1)
