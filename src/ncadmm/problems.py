@@ -73,21 +73,12 @@ class ConstraintSystem:
         return self.A @ x - y - self.c
 
 
-def _check_index_set(index_set, n):
-    idx = np.asarray(index_set, dtype=int)
-    if idx.ndim != 1 or idx.size == 0:
-        raise InputError("index set must be a non-empty 1-D sequence")
-    if idx.min() < 0 or idx.max() >= n:
-        raise InputError(f"sample index out of range [0, {n})")
-    return idx
-
-
 class Rows:
     """Feature and label rows of a validated index set, gathered once.
 
-    Pass it wherever an index set goes to reuse the same rows across calls;
-    len() is its row count. A loss's `all_rows` is the full set over its
-    stored arrays.
+    Every loss method names its samples with Rows: a loss's `gather` builds
+    them from an index array, and its `all_rows` is the full set over its
+    stored arrays. len() is the row count.
     """
 
     __slots__ = ("index", "features", "labels")
@@ -140,31 +131,18 @@ def _nonzeros(feats):
     return rows, feats.indices, feats.data
 
 
-def _gather(features, labels, index_set):
-    """Rows of an index set, gathered once; Rows, a loss's `all_rows`
-    among them, pass through."""
-    if isinstance(index_set, Rows):
-        return index_set
-    idx = _check_index_set(index_set, features.shape[0])
-    return Rows(idx, _take_features(features, idx), labels[idx])
-
-
-def _select_rows(features, labels, index_set):
-    """Validated (features, labels) rows of an index set or of Rows."""
-    rows = _gather(features, labels, index_set)
-    return rows.features, rows.labels
-
-
 class _LinearModelLoss:
     """Row handling shared by losses of a linear model.
 
     A component gradient is grad f_i(x) = c_i (x) a_i + s(x): per-sample
     coefficients c_i times the sample's feature row, plus a term s shared by
-    every sample (None when the loss has none). `coefficients` gives (c, s),
-    `component_rows` rebuilds the rows from them, and `grad_matrix` is the
-    two composed, so a row rebuilt later from stored coefficients is
-    bitwise the row `grad_matrix` gave. `all_rows` is every sample, read
-    from the stored arrays in place.
+    every sample (None when the loss has none). Each loss's
+    `coefficients(x, rows)` gives (c, s), `component_rows` rebuilds the rows
+    from them, and `grad_matrix` is the two composed, so a row rebuilt later
+    from stored coefficients is bitwise the row `grad_matrix` gave. Every
+    method takes its samples as Rows: `gather` builds them from an index
+    array, and `all_rows` is every sample, read from the stored arrays in
+    place.
     """
 
     @property
@@ -172,22 +150,27 @@ class _LinearModelLoss:
         return self.features.shape[0]
 
     def gather(self, index_set):
-        return _gather(self.features, self.labels, index_set)
+        """Rows of a 1-D integer index array, each index in [0, n): the one
+        place an index array is checked and its rows are gathered."""
+        idx = np.asarray(index_set)
+        if idx.ndim != 1 or idx.size == 0:
+            raise InputError("index set must be a non-empty 1-D sequence")
+        # refused, not read as a mask or truncated to indices
+        if idx.dtype.kind not in "iu":
+            raise InputError(f"index set must hold integers, got {idx.dtype}")
+        if idx.min() < 0 or idx.max() >= self.n:
+            raise InputError(f"sample index out of range [0, {self.n})")
+        idx = idx.astype(int, copy=False)
+        return Rows(idx, _take_features(self.features, idx), self.labels[idx])
 
-    def coefficients(self, x, index_set):
-        feats, labels = _select_rows(self.features, self.labels, index_set)
-        return self._coefficients(x, feats, labels)
+    def grad(self, x, rows):
+        coef, shared = self.coefficients(x, rows)
+        return self.component_mean(coef, rows.features, shared)
 
-    def grad(self, x, index_set):
-        feats, labels = _select_rows(self.features, self.labels, index_set)
-        coef, shared = self._coefficients(x, feats, labels)
-        return self.component_mean(coef, feats, shared)
-
-    def grad_matrix(self, x, index_set):
-        """Per-sample gradients stacked as rows (|I| x d)."""
-        feats, labels = _select_rows(self.features, self.labels, index_set)
-        coef, shared = self._coefficients(x, feats, labels)
-        return self.component_rows(coef, feats, shared)
+    def grad_matrix(self, x, rows):
+        """Per-sample gradients stacked as rows (len(rows) x d)."""
+        coef, shared = self.coefficients(x, rows)
+        return self.component_rows(coef, rows.features, shared)
 
     def subtract_rows(self, out, coef, feats, shared):
         """out -= component_rows(coef, feats, shared), in place."""
@@ -223,9 +206,9 @@ class SigmoidLoss(_LinearModelLoss):
         """Per-row c_i with grad f_i(x) = c_i a_i."""
         return -labels * p * (1.0 - p)
 
-    def _coefficients(self, x, feats, labels):
-        p = _sigmoid_losses(feats @ x, labels)
-        return self._coef_from_losses(p, labels), None
+    def coefficients(self, x, rows):
+        p = _sigmoid_losses(rows.features @ x, rows.labels)
+        return self._coef_from_losses(p, rows.labels), None
 
     def component_rows(self, coef, feats, shared=None):
         if sp.issparse(feats):
@@ -237,9 +220,8 @@ class SigmoidLoss(_LinearModelLoss):
         """Mean of the component rows, from one product with the features."""
         return np.asarray(feats.T @ coef).ravel() / coef.size
 
-    def value(self, x, index_set):
-        feats, labels = _select_rows(self.features, self.labels, index_set)
-        return float(np.mean(_sigmoid_losses(feats @ x, labels)))
+    def value(self, x, rows):
+        return float(np.mean(_sigmoid_losses(rows.features @ x, rows.labels)))
 
     def on_rows(self, features, labels):
         """This loss on other samples."""
@@ -253,12 +235,11 @@ class SigmoidLoss(_LinearModelLoss):
         err = float(np.mean(pred != self.labels))
         return err, float(np.mean(_sigmoid_losses(scores, self.labels)))
 
-    def value_and_grad(self, x, index_set):
+    def value_and_grad(self, x, rows):
         """(value, grad), both from one product with the rows."""
-        feats, labels = _select_rows(self.features, self.labels, index_set)
-        p = _sigmoid_losses(feats @ x, labels)
-        grad = self.component_mean(self._coef_from_losses(p, labels), feats)
-        return float(np.mean(p)), grad
+        p = _sigmoid_losses(rows.features @ x, rows.labels)
+        coef = self._coef_from_losses(p, rows.labels)
+        return float(np.mean(p)), self.component_mean(coef, rows.features)
 
 
 class SmoothedMultiTaskLoss(_LinearModelLoss):
@@ -283,6 +264,8 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
         self.features = _as_matrix(sp.csr_matrix(features))
         self.labels = np.asarray(labels, dtype=int)
         self.classes = int(classes)
+        if self.labels.shape[0] != self.features.shape[0]:
+            raise ConfigError("feature/label count mismatch")
         if self.labels.size and (
             self.labels.min() < 0 or self.labels.max() >= classes
         ):
@@ -333,9 +316,9 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
         P[np.arange(labels.size), labels] -= 1.0
         return P
 
-    def _coefficients(self, x, feats, labels):
+    def coefficients(self, x, rows):
         X = self._as_X(x)
-        P = self._softmax_residual(np.asarray(feats @ X.T), labels)
+        P = self._softmax_residual(np.asarray(rows.features @ X.T), rows.labels)
         return P, self.penalty_grad(X)
 
     def component_rows(self, P, feats, shared):
@@ -394,11 +377,10 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
         G += shared
         return G.ravel()
 
-    def value(self, x, index_set):
-        feats, labels = _select_rows(self.features, self.labels, index_set)
+    def value(self, x, rows):
         X = self._as_X(x)
-        Z = np.asarray(feats @ X.T)
-        return self._mean_nll(Z, labels) + self.penalty_value(X)
+        Z = np.asarray(rows.features @ X.T)
+        return self._mean_nll(Z, rows.labels) + self.penalty_value(X)
 
     def on_rows(self, features, labels):
         """This loss, with its classes and penalty, on other samples."""
@@ -416,14 +398,13 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
         err = float(np.mean(scores.argmax(axis=1) != self.labels))
         return err, self._mean_nll(scores, self.labels) + self.penalty_value(X)
 
-    def value_and_grad(self, x, index_set):
+    def value_and_grad(self, x, rows):
         """(value, grad), both from one product with the rows."""
-        feats, labels = _select_rows(self.features, self.labels, index_set)
         X = self._as_X(x)
-        Z = np.asarray(feats @ X.T)
-        value = self._mean_nll(Z, labels) + self.penalty_value(X)
-        P = self._softmax_residual(Z, labels)
-        return value, self.component_mean(P, feats, self.penalty_grad(X))
+        Z = np.asarray(rows.features @ X.T)
+        value = self._mean_nll(Z, rows.labels) + self.penalty_value(X)
+        P = self._softmax_residual(Z, rows.labels)
+        return value, self.component_mean(P, rows.features, self.penalty_grad(X))
 
 
 @dataclass(frozen=True)
@@ -557,16 +538,12 @@ class CompositeProblem:
     def p(self):
         return self.regularizer.p
 
-    def grad(self, x, index_set=None):
-        if index_set is None:
-            index_set = self.loss.all_rows
-        return self.loss.grad(x, index_set)
+    def grad(self, x, rows=None):
+        """Mean gradient over Rows of the loss, every sample by default."""
+        return self.loss.grad(x, self.loss.all_rows if rows is None else rows)
 
-    def gather(self, index_set):
-        return self.loss.gather(index_set)
-
-    def grad_matrix(self, x, index_set):
-        return self.loss.grad_matrix(x, index_set)
+    def grad_matrix(self, x, rows):
+        return self.loss.grad_matrix(x, rows)
 
 
 def build_graph_guided_A(edges, d):

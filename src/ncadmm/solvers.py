@@ -148,19 +148,17 @@ def lambda_update(Ax_new, y_new, lambda_t, rho, constraints):
     return lambda_t - rho * (Ax_new - y_new - constraints.c)
 
 
-def stoc_gradient(problem, x, batch):
-    """Mini-batch mean gradient over a with-replacement batch."""
-    return problem.grad(x, batch)
+def stoc_gradient(problem, x, rows):
+    """Mini-batch mean gradient over the Rows of a with-replacement batch."""
+    return problem.grad(x, rows)
 
 
-def svrg_gradient(problem, x, batch, snapshot_x, snapshot_grad):
-    """Snapshot-corrected gradient estimate.
-
-    The batch rows are gathered once and serve both gradients. Grouped as
-    batch-mean + (snapshot - batch-mean-at-snapshot) so the correction
-    cancels exactly (bitwise) when the batch is the full set.
+def svrg_gradient(problem, x, rows, snapshot_x, snapshot_grad):
+    """Snapshot-corrected gradient estimate; the batch's Rows serve both
+    gradients. Grouped as batch-mean + (snapshot - batch-mean-at-snapshot)
+    so the correction cancels exactly (bitwise) when the batch is the full
+    set.
     """
-    rows = problem.gather(batch)
     g = problem.grad(x, rows)
     g_snap_batch = problem.grad(snapshot_x, rows)
     return g + (snapshot_grad - g_snap_batch)
@@ -294,19 +292,17 @@ class SagaTable:
         self.free.extend(range(new_cap - 1, cap - 1, -1))
 
 
-def saga_gradient(problem, table, x, batch):
-    """Table-corrected gradient estimate at x; does not mutate the table.
-
-    The batch rows are gathered once, for the gradient and the stored rows;
-    passing the same gathered Rows on to saga_table_update reuses both.
+def saga_gradient(problem, table, x, rows):
+    """Table-corrected gradient estimate at x over the batch's Rows; does
+    not mutate the table. Passing the same Rows on to saga_table_update
+    reuses the stored rows rebuilt here.
     """
-    rows = problem.gather(batch)
     g = problem.grad(x, rows)
     return g + (table.psi - table.mean(rows))
 
 
-def saga_table_update(problem, table, batch, x_new):
-    """Write grad f_i(x_new) for deduplicated batch indices, update psi.
+def saga_table_update(problem, table, rows, x_new):
+    """Write grad f_i(x_new) for the batch Rows' unique samples, update psi.
 
     The new coefficients are those of exactly the unique rows: the loss's
     `all_rows` when the batch covers every sample. Below the full set, old
@@ -314,7 +310,6 @@ def saga_table_update(problem, table, batch, x_new):
     rebuilt, minus the new rows in place.
     """
     n = table.n
-    rows = problem.gather(batch)
     uniq, first = np.unique(rows.index, return_index=True)
     full = uniq.size == n
     new = problem.loss.all_rows if full else rows.take(first)
@@ -341,9 +336,9 @@ class BatchMean:
     def begin(self, t, x):
         pass
 
-    def estimate(self, x, batch):
-        self.ifo += len(batch)
-        return stoc_gradient(self.problem, x, batch)
+    def estimate(self, x, rows):
+        self.ifo += len(rows)
+        return stoc_gradient(self.problem, x, rows)
 
     def commit(self, x_new):
         pass
@@ -371,9 +366,9 @@ class SvrgEstimator(BatchMean):
             self.snap_grad = self.problem.grad(self.x_snap)
             self.ifo += self.problem.n
 
-    def estimate(self, x, batch):
-        self.ifo += len(batch)
-        return svrg_gradient(self.problem, x, batch, self.x_snap, self.snap_grad)
+    def estimate(self, x, rows):
+        self.ifo += len(rows)
+        return svrg_gradient(self.problem, x, rows, self.x_snap, self.snap_grad)
 
     def snap_sq(self, x, x_prev):
         a, b = x - self.x_snap, x_prev - self.x_snap
@@ -382,17 +377,17 @@ class SvrgEstimator(BatchMean):
 
 class SagaEstimator(BatchMean):
     """The batch mean corrected by a SagaTable; the table's start counts n
-    IFO. The batch is gathered once for the estimate and the table write."""
+    IFO. The batch's Rows serve the estimate and the table write."""
 
     def __init__(self, problem, M, table):
         super().__init__(problem, M)
         self.table = table
         self.ifo = problem.n
 
-    def estimate(self, x, batch):
-        self._rows = self.problem.gather(batch)
-        self.ifo += len(self._rows)
-        return saga_gradient(self.problem, self.table, x, self._rows)
+    def estimate(self, x, rows):
+        self._rows = rows
+        self.ifo += len(rows)
+        return saga_gradient(self.problem, self.table, x, rows)
 
     def commit(self, x_new):
         saga_table_update(self.problem, self.table, self._rows, x_new)
@@ -429,12 +424,13 @@ def init_state(problem, config):
     return state, np.random.Generator(np.random.Philox(batch_ss))
 
 
-def _draw_batch(rng, all_rows, M):
-    # M == n takes the full set itself, without a draw, so that the
-    # variance-reduced corrections cancel exactly
-    if M == len(all_rows):
-        return all_rows
-    return rng.integers(0, len(all_rows), size=M)
+def _draw_batch(rng, loss, M):
+    """One step's batch as Rows: M indices drawn with replacement and
+    gathered, or at M == n the loss's `all_rows` itself, without a draw, so
+    that the variance-reduced corrections cancel exactly."""
+    if M == loss.n:
+        return loss.all_rows
+    return loss.gather(rng.integers(0, loss.n, size=M))
 
 
 def run(problem, config, callback=None):
@@ -448,7 +444,6 @@ def run(problem, config, callback=None):
     next iteration's y- and x-steps, and A^T times the x-step residual.
     """
     config.validate_against(problem)
-    all_rows = problem.loss.all_rows
     cs = problem.constraints
     eta, rho, r = config.eta, config.rho, config.r
 
@@ -465,7 +460,7 @@ def run(problem, config, callback=None):
 
         estimator.begin(t, state.x)
         y_new = y_update(problem, Ax, state.lam, rho)
-        batch = _draw_batch(rng_batch, all_rows, estimator.M)
+        batch = _draw_batch(rng_batch, problem.loss, estimator.M)
         g_hat = estimator.estimate(state.x, batch)
         x_new = x_update_uzawa(
             problem, state.x, y_new, state.lam, g_hat, eta, rho, r, Ax

@@ -90,10 +90,8 @@ def gen_graph_guided(n, d, seed, order=None):
     return ds, PrecisionModel(Lambda=Lam, support=support, shift=shift), x_star
 
 
-def smooth_value(problem, x, index_set=None):
-    if index_set is None:
-        index_set = problem.loss.all_rows
-    return problem.loss.value(x, index_set)
+def smooth_value(problem, x):
+    return problem.loss.value(x, problem.loss.all_rows)
 
 
 def objective(problem, x, y):
@@ -146,7 +144,7 @@ def saga_table_from_points(problem, points):
     points = np.array(points, dtype=float)
     if len(points) != loss.n:
         raise InputError(f"need one stored point per sample, n={loss.n}")
-    parts = [loss.coefficients(p, [i]) for i, p in enumerate(points)]
+    parts = [loss.coefficients(p, loss.gather([i])) for i, p in enumerate(points)]
     coef = np.concatenate([c for c, _ in parts])
     shared = None if parts[0][1] is None else np.stack([s for _, s in parts])
     return solvers.SagaTable(loss, coef, points, shared, np.arange(loss.n))
@@ -198,7 +196,8 @@ def variance_diagnostics(problem, variant, x, L, M=1, snapshot_x=None,
     else:
         rng = rng or np.random.default_rng(0)
         batches = [rng.integers(0, n, size=M) for _ in range(n_draws)]
-    errors = (estimator.estimate(x, batch) - full_grad for batch in batches)
+    errors = (estimator.estimate(x, problem.loss.gather(batch)) - full_grad
+              for batch in batches)
     empirical = float(np.mean([float(e @ e) for e in errors]))
     return {"empirical_var": empirical, "bound": bound}
 

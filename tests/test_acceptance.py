@@ -78,13 +78,13 @@ def test_criterion_01_unbiasedness():
         full = prob.grad(x)
         scale = np.linalg.norm(full)
 
-        singles = [prob.grad(x, np.array([i])) for i in range(n)]
+        singles = [prob.grad(x, prob.loss.gather([i])) for i in range(n)]
         worst = max(worst, np.linalg.norm(np.mean(singles, 0) - full) / scale)
 
         snap = rng.standard_normal(prob.d)
         snap_grad = prob.grad(snap)
         svrg = [
-            solvers.svrg_gradient(prob, x, np.array([i]), snap, snap_grad)
+            solvers.svrg_gradient(prob, x, prob.loss.gather([i]), snap, snap_grad)
             for i in range(n)
         ]
         worst = max(worst, np.linalg.norm(np.mean(svrg, 0) - full) / scale)
@@ -92,7 +92,8 @@ def test_criterion_01_unbiasedness():
         pts = snap[None, :] + 0.2 * rng.standard_normal((n, prob.d))
         table = oracles.saga_table_from_points(prob, pts)
         saga = [
-            solvers.saga_gradient(prob, table, x, np.array([i])) for i in range(n)
+            solvers.saga_gradient(prob, table, x, prob.loss.gather([i]))
+            for i in range(n)
         ]
         worst = max(worst, np.linalg.norm(np.mean(saga, 0) - full) / scale)
     _report(1, "enumerated estimator means equal the full gradient",

@@ -120,7 +120,8 @@ class TestCouplingIsMinusIdentity:
             rec = solvers._record(
                 prob, cfg, state, solvers.BatchMean(prob, 1), 0.0
             )
-            obj = prob.loss.value(x, np.arange(prob.n)) + prob.regularizer.value(y)
+            every = prob.loss.gather(np.arange(prob.n))
+            obj = prob.loss.value(x, every) + prob.regularizer.value(y)
             lrho = obj - float(lam @ resid) + 0.5 * rho * float(resid @ resid)
             assert rec.lrho == lrho
             assert rec.feasibility_sq == rep.feasibility_sq

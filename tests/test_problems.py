@@ -106,7 +106,7 @@ class TestSigmoidLoss:
             rng.standard_normal((30, 4)),
             np.where(rng.random(30) < 0.5, -1.0, 1.0),
         )
-        v = loss.value(rng.standard_normal(4), np.arange(30))
+        v = loss.value(rng.standard_normal(4), loss.gather(np.arange(30)))
         assert 0.0 < v < 1.0
 
     def test_grad_matches_finite_differences(self, rng):
@@ -114,7 +114,7 @@ class TestSigmoidLoss:
         labels = np.where(rng.random(20) < 0.5, -1.0, 1.0)
         loss = problems.SigmoidLoss(feats, labels)
         x = rng.standard_normal(5)
-        idx = np.arange(20)
+        idx = loss.gather(np.arange(20))
         g = loss.grad(x, idx)
         g_num = numeric_grad(lambda z: loss.value(z, idx), x)
         assert np.allclose(g, g_num, atol=1e-8)
@@ -124,7 +124,7 @@ class TestSigmoidLoss:
         labels = np.where(rng.random(15) < 0.5, -1.0, 1.0)
         loss = problems.SigmoidLoss(feats, labels)
         x = rng.standard_normal(4)
-        idx = np.arange(15)
+        idx = loss.gather(np.arange(15))
         assert np.allclose(
             loss.grad_matrix(x, idx).mean(axis=0), loss.grad(x, idx), atol=1e-14
         )
@@ -137,12 +137,39 @@ class TestSigmoidLoss:
         b = problems.SigmoidLoss(sp.csr_matrix(dense), labels)
         x = rng.standard_normal(6)
         idx = np.arange(12)
-        assert np.allclose(a.grad(x, idx), b.grad(x, idx), atol=1e-12)
+        assert np.allclose(
+            a.grad(x, a.gather(idx)), b.grad(x, b.gather(idx)), atol=1e-12
+        )
 
-    def test_index_bounds_checked(self, rng):
-        loss = problems.SigmoidLoss(rng.standard_normal((5, 2)), np.ones(5))
+
+class TestGather:
+    """`gather` is where an index array is checked: a non-empty 1-D array
+    of integers in [0, n), and nothing it might be read as."""
+
+    @staticmethod
+    def make(rng, n=6):
+        return problems.SigmoidLoss(rng.standard_normal((n, 2)), np.ones(n))
+
+    # an int conversion would read these as samples 1 0 1 0 0 0, as 1 2,
+    # and as 0
+    @pytest.mark.parametrize("index_set", [
+        np.array([True, False, True, False, False, False]), [1.7, 2.2], [0.9],
+    ], ids=["bool_mask", "floats", "fraction"])
+    def test_non_integer_refused(self, index_set, rng):
+        with pytest.raises(InputError, match="integers"):
+            self.make(rng).gather(index_set)
+
+    @pytest.mark.parametrize("index_set", [[], [[0, 1]], 3, [0, 6], [-1, 2]])
+    def test_empty_non_1d_and_out_of_range_refused(self, index_set, rng):
         with pytest.raises(InputError):
-            loss.value(np.zeros(2), [0, 5])
+            self.make(rng).gather(index_set)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8, np.uint64])
+    def test_integer_dtypes_gathered(self, dtype, rng):
+        loss = self.make(rng)
+        rows = loss.gather(np.array([5, 0, 5], dtype=dtype))
+        assert rows.index.tolist() == [5, 0, 5]
+        assert np.array_equal(rows.features, loss.features[[5, 0, 5]])
 
 
 class TestMultiTaskLoss:
@@ -154,7 +181,7 @@ class TestMultiTaskLoss:
     def test_grad_matches_finite_differences(self, rng):
         loss = self.make(rng)
         x = rng.standard_normal(loss.d) * 0.5
-        idx = np.arange(loss.n)
+        idx = loss.gather(np.arange(loss.n))
         g = loss.grad(x, idx)
         g_num = numeric_grad(lambda z: loss.value(z, idx), x)
         assert np.allclose(g, g_num, atol=1e-7)
@@ -169,7 +196,7 @@ class TestMultiTaskLoss:
     def test_grad_matrix_mean_equals_grad(self, rng):
         loss = self.make(rng)
         x = rng.standard_normal(loss.d)
-        idx = np.arange(loss.n)
+        idx = loss.gather(np.arange(loss.n))
         assert np.allclose(
             loss.grad_matrix(x, idx).mean(axis=0), loss.grad(x, idx), atol=1e-12
         )
@@ -179,6 +206,10 @@ class TestMultiTaskLoss:
             problems.SmoothedMultiTaskLoss(
                 rng.standard_normal((4, 2)), np.array([0, 1, 2, 3]), 3, 1e-3
             )
+
+    def test_feature_label_count_mismatch_rejected(self):
+        with pytest.raises(ConfigError, match="count mismatch"):
+            problems.SmoothedMultiTaskLoss(np.eye(4, 2), np.array([0, 1, 2]), 3, 1e-3)
 
     @pytest.mark.parametrize("name", ["nu1", "beta", "theta"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -208,7 +239,7 @@ class TestFullIndexSet:
 
     @pytest.mark.parametrize("kind", ["sigmoid", "multitask"])
     @pytest.mark.parametrize("layout", ["dense", "csr"])
-    def test_bitwise_equal_to_gathered_rows(self, kind, layout, rng, monkeypatch):
+    def test_bitwise_equal_to_gathered_rows(self, kind, layout, rng):
         loss = self.make(kind, layout, rng)
         # the sigmoid loss keeps the given layout; the multi-task loss
         # stores csr for any input
@@ -217,13 +248,10 @@ class TestFullIndexSet:
         full = loss.all_rows
         fast = (loss.value(x, full), loss.grad(x, full), loss.grad_matrix(x, full))
 
-        def gather(features, labels, index_set):
-            idx = np.asarray(index_set, dtype=int)
-            return features[idx], labels[idx]
-
-        monkeypatch.setattr(problems, "_select_rows", gather)
+        # a copy of every row, gathered by plain numpy indexing
         idx = np.arange(loss.n)
-        ref = (loss.value(x, idx), loss.grad(x, idx), loss.grad_matrix(x, idx))
+        copy = problems.Rows(idx, loss.features[idx], loss.labels[idx])
+        ref = (loss.value(x, copy), loss.grad(x, copy), loss.grad_matrix(x, copy))
         assert fast[0] == ref[0]
         assert np.array_equal(fast[1], ref[1])
         assert np.array_equal(fast[2], ref[2])
@@ -234,7 +262,6 @@ class TestFullIndexSet:
         full = loss.all_rows
         assert full.features is loss.features and full.labels is loss.labels
         assert np.array_equal(full.index, np.arange(loss.n))
-        assert loss.gather(full) is full
         # an index array is gathered, arange(n) included
         rows = loss.gather(np.arange(loss.n))
         assert rows.features is not loss.features
@@ -262,7 +289,7 @@ class TestFullIndexSet:
     def test_full_set_still_validated(self, rng):
         loss = self.make("sigmoid", "dense", rng)
         with pytest.raises(InputError):
-            loss.grad(np.zeros(loss.d), np.arange(loss.n) + 1)
+            loss.gather(np.arange(loss.n) + 1)
 
 
 class TestOnePass:
@@ -276,8 +303,8 @@ class TestOnePass:
     def test_value_and_grad_equal_separate_calls(self, kind, layout, rng):
         loss = self.make(kind, layout, rng)
         x = rng.standard_normal(loss.d)
-        for idx in (loss.all_rows, np.arange(loss.n),
-                    rng.integers(0, loss.n, size=17)):
+        for idx in (loss.all_rows, loss.gather(np.arange(loss.n)),
+                    loss.gather(rng.integers(0, loss.n, size=17))):
             value, grad = loss.value_and_grad(x, idx)
             assert value == loss.value(x, idx)
             assert np.array_equal(grad, loss.grad(x, idx))
@@ -298,10 +325,12 @@ class TestOnePass:
         x = rng.standard_normal(loss.d)
         idx = np.array([4, 4, 0, 17, 3])
         rows = loss.gather(idx)
-        assert len(rows) == idx.size and loss.gather(rows) is rows
-        assert loss.value(x, rows) == loss.value(x, idx)
-        assert np.array_equal(loss.grad(x, rows), loss.grad(x, idx))
-        assert np.array_equal(loss.grad_matrix(x, rows), loss.grad_matrix(x, idx))
+        assert len(rows) == idx.size
+        # the same rows gathered by plain numpy indexing
+        ref = problems.Rows(idx, loss.features[idx], loss.labels[idx])
+        assert loss.value(x, rows) == loss.value(x, ref)
+        assert np.array_equal(loss.grad(x, rows), loss.grad(x, ref))
+        assert np.array_equal(loss.grad_matrix(x, rows), loss.grad_matrix(x, ref))
 
     @pytest.mark.parametrize("kind", ["sigmoid", "multitask"])
     def test_component_rows_rebuild_grad_matrix(self, kind, rng):

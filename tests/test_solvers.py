@@ -148,18 +148,18 @@ class TestSagaTable:
     def test_psi_tracks_table(self, gg_problem, rng):
         table = solvers.SagaTable.at(gg_problem, rng.standard_normal(gg_problem.d))
         for _ in range(10):
-            batch = rng.integers(0, gg_problem.n, size=7)
+            rows = gg_problem.loss.gather(rng.integers(0, gg_problem.n, size=7))
             x_new = rng.standard_normal(gg_problem.d)
-            solvers.saga_table_update(gg_problem, table, batch, x_new)
+            solvers.saga_table_update(gg_problem, table, rows, x_new)
         assert np.allclose(table.psi, table.mean(), atol=1e-12)
 
     def test_duplicate_batch_indices_written_once(self, gg_problem, rng):
         table = solvers.SagaTable.at(gg_problem, rng.standard_normal(gg_problem.d))
         x_new = rng.standard_normal(gg_problem.d)
-        batch = np.array([3, 3, 3, 5])
-        solvers.saga_table_update(gg_problem, table, batch, x_new)
-        expect = gg_problem.grad_matrix(x_new, np.array([3, 5]))
-        assert np.allclose(table.rows(gg_problem.gather([3, 5])), expect)
+        loss = gg_problem.loss
+        solvers.saga_table_update(gg_problem, table, loss.gather([3, 3, 3, 5]), x_new)
+        expect = gg_problem.grad_matrix(x_new, loss.gather([3, 5]))
+        assert np.allclose(table.rows(loss.gather([3, 5])), expect)
         assert table.refs[table.slot[3]] == 2
         assert np.array_equal(table.points[table.slot[3]], x_new)
 
@@ -188,6 +188,25 @@ class TestRun:
         assert svrg.trace[-1].ifo == M * T + n * ((T + m - 1) // m)
         saga = solvers.run(gg_problem, build(gg_problem, "saga", M=M, T=T))
         assert saga.trace[-1].ifo == n + M * T
+
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("variant", solvers.VARIANTS)
+    @pytest.mark.parametrize("make", [make_graph_guided_problem, make_multitask_problem])
+    def test_a_drawn_batch_is_gathered_once(self, make, variant, full, monkeypatch):
+        """Each step below M = n gathers its drawn batch exactly once; the
+        full set, and with it every dete step, is never gathered."""
+        prob, T = make(), 12
+        gather, sizes = type(prob.loss).gather, []
+
+        def counting(loss, index_set):
+            sizes.append(len(index_set))
+            return gather(loss, index_set)
+
+        monkeypatch.setattr(type(prob.loss), "gather", counting)
+        M = prob.n if full else 10
+        solvers.run(prob, build(prob, variant, M=M, T=T))
+        drawn = not full and variant != "dete"
+        assert sizes == ([M] * T if drawn else [])
 
     def test_trace_stride(self, gg_problem):
         res = solvers.run(gg_problem, build(gg_problem, T=25, trace_stride=10))
@@ -276,7 +295,7 @@ class TestFullSetInPlace:
         svrg = solvers.make_estimator(prob, cfg, state.x)
         passes = {
             "dete step": lambda: dete.estimate(
-                state.x, solvers._draw_batch(rng_batch, prob.loss.all_rows, dete.M)
+                state.x, solvers._draw_batch(rng_batch, prob.loss, dete.M)
             ),
             "svrg snapshot": lambda: svrg.begin(0, state.x),
             "trace record": lambda: solvers._record(prob, cfg, state, svrg, 0.0),
@@ -296,26 +315,27 @@ class TestFullSetInPlace:
 def reference_run(problem, config):
     """run()'s iterates rebuilt from the public step functions, with every
     product with A recomputed inside the step that uses it. saga keeps the
-    dense n x d table of component gradients the paper describes. At
-    M = n the batch is the loss's `all_rows`; its index addresses the table."""
+    dense n x d table of component gradients the paper describes. Full
+    passes read a gathered copy of every row; a drawn batch's index addresses
+    the table."""
     n, cs = problem.n, problem.constraints
     eta, rho, r = config.eta, config.rho, config.r
     state, rng_batch = solvers.init_state(problem, config)
-    all_idx = np.arange(n)
+    every = problem.loss.gather(np.arange(n))
     if config.variant == "saga":
-        table = problem.grad_matrix(state.x, all_idx)
+        table = problem.grad_matrix(state.x, every)
         psi = table.mean(axis=0)
     iterates = []
     for t in range(config.T):
         if config.variant == "svrg" and t % config.m == 0:
             x_snap = state.x.copy()
-            snap_grad = problem.grad(x_snap, all_idx)
+            snap_grad = problem.grad(x_snap, every)
         y = solvers.y_update(problem, cs.A @ state.x, state.lam, rho)
         if config.variant == "dete":
-            g = problem.grad(state.x, all_idx)
+            g = problem.grad(state.x, every)
         else:
-            batch = solvers._draw_batch(rng_batch, problem.loss.all_rows, config.M)
-            idx = batch.index if isinstance(batch, problems.Rows) else batch
+            batch = solvers._draw_batch(rng_batch, problem.loss, config.M)
+            idx = batch.index
             if config.variant == "stoc":
                 g = solvers.stoc_gradient(problem, state.x, batch)
             elif config.variant == "svrg":
@@ -328,7 +348,7 @@ def reference_run(problem, config):
         lam = solvers.lambda_update(cs.A @ x, y, state.lam, rho, cs)
         if config.variant == "saga":
             uniq = np.unique(idx)
-            new = problem.grad_matrix(x, uniq)
+            new = problem.grad_matrix(x, problem.loss.gather(uniq))
             if uniq.size == n:
                 table[:] = new
                 psi = table.mean(axis=0)
@@ -371,7 +391,7 @@ class TestCompactSagaTable:
         prob = make()
         cfg = build(prob, "saga", M=10, T=30)
         _, rng_batch = solvers.init_state(prob, cfg)
-        batches = [solvers._draw_batch(rng_batch, prob.loss.all_rows, 10)
+        batches = [solvers._draw_batch(rng_batch, prob.loss, 10).index
                    for _ in range(30)]
         assert any(np.unique(b).size < b.size for b in batches)
         _, iterates = run_with_iterates(prob, cfg)
@@ -411,7 +431,7 @@ class TestCompactSagaTable:
     def test_blocked_mean_equals_dense_mean(self, make, monkeypatch, rng):
         prob = make()
         x = rng.standard_normal(prob.d)
-        dense = prob.grad_matrix(x, np.arange(prob.n)).mean(axis=0)
+        dense = prob.grad_matrix(x, prob.loss.gather(np.arange(prob.n))).mean(axis=0)
         for rows_per_block in (1, 3, 7, prob.n):
             monkeypatch.setattr(solvers, "_BLOCK_BYTES", 8 * prob.d * rows_per_block)
             assert np.array_equal(solvers.SagaTable.at(prob, x).mean(), dense)
@@ -429,7 +449,7 @@ class TestCompactSagaTable:
     def test_write_drops_rows_kept_for_the_batch(self, gg_problem, rng):
         x = rng.standard_normal(gg_problem.d)
         table = solvers.SagaTable.at(gg_problem, x)
-        rows = gg_problem.gather(rng.integers(0, gg_problem.n, size=7))
+        rows = gg_problem.loss.gather(rng.integers(0, gg_problem.n, size=7))
         solvers.saga_gradient(gg_problem, table, x, rows)
         for _ in range(2):
             x_new = rng.standard_normal(gg_problem.d)
@@ -486,9 +506,7 @@ class TestPooledPoints:
         points = np.tile(state.x, (n, 1))
         repeats = 0
         for rec, (x, _, _) in zip(res.trace, iterates, strict=True):
-            batch = solvers._draw_batch(rng_batch, prob.loss.all_rows, M)
-            if full_batch:
-                batch = batch.index
+            batch = solvers._draw_batch(rng_batch, prob.loss, M).index
             repeats += np.unique(batch).size < batch.size
             points[batch] = x
             diff = x[None, :] - points
@@ -529,16 +547,18 @@ def test_saga_table_follows_dense_reference(kind, seed, rows_per_block, steps):
         assert np.array_equal(table.psi, psi)
         for k, batch in enumerate(steps, start=1):
             # the full set is the loss's all_rows, as _draw_batch gives it
-            rows = full if batch is None else prob.gather(batch)
+            rows = full if batch is None else prob.loss.gather(batch)
             batch = rows.index
             x = rng.standard_normal(prob.d)
             x_new = rng.standard_normal(prob.d)
             g = solvers.saga_gradient(prob, table, x, rows)
-            want = prob.grad(x, batch) + (psi - dense[batch].mean(axis=0))
+            want = prob.grad(x, prob.loss.gather(batch)) + (
+                psi - dense[batch].mean(axis=0)
+            )
             assert np.array_equal(g, want)
             solvers.saga_table_update(prob, table, rows, x_new)
             uniq = np.unique(batch)
-            new = prob.grad_matrix(x_new, uniq)
+            new = prob.grad_matrix(x_new, prob.loss.gather(uniq))
             if uniq.size == n:
                 dense[:] = new
                 psi = dense.mean(axis=0)
