@@ -196,7 +196,7 @@ def build_problem(problem_spec):
             m * ds.d, f"multitask model of {m} classes x {ds.d} features"
         )
         loss = SmoothedMultiTaskLoss(
-            train.features, train.labels.astype(int), m, spec["nu1"],
+            train.features, train.labels, m, spec["nu1"],
             beta=spec["beta"], theta=spec["theta"],
         )
         cs, reg = build_multitask_constraints(
@@ -443,7 +443,7 @@ def cmd_run(ctx, spec_path, out_dir, seed, allow_uncertified):
 @main.command("check-params")
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--variant", required=True,
-              type=click.Choice(["dete", "stoc", "svrg", "saga"]))
+              type=click.Choice(solvers_mod.VARIANTS))
 @click.option("--eta", type=float, required=True)
 @click.option("--rho", type=float, required=True)
 @click.option("--r", "r_val", type=float, default=None)
@@ -473,6 +473,8 @@ def _load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _at_rho(spec, rho):

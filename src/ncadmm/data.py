@@ -214,9 +214,13 @@ def parse_libsvm(source, n_features=None, label_mode="auto"):
 
     parts, offset = [], 0
     # about 64 KB of text at a time bounds the parse's own memory
-    for lines in iter(lambda: source.readlines(_PARSE_BLOCK_CHARS), []):
-        parts.append(_parse_lines(lines, offset))
-        offset += len(lines)
+    try:
+        for lines in iter(lambda: source.readlines(_PARSE_BLOCK_CHARS), []):
+            parts.append(_parse_lines(lines, offset))
+            offset += len(lines)
+    except UnicodeDecodeError as exc:  # text decodes by the block: no exact line
+        raise ParseError(f"not UTF-8 text at line {offset + 1} or later: byte "
+                         f"0x{exc.object[exc.start]:02x}: {exc.reason}") from None
     if not sum(part[0].size for part in parts):
         raise ParseError("empty dataset: no data lines found")
     labels, counts, cols, vals = map(np.concatenate, zip(*parts))

@@ -19,39 +19,16 @@ class StationarityReport:
     subgrad_dist_sq: float
 
 
-def l1_subgrad_dist_sq(v, y, weight):
-    """Squared distance of v to the subdifferential of weight*||.||_1 at y.
-
-    Coordinates with y_i != 0 pin the subgradient to weight*sign(y_i);
-    zero coordinates allow the full box [-weight, weight].
-    """
-    v = np.asarray(v, dtype=float)
-    y = np.asarray(y, dtype=float)
-    pinned = np.abs(v - weight * np.sign(y))
-    boxed = np.maximum(np.abs(v) - weight, 0.0)
-    per_coord = np.where(y != 0.0, pinned, boxed)
-    return float(per_coord @ per_coord)
-
-
 def subgrad_dist_sq(problem, y, lam, x, x_prev, rho):
-    """dist(-lam, subdifferential of g at y)^2, blockwise.
-
-    l1 blocks are exact; nuclear blocks use the proof-side surrogate
-    ||rho * A (x - x_prev)||^2 restricted to the block.
-    """
-    cs = problem.constraints
+    """dist(-lam, subdifferential of g at y)^2: the sum, in block order, of
+    each block's own `subgrad_dist_sq` on its slices of v = -lam, of y and
+    of w = rho * -(A (x - x_prev))."""
     v = -np.asarray(lam).ravel()
+    w = rho * -np.asarray(problem.constraints.A @ (x - x_prev)).ravel()
     total = 0.0
     for blk in problem.regularizer.blocks:
-        vb = v[blk.start : blk.stop]
-        if blk.kind == "l1":
-            total += l1_subgrad_dist_sq(vb, y[blk.start : blk.stop], blk.weight)
-        elif blk.kind == "nuclear":
-            w = -np.asarray(cs.A @ (x - x_prev)).ravel()
-            wb = rho * w[blk.start : blk.stop]
-            total += float(wb @ wb)
-        else:
-            raise InputError(f"unsupported regularizer block kind {blk.kind!r}")
+        s = slice(blk.start, blk.stop)
+        total += blk.subgrad_dist_sq(v[s], y[s], w[s])
     return total
 
 

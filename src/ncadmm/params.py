@@ -4,60 +4,28 @@ All certificate arithmetic is pure float evaluation of the closed-form
 constants; nothing here runs a solver.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field, asdict
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .data import check_count
 from .exceptions import ConfigError
-from .problems import SigmoidLoss, SmoothedMultiTaskLoss
 
 _RHO_STAR_RTOL = 1e-9
-_SCAN_CHUNK = 8192
-
-
-@functools.cache
-def sigmoid_curvature_bound():
-    """The largest |d^2/du^2 1/(1+e^u)| = p(1-p)|1-2p| over 200001 evenly
-    spaced u in [-8, 8]: 0.09622504486472483.
-
-    This scanned maximum lies 2.1e-13 below the true supremum sqrt(3)/18,
-    taken where p = 1/2 +- sqrt(3)/6. The scan goes a chunk at a time; a
-    maximum is exact in any order, so it equals the one-pass maximum.
-    """
-    u = np.linspace(-8.0, 8.0, 200001)
-    best = 0.0
-    for start in range(0, u.size, _SCAN_CHUNK):
-        p = expit(-u[start:start + _SCAN_CHUNK])
-        best = max(best, float(np.max(p * (1.0 - p) * np.abs(1.0 - 2.0 * p))))
-    return best
 
 
 def estimate_lipschitz(problem):
     """Bound on the Lipschitz constant of the full smooth gradient: the
-    largest squared feature-row norm times the loss's curvature bound.
-
-    For the sigmoid loss that curvature is the scanned
-    `sigmoid_curvature_bound`, 2.2e-12 (relative) below its true supremum,
-    so the sigmoid L is an upper bound up to that margin.
-    """
-    loss = problem.loss
-    feats = loss.features
+    loss's `lipschitz_bound` of the largest squared feature-row norm."""
+    feats = problem.loss.features
     try:
         sq_norms = np.asarray(feats.multiply(feats).sum(axis=1)).ravel()
     except AttributeError:
         sq_norms = np.einsum("ij,ij->i", feats, feats)
     max_sq = float(sq_norms.max()) if sq_norms.size else 0.0
-    if isinstance(loss, SigmoidLoss):
-        return max_sq * sigmoid_curvature_bound()
-    if isinstance(loss, SmoothedMultiTaskLoss):
-        # softmax hessian norm <= ||a||^2 / 2; penalty curvature <= nu1*beta/theta^2
-        return max_sq * 0.5 + loss.nu1 * loss.beta / loss.theta**2
-    raise ConfigError(f"no Lipschitz estimate for loss type {type(loss).__name__}")
+    return problem.loss.lipschitz_bound(max_sq)
 
 
 @dataclass
@@ -209,27 +177,34 @@ def saga_alpha_schedule(L, constraints, rho, n, M, T, beta):
 
 
 def _shift_sequence(variant, L, constraints, rho, n, M, m, T, beta):
-    """The variant's schedule and the shifts it adds to L~, one per step.
+    """The variant's schedule, the shifts it adds to L~, one per step, and
+    the reason that refuses it if it overflows; all None for dete and stoc.
 
-    None and None for dete and stoc. svrg shifts by (1+1/beta) h_{t+1} and,
-    in the steady state where h_1 of the next epoch equals h[0], by h[0] at
-    the epoch's end; saga by ((n-M)/n)(1+1/beta) alpha_t. Its caller,
-    `check_feasible`, lets an overflowed schedule's shifts overflow to inf.
+    svrg shifts by (1+1/beta) h_{t+1} and, in the steady state where h_1 of
+    the next epoch equals h[0], by h[0] at the epoch's end; saga by
+    ((n-M)/n)(1+1/beta) alpha_t. Its caller, `check_feasible`, lets an
+    overflowed schedule's shifts overflow to inf.
     """
     if variant in ("dete", "stoc"):
-        return None, None
+        return None, None, None
     if variant == "svrg":
         if m is None or M is None:
             raise ConfigError("svrg certificate needs m and M")
         h = svrg_h_schedule(L, constraints, rho, M, m, beta)
         shifts = [(1.0 + 1.0 / beta) * h[t + 1] for t in range(m - 1)]
-        return h, shifts + [float(h[0])]
+        return h, shifts + [float(h[0])], (
+            f"h schedule overflows float64 within m={m} steps: "
+            "the backward recursion grows geometrically in the epoch"
+        )
     if variant == "saga":
         if T is None or n is None or M is None:
             raise ConfigError("saga certificate needs T, n and M")
         alpha = saga_alpha_schedule(L, constraints, rho, n, M, T, beta)
         frac = (n - M) / n * (1.0 + 1.0 / beta)
-        return alpha[:T], [frac * alpha[t] for t in range(1, T + 1)]
+        return alpha[:T], [frac * alpha[t] for t in range(1, T + 1)], (
+            f"alpha schedule overflows float64 within T={T} steps: "
+            "the backward recursion grows geometrically for M < n"
+        )
     raise ConfigError(f"unknown variant {variant!r}")
 
 
@@ -254,7 +229,7 @@ def check_feasible(variant, L, constraints, eta, rho, r, *, n=None, M=None,
     if eta <= 0 or rho <= 0 or r <= 0:
         raise ConfigError("eta, rho and r must all be > 0")
     L, eta, rho, r = (np.float64(v) for v in (L, eta, rho, r))
-    schedule, shifts = _shift_sequence(
+    schedule, shifts, overflow_reason = _shift_sequence(
         variant, L, constraints, rho, n, M, m, T, beta
     )
     pa = constraints.phi_min_A
@@ -280,17 +255,8 @@ def check_feasible(variant, L, constraints, eta, rho, r, *, n=None, M=None,
         base = head - (zeta + zeta1) / rho
         gammas = [float(base - s) for s in shifts]
         gamma = min(gammas)  # an overflowed shift leaves -inf
-        overflow = not (np.isfinite(schedule).all() and np.isfinite(shifts).all())
-        if variant == "saga" and overflow:
-            reasons.append(
-                f"alpha schedule overflows float64 within T={T} steps: "
-                "the backward recursion grows geometrically for M < n"
-            )
-        if variant == "svrg" and overflow:
-            reasons.append(
-                f"h schedule overflows float64 within m={m} steps: "
-                "the backward recursion grows geometrically in the epoch"
-            )
+        if not (np.isfinite(schedule).all() and np.isfinite(shifts).all()):
+            reasons.append(overflow_reason)
         if gamma <= 0:
             reasons.append(f"min Gamma = {gamma:g} <= 0")
     constants = TheoryConstants(**{name: float(v) for name, v in dict(

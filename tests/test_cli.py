@@ -684,6 +684,33 @@ class TestFailClosed:
         self.assert_one_line_error(proc)
         assert "not valid JSON" in proc.stderr
 
+    @pytest.mark.parametrize("command, bad_file", [
+        ("parse", "data"), ("run", "data"), ("run", "spec"),
+        ("check-params", "spec"), ("rho-sweep", "spec"),
+    ])
+    def test_non_utf8_file(self, command, bad_file, tmp_path):
+        # 0xff never occurs in UTF-8 text
+        data_path = tmp_path / "d.libsvm"
+        data_path.write_bytes(b"1 1:0.5\n-1 2:1\n" + b"\xff" * (bad_file == "data"))
+        spec = tmp_path / "exp.json"
+        write_spec(spec, problem={"kind": "libsvm", "path": str(data_path)})
+        if bad_file == "spec":
+            spec.write_bytes(spec.read_bytes().replace(b'"v1"', b'"v1\xff"'))
+        out = ["--out", str(tmp_path / "o"), "--allow-uncertified"]
+        args = {
+            "parse": ["--path", str(data_path)],
+            "run": ["--spec", str(spec), *out],
+            "check-params": ["--spec", str(spec), "--variant", "stoc",
+                             "--eta", "1", "--rho", "1"],
+            "rho-sweep": ["--spec", str(spec), *out, "--rho", "1"],
+        }[command]
+        proc = run_cli([command, *args])
+        self.assert_one_line_error(proc)
+        if bad_file == "spec":
+            assert f"{spec} is not UTF-8 text" in proc.stderr
+        else:
+            assert "not UTF-8 text at line 1 or later: byte 0xff" in proc.stderr
+
     def test_zero_batch_in_spec(self, refused_spec, tmp_path):
         spec = json.loads(refused_spec.read_text())
         spec["solvers"][0].update(variant="svrg", M=0)  # m defaults to n // M

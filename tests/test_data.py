@@ -155,6 +155,20 @@ class TestParseLibsvm:
         with pytest.raises(ParseError):
             data.parse_libsvm(io.StringIO("# only comments\n\n"))
 
+    @pytest.mark.parametrize("reader", ["path", "binary stream"])
+    def test_non_utf8_byte_is_a_parse_error(self, reader, tmp_path):
+        # 0xff never occurs in UTF-8; the 160 KB before it span blocks, and
+        # the line named is no later than the bad one, line 20001
+        raw = b"1 1:0.5\n" * 20000 + b"-1 2:1\xff\n"
+        path = tmp_path / "bad.libsvm"
+        path.write_bytes(raw)
+        source = str(path) if reader == "path" else io.BytesIO(raw)
+        with pytest.raises(ParseError, match="not UTF-8 text") as exc:
+            data.parse_libsvm(source)
+        first = int(str(exc.value).split("at line ")[1].split()[0])
+        assert 1 < first <= 20001
+        assert str(exc.value).endswith("or later: byte 0xff: invalid start byte")
+
     def test_binary_label_mapping(self):
         ds = data.parse_libsvm(io.StringIO("2 1:1\n4 1:2\n2 1:3\n"))
         assert np.array_equal(ds.labels, [-1.0, 1.0, -1.0])

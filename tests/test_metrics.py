@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ncadmm import metrics, params, problems, solvers
 from ncadmm.exceptions import CapabilityError, InputError
@@ -18,17 +20,37 @@ class TestL1SubgradDist:
         # y != 0 pins v to w*sign(y); y = 0 allows the box [-w, w]
         y = np.array([2.0, -1.0, 0.0, 0.0])
         v = np.array([0.5, -0.5, 0.3, -0.5])
-        assert metrics.l1_subgrad_dist_sq(v, y, 0.5) == 0.0
+        assert problems.l1_subgrad_dist_sq(v, y, 0.5) == 0.0
 
     def test_pinned_distance(self):
         y = np.array([1.0])
         v = np.array([0.0])
-        assert np.isclose(metrics.l1_subgrad_dist_sq(v, y, 0.5), 0.25)
+        assert np.isclose(problems.l1_subgrad_dist_sq(v, y, 0.5), 0.25)
 
     def test_boxed_distance(self):
         y = np.array([0.0])
         v = np.array([0.8])
-        assert np.isclose(metrics.l1_subgrad_dist_sq(v, y, 0.5), 0.09)
+        assert np.isclose(problems.l1_subgrad_dist_sq(v, y, 0.5), 0.09)
+
+
+class TestBlockSubgradDist:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        v=hnp.arrays(float, st.integers(1, 12), elements=st.floats(-1e6, 1e6)),
+        weight=st.floats(0.0, 1e6),
+        rho=st.floats(1e-6, 1e6),
+    )
+    def test_l1_zero_at_a_prox_output(self, v, weight, rho):
+        # y = prox(v, 1/rho) satisfies rho (v - y) in the subdifferential
+        # at y, so the distance is rounding alone. Over 20000 examples its
+        # square root peaked at 1.41 eps (rho max|v| + weight); the bound
+        # allows 2 eps sqrt(len(v)) of that scale.
+        blk = problems.L1Block(0, v.size, weight)
+        y = blk.prox(v, 1.0 / rho)
+        dist_sq = blk.subgrad_dist_sq(rho * (v - y), y, None)
+        scale = rho * float(np.max(np.abs(v))) + weight
+        tol = 2.0 * np.finfo(float).eps * np.sqrt(v.size) * scale
+        assert dist_sq <= tol**2
 
 
 class TestStationarity:
@@ -88,8 +110,8 @@ class TestCouplingIsMinusIdentity:
         w = np.asarray(B.T @ (cs.A @ (x - x_prev))).ravel()
         total = 0.0
         for blk in prob.regularizer.blocks:
-            if blk.kind == "l1":
-                total += metrics.l1_subgrad_dist_sq(
+            if isinstance(blk, problems.L1Block):
+                total += problems.l1_subgrad_dist_sq(
                     v[blk.start : blk.stop], y[blk.start : blk.stop], blk.weight
                 )
             else:

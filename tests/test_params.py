@@ -4,11 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ncadmm import params, problems
 from ncadmm.exceptions import ConfigError
 
-from conftest import make_graph_guided_problem
+from conftest import (
+    make_graph_guided_problem,
+    make_multitask_problem,
+    make_sparse_sigmoid_problem,
+)
 import oracles
 
 
@@ -19,11 +24,11 @@ def identity_constraints(d=4):
 class TestLipschitz:
     def test_curvature_bound_closed_form(self):
         # max of p(1-p)|1-2p| over p in (0,1) is sqrt(3)/18
-        assert abs(params.sigmoid_curvature_bound() - math.sqrt(3) / 18) < 1e-6
+        assert abs(problems.sigmoid_curvature_bound() - math.sqrt(3) / 18) < 1e-6
 
     def test_curvature_bound_is_the_one_pass_scan(self):
         # the scan's grid misses the true supremum by 2.1e-13, from below
-        bound = params.sigmoid_curvature_bound()
+        bound = problems.sigmoid_curvature_bound()
         assert bound == oracles.sigmoid_curvature_bound() == 0.09622504486472483
         assert bound <= math.sqrt(3) / 18
 
@@ -31,7 +36,7 @@ class TestLipschitz:
         # the one-pass scan peaked at 7.6 MiB: the grid and five temporaries
         tracemalloc.start()
         try:
-            params.sigmoid_curvature_bound.__wrapped__()
+            problems.sigmoid_curvature_bound.__wrapped__()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -42,7 +47,25 @@ class TestLipschitz:
         feats = prob.loss.features
         max_sq = float(np.einsum("ij,ij->i", feats, feats).max())
         L = params.estimate_lipschitz(prob)
-        assert np.isclose(L, max_sq * params.sigmoid_curvature_bound(), rtol=1e-9)
+        assert np.isclose(L, max_sq * problems.sigmoid_curvature_bound(), rtol=1e-9)
+
+    @pytest.mark.parametrize("make", [
+        make_graph_guided_problem, make_sparse_sigmoid_problem, make_multitask_problem,
+    ])
+    def test_estimate_is_bitwise_the_closed_form(self, make):
+        # each loss's L written out, so a change in its last bit, which only
+        # the bench digests would catch otherwise, fails here
+        prob = make()
+        loss, feats = prob.loss, prob.loss.features
+        if sp.issparse(feats):
+            max_sq = float(np.asarray(feats.multiply(feats).sum(axis=1)).ravel().max())
+        else:
+            max_sq = float(np.einsum("ij,ij->i", feats, feats).max())
+        if isinstance(loss, problems.SigmoidLoss):
+            want = max_sq * 0.09622504486472483
+        else:
+            want = max_sq * 0.5 + loss.nu1 * loss.beta / loss.theta**2
+        assert params.estimate_lipschitz(prob) == want
 
     def test_estimate_dominates_numeric_curvature(self, rng):
         # directional second differences of f never exceed the bound

@@ -207,6 +207,19 @@ class TestMultiTaskLoss:
                 rng.standard_normal((4, 2)), np.array([0, 1, 2, 3]), 3, 1e-3
             )
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7, 2.9], [0.0, np.nan, 1.0]])
+    def test_fractional_class_labels_rejected(self, labels):
+        # refused, not truncated to a class
+        with pytest.raises(ConfigError, match="whole numbers"):
+            problems.SmoothedMultiTaskLoss(np.eye(3, 2), np.array(labels), 3, 1e-3)
+
+    def test_whole_valued_float_labels_accepted(self):
+        # as parse_libsvm's multiclass mode gives them
+        loss = problems.SmoothedMultiTaskLoss(
+            np.eye(3, 2), np.array([2.0, 0.0, 1.0]), 3, 1e-3
+        )
+        assert loss.labels.dtype.kind == "i" and loss.labels.tolist() == [2, 0, 1]
+
     def test_feature_label_count_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="count mismatch"):
             problems.SmoothedMultiTaskLoss(np.eye(4, 2), np.array([0, 1, 2]), 3, 1e-3)
@@ -545,9 +558,9 @@ class TestBuilders:
     def test_multitask_constraints(self):
         cs, reg = problems.build_multitask_constraints(2, 3, 1e-3, 1e-2, 0.5)
         assert cs.q == 12 and cs.d == 6 and reg.p == 12
-        assert reg.blocks[0].kind == "l1"
+        assert isinstance(reg.blocks[0], problems.L1Block)
         assert np.isclose(reg.blocks[0].weight, 5e-4)
-        assert reg.blocks[1].kind == "nuclear"
+        assert isinstance(reg.blocks[1], problems.NuclearNormBlock)
         assert reg.blocks[1].rows == 2 and reg.blocks[1].cols == 3
 
 
