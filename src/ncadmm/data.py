@@ -17,6 +17,7 @@ _MIN_PRECISION_EIG = 0.1
 _PARSE_BLOCK_CHARS = 1 << 16
 _GEN_BLOCK_BYTES = 1 << 20
 _GEN_ROW_ALIGN = 64
+_LABEL_MODES = ("auto", "binary", "multiclass", "raw")
 # the largest feature count, and model dimension, accepted anywhere: a d x d
 # float64 array, which graph-guided problems build, takes 2 GiB at this d
 MAX_DIM = 16384
@@ -206,6 +207,10 @@ def parse_libsvm(source, n_features=None, label_mode="auto"):
       "multiclass" force the sorted class-index remap
       "raw"        keep labels as parsed
     """
+    if label_mode not in _LABEL_MODES:
+        raise ConfigError(
+            f"label_mode must be one of {', '.join(_LABEL_MODES)}, got {label_mode!r}"
+        )
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8") as fh:
             return parse_libsvm(fh, n_features=n_features, label_mode=label_mode)

@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit, logsumexp
+from scipy.special import expit, logsumexp, softmax
 
+from .data import check_count
 from .exceptions import ConfigError, InputError, NumericalError
 
 _SCAN_CHUNK = 8192
@@ -96,37 +97,11 @@ class Rows:
         return self.index.size
 
     def take(self, positions):
-        """Rows at `positions` (a slice or an index array) of this set.
-
-        A slice takes views where the features allow one: numpy's row
-        slice of dense features, scipy's of csr. An index array is gathered.
-        """
-        if isinstance(positions, slice):
-            return Rows(self.index[positions], self.features[positions],
-                        self.labels[positions])
-        return Rows(
-            self.index[positions],
-            _take_features(self.features, positions),
-            self.labels[positions],
-        )
-
-
-def _take_features(features, idx):
-    """Feature rows idx. A csr matrix is sliced with numpy from its indptr,
-    indices and data: the arrays scipy's row index builds, for a fraction of
-    its per-call cost."""
-    if not sp.issparse(features):
-        return features[idx]
-    indptr = features.indptr
-    starts = indptr[idx]
-    counts = indptr[idx + 1] - starts
-    ptr = np.zeros(idx.size + 1, dtype=indptr.dtype)
-    np.cumsum(counts, out=ptr[1:])
-    pos = np.arange(ptr[-1], dtype=indptr.dtype) + np.repeat(starts - ptr[:-1], counts)
-    return type(features)(
-        (features.data[pos], features.indices[pos], ptr),
-        shape=(idx.size, features.shape[1]),
-    )
+        """Rows at `positions` (a slice or an index array) of this set, by
+        each array's own indexing. Only a slice of dense features is a view;
+        csr rows are always copied."""
+        return Rows(self.index[positions], self.features[positions],
+                    self.labels[positions])
 
 
 def _nonzeros(feats):
@@ -167,7 +142,7 @@ class _LinearModelLoss:
 
     def gather(self, index_set):
         """Rows of a 1-D integer index array, each index in [0, n): the one
-        place an index array is checked and its rows are gathered."""
+        place an index array is checked, then taken from `all_rows`."""
         idx = np.asarray(index_set)
         if idx.ndim != 1 or idx.size == 0:
             raise InputError("index set must be a non-empty 1-D sequence")
@@ -176,8 +151,7 @@ class _LinearModelLoss:
             raise InputError(f"index set must hold integers, got {idx.dtype}")
         if idx.min() < 0 or idx.max() >= self.n:
             raise InputError(f"sample index out of range [0, {self.n})")
-        idx = idx.astype(int, copy=False)
-        return Rows(idx, _take_features(self.features, idx), self.labels[idx])
+        return self.all_rows.take(idx.astype(int, copy=False))
 
     def grad(self, x, rows):
         coef, shared = self.coefficients(x, rows)
@@ -340,10 +314,8 @@ class SmoothedMultiTaskLoss(_LinearModelLoss):
 
     @staticmethod
     def _softmax_residual(Z, labels):
-        """softmax(Z) - onehot(labels); shifts Z in place."""
-        Z -= Z.max(axis=1, keepdims=True)
-        P = np.exp(Z)
-        P /= P.sum(axis=1, keepdims=True)
+        """softmax(Z) - onehot(labels)."""
+        P = softmax(Z, axis=1)
         P[np.arange(labels.size), labels] -= 1.0
         return P
 
@@ -621,6 +593,7 @@ def build_overlap_A(d, k):
     """Stacked-identity constraint A = [I; ...; I] (k copies), c = 0."""
     if k < 1:
         raise ConfigError("number of overlapping copies k must be >= 1")
+    check_count(k * d, f"overlap constraint of k={k} copies x d={d}")
     A = sp.vstack([sp.identity(d, format="csr")] * k, format="csr")
     return ConstraintSystem(A, np.zeros(k * d))
 

@@ -582,6 +582,25 @@ class TestFailClosed:
         self.assert_one_line_error(proc)
         assert f"split of n={2**60} samples" in proc.stderr
 
+    @pytest.mark.parametrize("k", [2**63, 2**61])
+    @pytest.mark.parametrize("command", ["run", "check-params"])
+    def test_overlap_copies_no_array_holds(self, command, k, tmp_path):
+        # refused from k x d alone, before the k copies are listed
+        problem = {"kind": "overlap", "n": 20, "grid": 2, "k": k}
+        if command == "run":
+            spec = tmp_path / "exp.json"
+            write_spec(spec, problem=problem)
+            args = ["run", "--spec", str(spec), "--out", str(tmp_path / "o"),
+                    "--allow-uncertified"]
+        else:
+            spec = tmp_path / "problem.json"
+            spec.write_text(json.dumps(problem))
+            args = ["check-params", "--spec", str(spec), "--variant", "stoc",
+                    "--eta", "1", "--rho", "1"]
+        proc = run_cli(args)
+        self.assert_one_line_error(proc)
+        assert f"overlap constraint of k={k} copies x d=4" in proc.stderr
+
     @pytest.mark.parametrize("flag, value, key", [
         ("--iterations", "0", "T"), ("--iterations", "-5", "T"),
         ("--batch", "0", "M"), ("--epoch-length", "0", "m"),

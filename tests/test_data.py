@@ -184,6 +184,11 @@ class TestParseLibsvm:
                 io.StringIO("1 1:1\n2 1:2\n3 1:3\n"), label_mode="binary"
             )
 
+    def test_unknown_label_mode_rejected(self):
+        # a misspelt mode is refused, not read as "raw"
+        with pytest.raises(ConfigError, match="got 'binarry'"):
+            data.parse_libsvm(io.StringIO("1 1:1\n2 1:2\n"), label_mode="binarry")
+
     def test_round_trip(self, tmp_path, rng):
         feats = rng.standard_normal((10, 5))
         feats[rng.random((10, 5)) < 0.5] = 0.0

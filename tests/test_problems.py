@@ -621,6 +621,7 @@ def multitask_on(feats, classes, nu1=0.0):
     labels = np.arange(feats.shape[0]) % classes
     loss = problems.SmoothedMultiTaskLoss(feats, labels, classes, nu1)
     loss.features = feats
+    loss.all_rows = problems.Rows(np.arange(feats.shape[0]), feats, loss.labels)
     return loss
 
 
@@ -694,35 +695,79 @@ class TestSparseRebuild:
         assert got.tobytes() == want.tobytes()
 
     def test_sparse_rows_never_densify(self, monkeypatch, rng):
-        class NoDense(sp.csr_matrix):
-            def toarray(self, *args, **kwargs):
-                raise AssertionError("sparse rows were densified")
+        def no_dense(*args, **kwargs):
+            raise AssertionError("sparse rows were densified")
 
         def no_einsum(*args, **kwargs):
             raise AssertionError("einsum ran over sparse rows")
 
-        feats = NoDense(sp.random(8, 30, density=0.05, format="csr", random_state=1))
+        feats = sp.random(8, 30, density=0.05, format="csr", random_state=1)
         loss = multitask_on(feats, 3)
         P, shared = rng.standard_normal((8, 3)), rng.standard_normal((3, 30))
         rows = loss.gather(np.array([5, 1, 5, 7]))
-        assert isinstance(rows.features, NoDense)
+        taken = rows.take(np.array([0, 1, 3]))
+        # scipy's row indexing need not keep a subclass: guard the classes
+        # of the rows themselves
+        for cls in {type(rows.features), type(taken.features)}:
+            assert issubclass(cls, sp.csr_matrix)
+            monkeypatch.setattr(cls, "toarray", no_dense)
         monkeypatch.setattr(np, "einsum", no_einsum)
         loss.component_rows(P, rows.features, shared)
-        loss.subtract_rows(
-            np.zeros((3, 90)), P[:3], rows.take(np.array([0, 1, 3])).features, shared
-        )
+        loss.subtract_rows(np.zeros((3, 90)), P[:3], taken.features, shared)
 
-    def test_gathered_csr_equals_scipy_row_index(self, rng):
-        feats = sp.random(40, 25, density=0.05, format="csr", random_state=2)
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 8), st.integers(1, 7)), data=st.data())
+    def test_taken_rows_are_canonical_dense_rows(self, shape, data):
+        """Rows gathered (repeats included), sliced, and taken from a gather
+        are canonical csr, one stored entry per position as `add_products`
+        assumes, and hold the dense rows, empty rows and stored zeros
+        included."""
+        n, dF = shape
+        feats = data.draw(csr_features(n, dF))
         loss = multitask_on(feats, 2)
-        idx = rng.integers(0, 40, size=30)
-        for got in (loss.gather(idx).features,
-                    loss.gather(idx).take(np.array([3, 0, 3])).features,
-                    loss.gather(idx).take(slice(4, 9)).features):
-            assert sp.issparse(got) and got.format == "csr"
-        got = loss.gather(idx).features
-        want = feats[idx]
-        for attr in ("indptr", "indices", "data"):
-            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
-        sub = loss.gather(idx).take(slice(4, 9)).features
-        assert (sub != feats[idx[4:9]]).nnz == 0
+        idx = np.array(data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=10)
+        ))
+        rows = loss.gather(idx)
+        sub = np.array(data.draw(
+            st.lists(st.integers(0, idx.size - 1), min_size=1, max_size=6)
+        ))
+        part, full_part = data.draw(st.slices(idx.size)), data.draw(st.slices(n))
+        dense = feats.toarray()
+        for got, want in ((rows, idx), (rows.take(sub), idx[sub]),
+                          (rows.take(part), idx[part]),
+                          (loss.all_rows.take(full_part), np.arange(n)[full_part])):
+            F = got.features
+            assert sp.issparse(F) and F.format == "csr"
+            assert F.has_canonical_format
+            assert all((np.diff(F.indices[a:b]) > 0).all()
+                       for a, b in zip(F.indptr[:-1], F.indptr[1:]))
+            assert F.nnz == np.diff(feats.indptr)[want].sum()
+            assert F.toarray().tobytes() == dense[want].tobytes()
+            assert np.array_equal(got.index, want)
+            assert np.array_equal(got.labels, loss.labels[want])
+
+
+_SCORE = st.one_of(st.sampled_from([1e300, -1e300, 0.0, -0.0]),
+                   st.floats(-1e300, 1e300))
+
+
+class TestSoftmaxResidual:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        Z=hnp.arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 5)),
+                     elements=_SCORE),
+        tied=st.booleans(),
+        data=st.data(),
+    )
+    def test_equals_explicit_max_shift_exp_divide(self, Z, tied, data):
+        if tied:
+            Z[0] = Z[0, 0]
+        labels = data.draw(hnp.arrays(
+            np.intp, Z.shape[0], elements=st.integers(0, Z.shape[1] - 1)
+        ))
+        E = np.exp(Z - Z.max(axis=1, keepdims=True))
+        want = E / E.sum(axis=1, keepdims=True)
+        want[np.arange(labels.size), labels] -= 1.0
+        got = problems.SmoothedMultiTaskLoss._softmax_residual(Z, labels)
+        assert got.tobytes() == want.tobytes()
