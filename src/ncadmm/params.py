@@ -140,6 +140,8 @@ def svrg_h_schedule(L, constraints, rho, M, m, beta):
     if m < 1:
         raise ConfigError("epoch length m must be >= 1")
     check_count(m, "svrg epoch length m")
+    if M < 1:
+        raise ConfigError("mini-batch size M must be >= 1")
     if beta <= 0:
         raise ConfigError("beta must be > 0")
     pa = constraints.phi_min_A
@@ -176,47 +178,15 @@ def saga_alpha_schedule(L, constraints, rho, n, M, T, beta):
     return alpha  # alpha[t-1] is the step-t weight; alpha[T] is the zero boundary
 
 
-def _shift_sequence(variant, L, constraints, rho, n, M, m, T, beta):
-    """The variant's schedule, the shifts it adds to L~, one per step, and
-    the reason that refuses it if it overflows; all None for dete and stoc.
-
-    svrg shifts by (1+1/beta) h_{t+1} and, in the steady state where h_1 of
-    the next epoch equals h[0], by h[0] at the epoch's end; saga by
-    ((n-M)/n)(1+1/beta) alpha_t. Its caller, `check_feasible`, lets an
-    overflowed schedule's shifts overflow to inf.
-    """
-    if variant in ("dete", "stoc"):
-        return None, None, None
-    if variant == "svrg":
-        if m is None or M is None:
-            raise ConfigError("svrg certificate needs m and M")
-        h = svrg_h_schedule(L, constraints, rho, M, m, beta)
-        shifts = [(1.0 + 1.0 / beta) * h[t + 1] for t in range(m - 1)]
-        return h, shifts + [float(h[0])], (
-            f"h schedule overflows float64 within m={m} steps: "
-            "the backward recursion grows geometrically in the epoch"
-        )
-    if variant == "saga":
-        if T is None or n is None or M is None:
-            raise ConfigError("saga certificate needs T, n and M")
-        alpha = saga_alpha_schedule(L, constraints, rho, n, M, T, beta)
-        frac = (n - M) / n * (1.0 + 1.0 / beta)
-        return alpha[:T], [frac * alpha[t] for t in range(1, T + 1)], (
-            f"alpha schedule overflows float64 within T={T} steps: "
-            "the backward recursion grows geometrically for M < n"
-        )
-    raise ConfigError(f"unknown variant {variant!r}")
-
-
 @np.errstate(all="ignore")
 def check_feasible(variant, L, constraints, eta, rho, r, *, n=None, M=None,
                    m=None, T=None, beta=1.0):
     """Certificate for one (eta, rho, r) configuration of any variant.
 
     All variants share the interval condition and Gamma; they differ only in
-    the shift sequence added to L~ (see `_shift_sequence`). The interval uses
-    L + 1 + 2*min(shift) and Gamma_t is the base minus shift_t. dete and
-    stoc, with no shift, keep their own closed form of Gamma.
+    the shift sequence added to L~, their estimator's `shift_sequence`. The
+    interval uses L + 1 + 2*min(shift) and Gamma_t is the base minus shift_t.
+    dete and stoc, with no shift, keep their own closed form of Gamma.
     svrg needs m and M, saga needs T, n and M.
 
     The arithmetic runs on float64 scalars, which overflow to inf and divide
@@ -225,12 +195,13 @@ def check_feasible(variant, L, constraints, eta, rho, r, *, n=None, M=None,
     certificate and is named in its reasons, but for a Gamma of -inf, which
     "Gamma <= 0" and an overflowed schedule name already.
     """
-    variant = variant.lower()
+    from . import solvers  # local import to avoid a cycle
     if eta <= 0 or rho <= 0 or r <= 0:
         raise ConfigError("eta, rho and r must all be > 0")
+    estimator = solvers.variant(variant)
     L, eta, rho, r = (np.float64(v) for v in (L, eta, rho, r))
-    schedule, shifts, overflow_reason = _shift_sequence(
-        variant, L, constraints, rho, n, M, m, T, beta
+    schedule, shifts, overflow_reason = estimator.shift_sequence(
+        L, constraints, rho, n, M, m, T, beta
     )
     pa = constraints.phi_min_A
     phi_max_H = r - rho * eta * pa
@@ -271,7 +242,7 @@ def check_feasible(variant, L, constraints, eta, rho, r, *, n=None, M=None,
     if non_finite:
         reasons.append(f"not finite in float64: {', '.join(non_finite)}")
     return Certificate(
-        variant="stoc" if shifts is None else variant,
+        variant="stoc" if shifts is None else estimator.name,
         accepted=bool(interval.ok and gamma > 0 and not non_finite),
         gamma=constants.gamma,
         rho_star=constants.rho_star,
@@ -299,52 +270,36 @@ def suggest_params(problem, variant, M=None, T=1000, m=None, beta=1.0):
     """Search for a certified (eta, rho, r) and return it with its certificate.
 
     Starts from rho = 2*rho* (third interval case) with r at its minimum and
-    falls back to a log grid over (eta, rho). M, m and r take the defaults of
-    `solvers.config_defaults`. Raises ConfigError with the evaluated grid
-    when nothing certifies.
+    falls back to a log grid over (eta, rho), each with the variant's
+    `size_fallbacks`. M, m and r default as in `solvers.config_defaults`.
+    Raises ConfigError with the evaluated grid when nothing certifies.
     """
-    from .solvers import SolverConfig, config_defaults  # local import to avoid a cycle
-
+    from . import solvers  # local import to avoid a cycle
+    estimator = solvers.variant(variant)
     L = estimate_lipschitz(problem)
     if L <= 0:
         raise ConfigError("estimated Lipschitz constant is 0; nothing to certify")
     cs = problem.constraints
     n = problem.n
-    variant = variant.lower()
     rho_star_base = _rho_star(L, L + 1.0, cs.phi_min_A)
     tried = []
     for mult in _RHO_MULTS:
         rho = mult * rho_star_base
         for eta in _ETA_GRID:
-            r, M_def, m_def = config_defaults(problem, variant, eta, rho, M=M, m=m)
-            for M_try, m_try in _size_fallbacks(variant, n, M_def, m_def):
+            r, M_def, m_def = solvers.config_defaults(problem, variant, eta, rho, M=M, m=m)
+            for M_try, m_try in estimator.size_fallbacks(n, M_def, m_def):
                 cert = check_feasible(
-                    variant, L, cs, eta, rho, r,
+                    estimator.name, L, cs, eta, rho, r,
                     n=n, M=M_try, m=m_try, T=T, beta=beta,
                 )
                 tried.append((eta, rho, cert.accepted))
                 if cert.accepted:
-                    cfg = SolverConfig(
-                        variant=variant, eta=eta, rho=rho, r=r,
+                    cfg = solvers.SolverConfig(
+                        variant=estimator.name, eta=eta, rho=rho, r=r,
                         M=M_try, T=T, m=m_try,
                     )
                     return cfg, cert
     grid = ", ".join(f"(eta={e:g}, rho={p:g})" for e, p, _ in tried)
     raise ConfigError(
-        f"no feasible (eta, rho) found for variant {variant!r}; tried {grid}"
+        f"no feasible (eta, rho) found for variant {estimator.name!r}; tried {grid}"
     )
-
-
-def _size_fallbacks(variant, n, M, m):
-    """(M, m) pairs to certify in turn, the requested sizes first.
-
-    The svrg schedule grows geometrically in m, and the saga schedule in T
-    unless M = n, so svrg falls back to epochs m, m//2, ..., 1 and saga to
-    the full batch. m is None for every variant but svrg.
-    """
-    if variant == "svrg":
-        return [(M, m >> k) for k in range(max(m, 0).bit_length())]
-    if variant == "saga" and M != n:
-        return [(M, None), (n, None)]
-    return [(M, None)]
-

@@ -19,8 +19,6 @@ from .exceptions import (
 )
 from . import metrics, params
 
-VARIANTS = ("dete", "stoc", "svrg", "saga")
-
 _DIVERGENCE_NORM = 1e12
 
 # rows of the full SAGA table are rebuilt about this many bytes at a time
@@ -40,9 +38,8 @@ class SolverConfig:
     trace_stride: int = 1
 
     def __post_init__(self):
-        self.variant = self.variant.lower()
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
+        estimator = variant(self.variant)
+        self.variant = estimator.name
         # a NaN passes every comparison below, and an infinite r freezes x
         if not all(math.isfinite(v) for v in (self.eta, self.rho, self.r)):
             raise ConfigError(
@@ -55,9 +52,7 @@ class SolverConfig:
             raise ConfigError("T must be >= 1")
         if self.M < 1:
             raise ConfigError("mini-batch size M must be >= 1")
-        if self.variant == "svrg":
-            if self.m is None or self.m < 1:
-                raise ConfigError("svrg requires epoch length m >= 1")
+        estimator.check_m(self.m)
         if self.trace_stride < 1:
             raise ConfigError("trace_stride must be >= 1")
 
@@ -72,21 +67,20 @@ class SolverConfig:
             raise ConfigError(f"M={self.M} exceeds sample count n={problem.n}")
 
 
-def config_defaults(problem, variant, eta, rho, r=None, M=None, m=None):
+def config_defaults(problem, variant_name, eta, rho, r=None, M=None, m=None):
     """(r, M, m) of a SolverConfig for `problem`, each filled in when None.
 
-    M: n for dete, else min(100, n); a given M is clamped to n, refused
-    below 1. m: max(1, n // M) for svrg. r: `params.min_admissible_r`.
+    M: the variant's `default_M` or a given M, refused below 1, clamped to
+    n. m: max(1, n // M) for svrg, then checked. r: `min_admissible_r`.
     """
     n = problem.n
-    variant = variant.lower()
-    if M is None:
-        M = n if variant == "dete" else min(100, n)
-    elif M < 1:
+    estimator = variant(variant_name)
+    if M is not None and M < 1:
         raise ConfigError("mini-batch size M must be >= 1")
-    M = min(M, n)
-    if m is None and variant == "svrg":
+    M = min(estimator.default_M if M is None else M, n)
+    if m is None and estimator.needs_m:
         m = max(1, n // M)
+    estimator.check_m(m)
     if r is None:
         r = params.min_admissible_r(problem.constraints, eta, rho)
     return r, M, m
@@ -324,14 +318,34 @@ def saga_table_update(problem, table, rows, x_new):
 
 
 class BatchMean:
-    """The mean gradient over a batch of M samples: `stoc`, and `dete` with
-    the full set as its batch. An estimator owns its state and IFO count;
-    `run` calls begin, estimate and commit each iteration, finish after."""
+    """`stoc`: the mean gradient over a batch of M samples. One class per
+    variant; `variant` finds it by its `name`. An estimator owns its state and IFO
+    count; `run` calls begin, estimate and commit each iteration, finish after."""
 
     table = None
+    default_M = 100  # clamped to n by config_defaults
+    needs_m = False  # whether the variant runs in epochs of length m
 
     def __init__(self, problem, M):
         self.problem, self.M, self.ifo = problem, M, 0
+
+    @classmethod
+    def check_m(cls, m):
+        if cls.needs_m and (m is None or m < 1):
+            raise ConfigError(f"{cls.name} requires epoch length m >= 1")
+
+    @classmethod
+    def start(cls, problem, config, x0):
+        return cls(problem, config.M)
+
+    @staticmethod
+    def shift_sequence(L, constraints, rho, n, M, m, T, beta):
+        """(schedule, its shift of L~ at each step, overflow reason); None here."""
+        return None, None, None
+
+    @staticmethod
+    def size_fallbacks(n, M, m):
+        return [(M, None)]
 
     def begin(self, t, x):
         pass
@@ -351,14 +365,47 @@ class BatchMean:
         pass
 
 
+class FullBatchMean(BatchMean):
+    """`dete`: the mean gradient over the full set, whatever M is named."""
+
+    default_M = math.inf  # every sample, once clamped to n
+
+    @classmethod
+    def start(cls, problem, config, x0):
+        return cls(problem, problem.n)
+
+
 class SvrgEstimator(BatchMean):
     """The batch mean corrected at a snapshot, retaken every m iterations
     at a cost of n IFO."""
+
+    needs_m = True
 
     def __init__(self, problem, M, m, x_snap=None, snap_grad=None):
         super().__init__(problem, M)
         self.m = m
         self.x_snap, self.snap_grad = x_snap, snap_grad
+
+    @classmethod
+    def start(cls, problem, config, x0):
+        return cls(problem, config.M, config.m)
+
+    @staticmethod
+    def shift_sequence(L, constraints, rho, n, M, m, T, beta):
+        if m is None or M is None:
+            raise ConfigError("svrg certificate needs m and M")
+        h = params.svrg_h_schedule(L, constraints, rho, M, m, beta)
+        # (1+1/beta) h_{t+1}, and at the epoch's end h[0], the next epoch's h_1
+        shifts = [(1.0 + 1.0 / beta) * h[t + 1] for t in range(m - 1)]
+        return h, shifts + [float(h[0])], (
+            f"h schedule overflows float64 within m={m} steps: "
+            "the backward recursion grows geometrically in the epoch"
+        )
+
+    @staticmethod
+    def size_fallbacks(n, M, m):
+        # the schedule grows geometrically in m: epochs m, m//2, ..., 1
+        return [(M, m >> k) for k in range(m.bit_length())]
 
     def begin(self, t, x):
         if t % self.m == 0:
@@ -384,6 +431,26 @@ class SagaEstimator(BatchMean):
         self.table = table
         self.ifo = problem.n
 
+    @classmethod
+    def start(cls, problem, config, x0):
+        return cls(problem, config.M, SagaTable.at(problem, x0))
+
+    @staticmethod
+    def shift_sequence(L, constraints, rho, n, M, m, T, beta):
+        if T is None or n is None or M is None:
+            raise ConfigError("saga certificate needs T, n and M")
+        alpha = params.saga_alpha_schedule(L, constraints, rho, n, M, T, beta)
+        frac = (n - M) / n * (1.0 + 1.0 / beta)
+        return alpha[:T], [frac * alpha[t] for t in range(1, T + 1)], (
+            f"alpha schedule overflows float64 within T={T} steps: "
+            "the backward recursion grows geometrically for M < n"
+        )
+
+    @staticmethod
+    def size_fallbacks(n, M, m):
+        # the schedule grows geometrically in T unless M = n
+        return [(M, None)] if M == n else [(M, None), (n, None)]
+
     def estimate(self, x, rows):
         self._rows = rows
         self.ifo += len(rows)
@@ -403,14 +470,19 @@ class SagaEstimator(BatchMean):
             raise InternalInvariantError("SAGA running mean psi drifted from its table")
 
 
-def make_estimator(problem, config, x0):
-    """The gradient estimator of config.variant, started at x0."""
-    if config.variant == "svrg":
-        return SvrgEstimator(problem, config.M, config.m)
-    if config.variant == "saga":
-        return SagaEstimator(problem, config.M, SagaTable.at(problem, x0))
-    # dete's batch is the full set, which _draw_batch gives without a draw
-    return BatchMean(problem, problem.n if config.variant == "dete" else config.M)
+_VARIANTS = {"dete": FullBatchMean, "stoc": BatchMean,
+             "svrg": SvrgEstimator, "saga": SagaEstimator}
+for _name, _estimator in _VARIANTS.items():
+    _estimator.name = _name
+VARIANTS = tuple(_VARIANTS)
+
+
+def variant(name):
+    """The estimator class of the variant `name`, in any case."""
+    try:
+        return _VARIANTS[name.lower()]
+    except KeyError:
+        raise ConfigError(f"unknown variant {name!r}") from None
 
 
 def init_state(problem, config):
@@ -449,7 +521,7 @@ def run(problem, config, callback=None):
 
     state, rng_batch = init_state(problem, config)
     Ax = cs.A @ state.x
-    estimator = make_estimator(problem, config, state.x)
+    estimator = variant(config.variant).start(problem, config, state.x)
     state.grad_table = estimator.table
 
     trace = []

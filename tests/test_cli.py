@@ -1176,7 +1176,7 @@ def assert_conforms(spec):
         for name, key in keys.items():
             assert conforms(owner[name], key), (name, owner[name])
     # an unknown variant, which a null name stands for, is refused by
-    # SolverConfig before any file is written
+    # `solvers.variant` before any file is written
     for name in (entry["name"] or "" for entry in spec["solvers"]):
         assert "/" not in name and "\0" not in name and name not in (".", "..")
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -172,6 +173,18 @@ class TestSchedules:
         assert cert.gamma == -math.inf
         assert any("h schedule overflows" in reason for reason in cert.reasons)
 
+    @pytest.mark.parametrize("M", [0, -5])
+    def test_svrg_batch_below_one_refused(self, M):
+        # at M = -5 the certificate used to accept, with a larger Gamma
+        # than at M = 20; at M = 0 it was refused as an overflow
+        prob = make_graph_guided_problem(n=80, d=5, empty_support=True)
+        L = params.estimate_lipschitz(prob)
+        assert params.check_feasible("svrg", L, prob.constraints, 2.0, 116.1, 233.2,
+                                     M=20, m=2).accepted
+        with pytest.raises(ConfigError, match="M must be >= 1"):
+            params.check_feasible("svrg", L, prob.constraints, 2.0, 116.1, 233.2,
+                                  M=M, m=2)
+
     def test_invalid_arguments(self):
         cs = identity_constraints(2)
         with pytest.raises(ConfigError):
@@ -198,6 +211,45 @@ class TestSuggest:
         cs = problems.build_overlap_A(3, 2)
         r = params.min_admissible_r(cs, 0.5, 4.0)
         assert np.isclose(r, 0.5 * 4.0 * 2.0 + 1.0)
+
+    # (variant, M, m) -> the (M, m) pairs certified in turn at each (eta,
+    # rho): svrg halves its epoch down to 1, saga falls back to the full
+    # batch unless it has it, dete and stoc try their one size
+    @pytest.mark.parametrize("variant, M, m, sizes", [
+        ("dete", None, None, [(80, None)]),
+        ("dete", 20, None, [(20, None)]),
+        ("stoc", 20, None, [(20, None)]),
+        ("stoc", None, None, [(80, None)]),
+        ("svrg", 20, 8, [(20, 8), (20, 4), (20, 2), (20, 1)]),
+        ("svrg", 20, None, [(20, 4), (20, 2), (20, 1)]),
+        ("svrg", 20, 1, [(20, 1)]),
+        ("saga", 20, None, [(20, None), (80, None)]),
+        ("saga", None, None, [(80, None)]),
+    ])
+    def test_size_fallbacks(self, monkeypatch, variant, M, m, sizes):
+        prob = make_graph_guided_problem(n=80, d=5, empty_support=True)
+        calls = []
+
+        def refuse(variant, L, cs, eta, rho, r, *, n, M, m, T, beta):
+            calls.append((variant, eta, rho, M, m))
+            return SimpleNamespace(accepted=False)
+
+        monkeypatch.setattr(params, "check_feasible", refuse)
+        with pytest.raises(ConfigError, match="no feasible"):
+            params.suggest_params(prob, variant, M=M, m=m, T=50)
+        pairs = list(dict.fromkeys((eta, rho) for _, eta, rho, _, _ in calls))
+        assert len(pairs) > 1
+        assert calls == [(variant, eta, rho, M_try, m_try)
+                         for eta, rho in pairs for M_try, m_try in sizes]
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_svrg_epoch_below_one_refused_before_the_search(self, monkeypatch, m):
+        prob = make_graph_guided_problem(n=80, d=5, empty_support=True)
+        calls = []
+        monkeypatch.setattr(params, "check_feasible", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ConfigError, match="svrg requires epoch length m >= 1"):
+            params.suggest_params(prob, "svrg", m=m)
+        assert calls == []
 
     def test_check_feasible_missing_args(self):
         cs = identity_constraints(2)

@@ -72,6 +72,44 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.validate_against(gg_problem)
 
+    # (variant, n, M given, m given) -> (M, m): M defaults to n for dete and
+    # to min(100, n) otherwise, a given M is clamped to n, and only svrg
+    # fills in m, as max(1, n // M); a given m passes through for any variant
+    @pytest.mark.parametrize("variant, n, M, m, expected", [
+        ("dete", 250, None, None, (250, None)),
+        ("stoc", 250, None, None, (100, None)),
+        ("svrg", 250, None, None, (100, 2)),
+        ("saga", 250, None, None, (100, None)),
+        ("stoc", 80, None, None, (80, None)),
+        ("svrg", 80, None, None, (80, 1)),
+        ("dete", 250, 7, None, (7, None)),
+        ("stoc", 250, 7, None, (7, None)),
+        ("svrg", 250, 7, None, (7, 35)),
+        ("saga", 250, 7, None, (7, None)),
+        ("dete", 250, 1000, None, (250, None)),
+        ("stoc", 250, 1000, None, (250, None)),
+        ("svrg", 250, 1000, None, (250, 1)),
+        ("saga", 250, 1000, None, (250, None)),
+        ("dete", 250, None, 3, (250, 3)),
+        ("stoc", 250, None, 3, (100, 3)),
+        ("svrg", 250, None, 3, (100, 3)),
+        ("saga", 250, 7, 3, (7, 3)),
+        ("SVRG", 250, None, None, (100, 2)),
+    ])
+    def test_config_defaults(self, variant, n, M, m, expected):
+        prob = make_graph_guided_problem(n=n, d=5, empty_support=True)
+        r, M_out, m_out = solvers.config_defaults(prob, variant, 0.5, 2.0, M=M, m=m)
+        assert (M_out, m_out) == expected
+        assert r == params.min_admissible_r(prob.constraints, 0.5, 2.0)
+        assert solvers.config_defaults(prob, variant, 0.5, 2.0, 7.5, M, m)[0] == 7.5
+
+    @pytest.mark.parametrize("variant", solvers.VARIANTS)
+    @pytest.mark.parametrize("M", [0, -5])
+    def test_config_defaults_refuses_batch_below_one(self, variant, M):
+        prob = make_graph_guided_problem(n=80, d=5, empty_support=True)
+        with pytest.raises(ConfigError, match="M must be >= 1"):
+            solvers.config_defaults(prob, variant, 0.5, 2.0, M=M)
+
 
 class TestPureUpdates:
     def test_y_update_is_prox(self, gg_problem, rng):
@@ -291,8 +329,8 @@ class TestFullSetInPlace:
         copy_bytes = prob.n * prob.d * 8
         cfg = build(prob, "svrg", M=prob.n, T=1)
         state, rng_batch = solvers.init_state(prob, cfg)
-        dete = solvers.make_estimator(prob, build(prob, "dete", T=1), state.x)
-        svrg = solvers.make_estimator(prob, cfg, state.x)
+        dete = solvers.variant("dete").start(prob, build(prob, "dete", T=1), state.x)
+        svrg = solvers.variant("svrg").start(prob, cfg, state.x)
         passes = {
             "dete step": lambda: dete.estimate(
                 state.x, solvers._draw_batch(rng_batch, prob.loss, dete.M)
