@@ -182,7 +182,6 @@ class SagaTable:
         self.slot = slot
         self.refs = np.bincount(slot, minlength=len(points))
         self.free = np.flatnonzero(self.refs == 0)[::-1].tolist()
-        self._kept = None
         self.psi = self.mean()
 
     @classmethod
@@ -207,30 +206,24 @@ class SagaTable:
         shared = np.take(self.shared, self.slot[idx], axis=0)
         return self.loss.add_products(self.coef[idx], rows.features, shared)
 
-    def mean(self, rows=None):
-        """Row mean over `rows` (every sample by default), bitwise what
-        `.mean(axis=0)` of the dense rows gives.
+    def mean(self):
+        """Row mean over every sample, bitwise what `.mean(axis=0)` of the
+        dense rows gives.
 
-        A batch smaller than n is rebuilt at once and kept for the
-        `kept_rows` of the next write. Anything larger goes in blocks of
-        about 1 MB: numpy sums wider than one column row by row in order,
-        and adding the running total into each block's first row keeps that
-        order. A single column it sums pairwise, so that goes in one block.
+        The rows go in blocks of about 1 MB: numpy sums wider than one
+        column row by row in order, and adding the running total into each
+        block's first row keeps that order. A single column it sums
+        pairwise, so that goes in one block.
         """
-        if rows is None:
-            rows = self.loss.all_rows
-        if len(rows) < self.n:
-            block = self.rows(rows)
-            self._kept = (rows, block)
-            return block.mean(axis=0)
-        step = len(rows) if self.d == 1 else max(1, _BLOCK_BYTES // (8 * self.d))
+        rows = self.loss.all_rows
+        step = self.n if self.d == 1 else max(1, _BLOCK_BYTES // (8 * self.d))
         total = None
-        for start in range(0, len(rows), step):
+        for start in range(0, self.n, step):
             block = self.rows(rows.take(slice(start, start + step)))
             if total is not None:
                 block[0] += total
             total = block.sum(axis=0)
-        return total / len(rows)
+        return total / self.n
 
     def product_mean(self):
         """Row mean from one product with the features, O(nnz) and without
@@ -249,17 +242,9 @@ class SagaTable:
         diff = x - self.points[live]
         return float(self.refs[live] @ np.einsum("ij,ij->i", diff, diff)) / self.n
 
-    def kept_rows(self, rows, positions):
-        """Stored gradients at `positions` of `rows`, taken from what `mean`
-        rebuilt for the same Rows object when it did; a new array."""
-        if self._kept is not None and self._kept[0] is rows:
-            return self._kept[1][positions]
-        return self.rows(rows.take(positions))
-
     def write(self, index, x, coef, shared=None):
         """Store the samples of the unique `index` at the one new point x:
         their coefficients and, when the loss has one, x's shared term."""
-        self._kept = None
         self.coef[index] = coef
         old = self.slot[index]
         np.subtract.at(self.refs, old, 1)
@@ -287,21 +272,24 @@ class SagaTable:
 
 
 def saga_gradient(problem, table, x, rows):
-    """Table-corrected gradient estimate at x over the batch's Rows; does
-    not mutate the table. Passing the same Rows on to saga_table_update
-    reuses the stored rows rebuilt here.
+    """Table-corrected gradient estimate at x over the batch's Rows, and the
+    batch's stored rows for saga_table_update (None for the full set, whose
+    mean the table sums in blocks); does not mutate the table.
     """
     g = problem.grad(x, rows)
-    return g + (table.psi - table.mean(rows))
+    if rows is problem.loss.all_rows:
+        return g + (table.psi - table.mean()), None
+    stored = table.rows(rows)
+    return g + (table.psi - stored.mean(axis=0)), stored
 
 
-def saga_table_update(problem, table, rows, x_new):
+def saga_table_update(problem, table, rows, stored, x_new):
     """Write grad f_i(x_new) for the batch Rows' unique samples, update psi.
 
     The new coefficients are those of exactly the unique rows: the loss's
     `all_rows` when the batch covers every sample. Below the full set, old
-    minus new is formed in one buffer: the stored rows `saga_gradient`
-    rebuilt, minus the new rows in place.
+    minus new is formed in one buffer: the batch's `stored` rows, as
+    `saga_gradient` returned them, minus the new rows in place.
     """
     n = table.n
     uniq, first = np.unique(rows.index, return_index=True)
@@ -309,7 +297,7 @@ def saga_table_update(problem, table, rows, x_new):
     new = problem.loss.all_rows if full else rows.take(first)
     coef, shared = problem.loss.coefficients(x_new, new)
     if not full:
-        diff = table.kept_rows(rows, first)
+        diff = stored[first]
         problem.loss.subtract_rows(diff, coef, new.features, shared)
         table.psi = table.psi - diff.sum(axis=0) / n
     table.write(uniq, x_new, coef, shared)
@@ -394,6 +382,8 @@ class SvrgEstimator(BatchMean):
     def shift_sequence(L, constraints, rho, n, M, m, T, beta):
         if m is None or M is None:
             raise ConfigError("svrg certificate needs m and M")
+        if n is not None and not 1 <= M <= n:
+            raise ConfigError("mini-batch size M must satisfy 1 <= M <= n")
         h = params.svrg_h_schedule(L, constraints, rho, M, m, beta)
         # (1+1/beta) h_{t+1}, and at the epoch's end h[0], the next epoch's h_1
         shifts = [(1.0 + 1.0 / beta) * h[t + 1] for t in range(m - 1)]
@@ -424,7 +414,8 @@ class SvrgEstimator(BatchMean):
 
 class SagaEstimator(BatchMean):
     """The batch mean corrected by a SagaTable; the table's start counts n
-    IFO. The batch's Rows serve the estimate and the table write."""
+    IFO. The batch's Rows, and its stored rows that the estimate rebuilds,
+    serve the estimate and the table write."""
 
     def __init__(self, problem, M, table):
         super().__init__(problem, M)
@@ -452,12 +443,14 @@ class SagaEstimator(BatchMean):
         return [(M, None)] if M == n else [(M, None), (n, None)]
 
     def estimate(self, x, rows):
-        self._rows = rows
         self.ifo += len(rows)
-        return saga_gradient(self.problem, self.table, x, rows)
+        g, stored = saga_gradient(self.problem, self.table, x, rows)
+        self._batch = rows, stored
+        return g
 
     def commit(self, x_new):
-        saga_table_update(self.problem, self.table, self._rows, x_new)
+        saga_table_update(self.problem, self.table, *self._batch, x_new)
+        del self._batch  # the stored rows are not held into the next step
 
     def snap_sq(self, x, x_prev):
         return self.table.spread(x), None

@@ -73,14 +73,15 @@ def gradient_estimates(monkeypatch):
     """Every gradient estimate run()'s estimators return, in order.
 
     The estimators look the gradient functions up on the solvers module at
-    call time, so wrapping them there captures the g_hat the x-step used.
+    call time, so wrapping them there captures the g_hat the x-step used;
+    saga's comes first in the pair it returns with the batch's stored rows.
     """
     seen = []
     for name in ("stoc_gradient", "svrg_gradient", "saga_gradient"):
         def capture(*args, _orig=getattr(solvers, name)):
-            g_hat = _orig(*args)
-            seen.append(g_hat)
-            return g_hat
+            out = _orig(*args)
+            seen.append(out[0] if isinstance(out, tuple) else out)
+            return out
 
         monkeypatch.setattr(solvers, name, capture)
     return seen

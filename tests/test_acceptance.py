@@ -92,7 +92,7 @@ def test_criterion_01_unbiasedness():
         pts = snap[None, :] + 0.2 * rng.standard_normal((n, prob.d))
         table = oracles.saga_table_from_points(prob, pts)
         saga = [
-            solvers.saga_gradient(prob, table, x, prob.loss.gather([i]))
+            solvers.saga_gradient(prob, table, x, prob.loss.gather([i]))[0]
             for i in range(n)
         ]
         worst = max(worst, np.linalg.norm(np.mean(saga, 0) - full) / scale)

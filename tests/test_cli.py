@@ -200,6 +200,28 @@ class TestRun:
         spec["solvers"][0]["seed"] = "x"
         assert cli._check_spec(spec)["solvers"][0]["seed"] == "x"
 
+    def test_seed_option_replaces_seed_base(self, runner, tmp_path):
+        # stoc draws its batches from the seed, so its rows tell seeds apart
+        for tag, seed_base, extra in (("opt", 11, ["--seed", "4"]),
+                                      ("spec", 4, []), ("base", 11, [])):
+            spec = tmp_path / f"{tag}.json"
+            write_spec(spec, seed_base=seed_base)
+            res = runner.invoke(cli.main, ["run", "--spec", str(spec), "--out",
+                                           str(tmp_path / tag), *extra])
+            assert res.exit_code == 0, res.output
+        wt = cli.CSV_COLUMNS.index("wall_time_s")
+
+        def rows(tag, name):
+            table = read_csv(tmp_path / tag / name)
+            for row in table:
+                row[wt] = ""
+            return table
+
+        for name in ("dete_rep0.csv", "dete_rep1.csv", "dete_mean.csv",
+                     "stoc_rep0.csv", "stoc_rep1.csv", "stoc_mean.csv"):
+            assert rows("opt", name) == rows("spec", name)
+        assert rows("opt", "stoc_rep0.csv") != rows("base", "stoc_rep0.csv")
+
 
 def strict_json(text, start=0):
     """The JSON value at `start` of text; Infinity, -Infinity and NaN, which
@@ -437,6 +459,18 @@ class TestFailClosed:
         proc = run_cli(args + [tok for rho in rhos for tok in ("--rho", rho)])
         self.assert_one_line_error(proc)
         assert f"rho values {same} would all write rho_1/" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rho", ["0", "-1"])
+    def test_rho_sweep_refuses_non_positive_rho_before_any_run(self, rho,
+                                                               refused_spec,
+                                                               tmp_path):
+        out = tmp_path / "sweep"
+        proc = run_cli(["rho-sweep", "--spec", str(refused_spec), "--out",
+                        str(out), "--rho", "1", "--rho", rho,
+                        "--allow-uncertified"])
+        self.assert_one_line_error(proc)
+        assert "all rho values must be > 0" in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("rho", ["nan", "inf"])
@@ -849,6 +883,20 @@ class TestFailClosed:
         self.assert_one_line_error(proc)
         assert "solver entry 0: name must be one path component" in proc.stderr
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("names", [("a", "a"), ("stoc", None)],
+                             ids=["named-twice", "name-equals-variant"])
+    def test_solver_names_must_be_distinct(self, names, refused_spec, tmp_path):
+        # an entry without a name takes its variant's
+        spec = json.loads(refused_spec.read_text())
+        entry = spec["solvers"][0]
+        spec["solvers"] = [{**entry, "name": name} for name in names]
+        refused_spec.write_text(json.dumps(spec))
+        proc = run_cli(["run", "--spec", str(refused_spec), "--out",
+                        str(tmp_path / "o"), "--allow-uncertified"])
+        self.assert_one_line_error(proc)
+        assert "error: solver names must be distinct" in proc.stderr
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, empty_support", [
         ("run", False), ("check-params", False), ("check-params", True),

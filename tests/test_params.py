@@ -185,6 +185,17 @@ class TestSchedules:
             params.check_feasible("svrg", L, prob.constraints, 2.0, 116.1, 233.2,
                                   M=M, m=2)
 
+    def test_svrg_batch_above_n_refused_when_n_is_given(self):
+        # M = 10**6 at n = 80 used to accept, with a larger Gamma than at M = n
+        prob = make_graph_guided_problem(n=80, d=5, empty_support=True)
+        L = params.estimate_lipschitz(prob)
+        assert params.check_feasible("svrg", L, prob.constraints, 2.0, 116.1, 233.2,
+                                     n=80, M=80, m=2).accepted
+        for M in (81, 10**6):
+            with pytest.raises(ConfigError, match=r"1 <= M <= n"):
+                params.check_feasible("svrg", L, prob.constraints, 2.0, 116.1, 233.2,
+                                      n=80, M=M, m=2)
+
     def test_invalid_arguments(self):
         cs = identity_constraints(2)
         with pytest.raises(ConfigError):

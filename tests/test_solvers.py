@@ -188,14 +188,15 @@ class TestSagaTable:
         for _ in range(10):
             rows = gg_problem.loss.gather(rng.integers(0, gg_problem.n, size=7))
             x_new = rng.standard_normal(gg_problem.d)
-            solvers.saga_table_update(gg_problem, table, rows, x_new)
+            solvers.saga_table_update(gg_problem, table, rows, table.rows(rows), x_new)
         assert np.allclose(table.psi, table.mean(), atol=1e-12)
 
     def test_duplicate_batch_indices_written_once(self, gg_problem, rng):
         table = solvers.SagaTable.at(gg_problem, rng.standard_normal(gg_problem.d))
         x_new = rng.standard_normal(gg_problem.d)
         loss = gg_problem.loss
-        solvers.saga_table_update(gg_problem, table, loss.gather([3, 3, 3, 5]), x_new)
+        rows = loss.gather([3, 3, 3, 5])
+        solvers.saga_table_update(gg_problem, table, rows, table.rows(rows), x_new)
         expect = gg_problem.grad_matrix(x_new, loss.gather([3, 5]))
         assert np.allclose(table.rows(loss.gather([3, 5])), expect)
         assert table.refs[table.slot[3]] == 2
@@ -484,15 +485,36 @@ class TestCompactSagaTable:
         assert table.refs.sum() == prob.n
         assert np.array_equal(np.flatnonzero(table.refs), np.unique(table.slot))
 
-    def test_write_drops_rows_kept_for_the_batch(self, gg_problem, rng):
-        x = rng.standard_normal(gg_problem.d)
-        table = solvers.SagaTable.at(gg_problem, x)
-        rows = gg_problem.loss.gather(rng.integers(0, gg_problem.n, size=7))
-        solvers.saga_gradient(gg_problem, table, x, rows)
-        for _ in range(2):
-            x_new = rng.standard_normal(gg_problem.d)
-            solvers.saga_table_update(gg_problem, table, rows, x_new)
-        assert np.allclose(table.psi, table.mean(), atol=1e-12)
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("make", [make_graph_guided_problem, make_multitask_problem])
+    def test_saga_gradient_leaves_the_table_as_it_was(self, make, full, rng):
+        prob = make()
+        table = solvers.SagaTable.at(prob, rng.standard_normal(prob.d))
+        for _ in range(3):  # several live slots and a free list
+            rows = prob.loss.gather(rng.integers(0, prob.n, size=7))
+            solvers.saga_table_update(prob, table, rows, table.rows(rows),
+                                      rng.standard_normal(prob.d))
+
+        def snapshot():
+            return {k: v.copy() if isinstance(v, (np.ndarray, list)) else v
+                    for k, v in vars(table).items()}
+
+        before = snapshot()
+        assert {"coef", "points", "shared", "slot", "refs", "free", "psi"} <= before.keys()
+        rows = prob.loss.all_rows if full else prob.loss.gather(
+            rng.integers(0, prob.n, size=7))
+        solvers.saga_gradient(prob, table, rng.standard_normal(prob.d), rows)
+        after = snapshot()
+        assert after.keys() == before.keys()
+        for key, want in before.items():
+            got = after[key]
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.shape == want.shape, key
+                assert got.tobytes() == want.tobytes(), key
+            elif isinstance(want, list):
+                assert got == want, key
+            else:
+                assert got is want, key
 
     @pytest.mark.parametrize("make", PROBLEM_MAKERS)
     def test_psi_check_uses_an_independent_product(self, make):
@@ -589,12 +611,12 @@ def test_saga_table_follows_dense_reference(kind, seed, rows_per_block, steps):
             batch = rows.index
             x = rng.standard_normal(prob.d)
             x_new = rng.standard_normal(prob.d)
-            g = solvers.saga_gradient(prob, table, x, rows)
+            g, stored = solvers.saga_gradient(prob, table, x, rows)
             want = prob.grad(x, prob.loss.gather(batch)) + (
                 psi - dense[batch].mean(axis=0)
             )
             assert np.array_equal(g, want)
-            solvers.saga_table_update(prob, table, rows, x_new)
+            solvers.saga_table_update(prob, table, rows, stored, x_new)
             uniq = np.unique(batch)
             new = prob.grad_matrix(x_new, prob.loss.gather(uniq))
             if uniq.size == n:
