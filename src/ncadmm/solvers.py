@@ -273,12 +273,9 @@ class SagaTable:
 
 def saga_gradient(problem, table, x, rows):
     """Table-corrected gradient estimate at x over the batch's Rows, and the
-    batch's stored rows for saga_table_update (None for the full set, whose
-    mean the table sums in blocks); does not mutate the table.
+    batch's stored rows for saga_table_update; does not mutate the table.
     """
     g = problem.grad(x, rows)
-    if rows is problem.loss.all_rows:
-        return g + (table.psi - table.mean()), None
     stored = table.rows(rows)
     return g + (table.psi - stored.mean(axis=0)), stored
 
@@ -286,23 +283,17 @@ def saga_gradient(problem, table, x, rows):
 def saga_table_update(problem, table, rows, stored, x_new):
     """Write grad f_i(x_new) for the batch Rows' unique samples, update psi.
 
-    The new coefficients are those of exactly the unique rows: the loss's
-    `all_rows` when the batch covers every sample. Below the full set, old
-    minus new is formed in one buffer: the batch's `stored` rows, as
-    `saga_gradient` returned them, minus the new rows in place.
+    Old minus new is formed in one buffer: the unique rows of the batch's
+    `stored` rows, as `saga_gradient` returned them, minus the new rows in
+    place.
     """
-    n = table.n
     uniq, first = np.unique(rows.index, return_index=True)
-    full = uniq.size == n
-    new = problem.loss.all_rows if full else rows.take(first)
+    new = rows.take(first)
     coef, shared = problem.loss.coefficients(x_new, new)
-    if not full:
-        diff = stored[first]
-        problem.loss.subtract_rows(diff, coef, new.features, shared)
-        table.psi = table.psi - diff.sum(axis=0) / n
+    diff = stored[first]
+    problem.loss.subtract_rows(diff, coef, new.features, shared)
+    table.psi = table.psi - diff.sum(axis=0) / table.n
     table.write(uniq, x_new, coef, shared)
-    if full:
-        table.psi = table.mean()
 
 
 class BatchMean:
@@ -424,6 +415,8 @@ class SagaEstimator(BatchMean):
 
     @classmethod
     def start(cls, problem, config, x0):
+        if config.M == problem.n:
+            return FullBatchSaga(problem, problem.n)
         return cls(problem, config.M, SagaTable.at(problem, x0))
 
     @staticmethod
@@ -461,6 +454,19 @@ class SagaEstimator(BatchMean):
         scale = max(1.0, float(np.linalg.norm(recomputed)))
         if np.linalg.norm(self.table.psi - recomputed) > 1e-8 * scale:
             raise InternalInvariantError("SAGA running mean psi drifted from its table")
+
+
+class FullBatchSaga(FullBatchMean):
+    """`saga` at M = n: every step stores every sample at the new x, so the
+    table's correction is zero and the step is dete's. No table is built,
+    but its start counts n IFO, as saga's does."""
+
+    def __init__(self, problem, M):
+        super().__init__(problem, M)
+        self.ifo = problem.n
+
+    def snap_sq(self, x, x_prev):
+        return 0.0, None  # every stored point is x
 
 
 _VARIANTS = {"dete": FullBatchMean, "stoc": BatchMean,

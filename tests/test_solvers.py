@@ -466,6 +466,26 @@ class TestCompactSagaTable:
         _, iterates = run_with_iterates(prob, cfg)
         assert_same_iterates(iterates, reference_run(prob, cfg), 8)
 
+    @pytest.mark.parametrize("make", [make_graph_guided_problem, make_multitask_problem])
+    def test_full_batch_builds_no_table(self, make, monkeypatch):
+        """At M = n saga takes dete's step: one coefficient pass per step,
+        for the gradient, and no table; its IFO still counts the start."""
+        prob, T = make(), 12
+        n, calls = prob.n, []
+        coefficients = type(prob.loss).coefficients
+
+        def counting(loss, x, rows):
+            calls.append(len(rows))
+            return coefficients(loss, x, rows)
+
+        monkeypatch.setattr(type(prob.loss), "coefficients", counting)
+        res = solvers.run(prob, build(prob, "saga", M=n, T=T, trace_stride=1))
+        assert res.state.grad_table is None
+        assert calls == [n] * T
+        assert [(rec.ifo, rec.snap_sq) for rec in res.trace] == [
+            (n + t * n, 0.0) for t in range(1, T + 1)
+        ]
+
     @pytest.mark.parametrize("make", PROBLEM_MAKERS)
     def test_blocked_mean_equals_dense_mean(self, make, monkeypatch, rng):
         prob = make()
@@ -619,12 +639,8 @@ def test_saga_table_follows_dense_reference(kind, seed, rows_per_block, steps):
             solvers.saga_table_update(prob, table, rows, stored, x_new)
             uniq = np.unique(batch)
             new = prob.grad_matrix(x_new, prob.loss.gather(uniq))
-            if uniq.size == n:
-                dense[:] = new
-                psi = dense.mean(axis=0)
-            else:
-                psi = psi - (dense[uniq] - new).sum(axis=0) / n
-                dense[uniq] = new
+            psi = psi - (dense[uniq] - new).sum(axis=0) / n
+            dense[uniq] = new
             assert np.array_equal(table.psi, psi)
             assert np.array_equal(table.rows(full), dense)
             assert np.allclose(table.psi, table.mean(), atol=1e-12)
