@@ -66,7 +66,7 @@ _EXPERIMENT_KEYS = {
     "seed_base": _Key(int, 0, 0),
     "trace_stride": _Key(int, 1, 1),
 }
-# null r, M or m is filled in by `solvers.config_defaults`; a null or
+# null r, M or m is filled in by `SolverConfig.for_problem`; a null or
 # empty name means the variant's
 _SOLVER_KEYS = {
     "variant": _Key(str),
@@ -241,24 +241,19 @@ def _prepared(problem_spec):
 
 def _planned(entries, problem, L, trace_stride):
     """(name, SolverConfig, Certificate) of each checked solver entry (see
-    `_check_spec`), unset r, M and m from `solvers.config_defaults`. An r
-    below the H >= I bound raises ConfigError before anything runs."""
+    `_check_spec`), from `SolverConfig.for_problem`. An r below the H >= I
+    bound raises ConfigError before anything runs."""
     planned = []
     for entry in entries:
-        variant, eta, rho = entry["variant"], entry["eta"], entry["rho"]
-        r, M, m = solvers_mod.config_defaults(
-            problem, variant, eta, rho, entry["r"], entry["M"], entry["m"]
+        cfg = solvers_mod.SolverConfig.for_problem(
+            problem, entry["variant"], entry["eta"], entry["rho"], entry["T"],
+            r=entry["r"], M=entry["M"], m=entry["m"], trace_stride=trace_stride,
         )
-        cfg = solvers_mod.SolverConfig(
-            variant=variant, eta=eta, rho=rho, r=r, M=M, T=entry["T"], m=m,
-            trace_stride=trace_stride,
-        )
-        cfg.validate_against(problem)
         cert = params_mod.check_feasible(
             cfg.variant, L, problem.constraints, cfg.eta, cfg.rho, cfg.r,
             n=problem.n, M=cfg.M, m=cfg.m, T=cfg.T,
         )
-        planned.append((entry["name"] or variant, cfg, cert))
+        planned.append((entry["name"] or entry["variant"], cfg, cert))
     return planned
 
 

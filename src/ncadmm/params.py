@@ -5,7 +5,7 @@ constants; nothing here runs a solver.
 """
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -271,7 +271,7 @@ def suggest_params(problem, variant, M=None, T=1000, m=None, beta=1.0):
 
     Starts from rho = 2*rho* (third interval case) with r at its minimum and
     falls back to a log grid over (eta, rho), each with the variant's
-    `size_fallbacks`. M, m and r default as in `solvers.config_defaults`.
+    `size_fallbacks`. M, m and r default as in `SolverConfig.for_problem`.
     Raises ConfigError with the evaluated grid when nothing certifies.
     """
     from . import solvers  # local import to avoid a cycle
@@ -286,18 +286,15 @@ def suggest_params(problem, variant, M=None, T=1000, m=None, beta=1.0):
     for mult in _RHO_MULTS:
         rho = mult * rho_star_base
         for eta in _ETA_GRID:
-            r, M_def, m_def = solvers.config_defaults(problem, variant, eta, rho, M=M, m=m)
-            for M_try, m_try in estimator.size_fallbacks(n, M_def, m_def):
+            base = solvers.SolverConfig.for_problem(problem, variant, eta, rho, T, M=M, m=m)
+            for M_try, m_try in estimator.size_fallbacks(n, base.M, base.m):
+                cfg = replace(base, M=M_try, m=m_try)
                 cert = check_feasible(
-                    estimator.name, L, cs, eta, rho, r,
+                    cfg.variant, L, cs, eta, rho, cfg.r,
                     n=n, M=M_try, m=m_try, T=T, beta=beta,
                 )
                 tried.append((eta, rho, cert.accepted))
                 if cert.accepted:
-                    cfg = solvers.SolverConfig(
-                        variant=estimator.name, eta=eta, rho=rho, r=r,
-                        M=M_try, T=T, m=m_try,
-                    )
                     return cfg, cert
     grid = ", ".join(f"(eta={e:g}, rho={p:g})" for e, p, _ in tried)
     raise ConfigError(

@@ -66,24 +66,30 @@ class SolverConfig:
         if self.M > problem.n:
             raise ConfigError(f"M={self.M} exceeds sample count n={problem.n}")
 
+    @classmethod
+    def for_problem(cls, problem, variant_name, eta, rho, T, *, r=None, M=None,
+                    m=None, seed=0, trace_stride=1):
+        """A config for `problem`, checked against it, with r, M and m each
+        filled in when None.
 
-def config_defaults(problem, variant_name, eta, rho, r=None, M=None, m=None):
-    """(r, M, m) of a SolverConfig for `problem`, each filled in when None.
-
-    M: the variant's `default_M` or a given M, refused below 1, clamped to
-    n. m: max(1, n // M) for svrg, then checked. r: `min_admissible_r`.
-    """
-    n = problem.n
-    estimator = variant(variant_name)
-    if M is not None and M < 1:
-        raise ConfigError("mini-batch size M must be >= 1")
-    M = min(estimator.default_M if M is None else M, n)
-    if m is None and estimator.needs_m:
-        m = max(1, n // M)
-    estimator.check_m(m)
-    if r is None:
-        r = params.min_admissible_r(problem.constraints, eta, rho)
-    return r, M, m
+        M: the variant's `default_M` or a given M, refused below 1, clamped to
+        n. m: max(1, n // M) for a variant that runs in epochs, then checked.
+        r: `min_admissible_r`.
+        """
+        n = problem.n
+        estimator = variant(variant_name)
+        if M is not None and M < 1:
+            raise ConfigError("mini-batch size M must be >= 1")
+        M = min(estimator.default_M if M is None else M, n)
+        if m is None and estimator.needs_m:
+            m = max(1, n // M)
+        estimator.check_m(m)
+        if r is None:
+            r = params.min_admissible_r(problem.constraints, eta, rho)
+        config = cls(variant=variant_name, eta=eta, rho=rho, r=r, M=M, T=T, m=m,
+                     seed=seed, trace_stride=trace_stride)
+        config.validate_against(problem)
+        return config
 
 
 @dataclass
@@ -151,7 +157,8 @@ def svrg_gradient(problem, x, rows, snapshot_x, snapshot_grad):
     """Snapshot-corrected gradient estimate; the batch's Rows serve both
     gradients. Grouped as batch-mean + (snapshot - batch-mean-at-snapshot)
     so the correction cancels exactly (bitwise) when the batch is the full
-    set.
+    set; `run` takes `FullBatchSvrg`'s step there, which computes neither
+    snapshot gradient.
     """
     g = problem.grad(x, rows)
     g_snap_batch = problem.grad(snapshot_x, rows)
@@ -302,7 +309,7 @@ class BatchMean:
     count; `run` calls begin, estimate and commit each iteration, finish after."""
 
     table = None
-    default_M = 100  # clamped to n by config_defaults
+    default_M = 100  # clamped to n by SolverConfig.for_problem
     needs_m = False  # whether the variant runs in epochs of length m
 
     def __init__(self, problem, M):
@@ -367,6 +374,8 @@ class SvrgEstimator(BatchMean):
 
     @classmethod
     def start(cls, problem, config, x0):
+        if config.M == problem.n:
+            return FullBatchSvrg(problem, problem.n, config.m)
         return cls(problem, config.M, config.m)
 
     @staticmethod
@@ -401,6 +410,19 @@ class SvrgEstimator(BatchMean):
     def snap_sq(self, x, x_prev):
         a, b = x - self.x_snap, x_prev - self.x_snap
         return float(a @ a), float(b @ b)
+
+
+class FullBatchSvrg(SvrgEstimator):
+    """`svrg` at M = n: the batch is the full set, so the correction is zero
+    and the step is dete's. No snapshot gradient is taken, but each snapshot
+    still keeps its point, for snap_sq, and counts n IFO, as svrg's does."""
+
+    estimate = BatchMean.estimate
+
+    def begin(self, t, x):
+        if t % self.m == 0:
+            self.x_snap = x.copy()
+            self.ifo += self.problem.n
 
 
 class SagaEstimator(BatchMean):
@@ -498,7 +520,8 @@ def init_state(problem, config):
 def _draw_batch(rng, loss, M):
     """One step's batch as Rows: M indices drawn with replacement and
     gathered, or at M == n the loss's `all_rows` itself, without a draw, so
-    that the variance-reduced corrections cancel exactly."""
+    that stoc's step there is bitwise dete's. svrg and saga take dete's step
+    at M == n (`FullBatchSvrg`, `FullBatchSaga`) and form no correction."""
     if M == loss.n:
         return loss.all_rows
     return loss.gather(rng.integers(0, loss.n, size=M))

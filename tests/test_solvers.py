@@ -96,19 +96,26 @@ class TestConfig:
         ("saga", 250, 7, 3, (7, 3)),
         ("SVRG", 250, None, None, (100, 2)),
     ])
-    def test_config_defaults(self, variant, n, M, m, expected):
+    def test_for_problem_defaults(self, variant, n, M, m, expected):
         prob = make_graph_guided_problem(n=n, d=5, empty_support=True)
-        r, M_out, m_out = solvers.config_defaults(prob, variant, 0.5, 2.0, M=M, m=m)
-        assert (M_out, m_out) == expected
-        assert r == params.min_admissible_r(prob.constraints, 0.5, 2.0)
-        assert solvers.config_defaults(prob, variant, 0.5, 2.0, 7.5, M, m)[0] == 7.5
+        cfg = solvers.SolverConfig.for_problem(prob, variant, 0.5, 2.0, 10, M=M, m=m)
+        assert (cfg.M, cfg.m) == expected
+        assert cfg.r == params.min_admissible_r(prob.constraints, 0.5, 2.0)
+        assert solvers.SolverConfig.for_problem(
+            prob, variant, 0.5, 2.0, 10, r=7.5, M=M, m=m).r == 7.5
+
+    @pytest.mark.parametrize("variant", solvers.VARIANTS)
+    def test_for_problem_checks_against_the_problem(self, variant):
+        prob = make_graph_guided_problem(n=80, d=5, empty_support=True)
+        with pytest.raises(ConfigError, match="below the H >= I bound"):
+            solvers.SolverConfig.for_problem(prob, variant, 0.5, 2.0, 10, r=1.0)
 
     @pytest.mark.parametrize("variant", solvers.VARIANTS)
     @pytest.mark.parametrize("M", [0, -5])
-    def test_config_defaults_refuses_batch_below_one(self, variant, M):
+    def test_for_problem_refuses_batch_below_one(self, variant, M):
         prob = make_graph_guided_problem(n=80, d=5, empty_support=True)
         with pytest.raises(ConfigError, match="M must be >= 1"):
-            solvers.config_defaults(prob, variant, 0.5, 2.0, M=M)
+            solvers.SolverConfig.for_problem(prob, variant, 0.5, 2.0, 10, M=M)
 
 
 class TestPureUpdates:
@@ -328,7 +335,7 @@ class TestFullSetInPlace:
         prob = make_graph_guided_problem(n=2000, d=50)
         assert isinstance(prob.loss.features, np.ndarray)
         copy_bytes = prob.n * prob.d * 8
-        cfg = build(prob, "svrg", M=prob.n, T=1)
+        cfg = build(prob, "svrg", M=10, T=1)
         state, rng_batch = solvers.init_state(prob, cfg)
         dete = solvers.variant("dete").start(prob, build(prob, "dete", T=1), state.x)
         svrg = solvers.variant("svrg").start(prob, cfg, state.x)
@@ -420,6 +427,40 @@ class TestCarriedProducts:
         cfg = build(prob, variant, T=30)
         _, iterates = run_with_iterates(prob, cfg)
         assert_same_iterates(iterates, reference_run(prob, cfg), 30)
+
+
+class TestFullBatchSvrg:
+    """At M = n svrg takes dete's step: one coefficient pass per step, for
+    the gradient, and none for a snapshot; its IFO, snapshot distances and
+    iterates are those of the snapshot-corrected step."""
+
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("make", PROBLEM_MAKERS)
+    def test_one_full_pass_per_step(self, make, m, monkeypatch):
+        prob, T = make(), 12
+        n, calls = prob.n, []
+        cfg = build(prob, "svrg", M=n, m=m, T=T, trace_stride=1)
+        # the snapshot-corrected estimator, as svrg runs below M = n
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers.SvrgEstimator, "start", classmethod(
+                lambda cls, problem, config, x0: cls(problem, config.M, config.m)))
+            corrected = solvers.run(prob, cfg).trace
+        coefficients = type(prob.loss).coefficients
+
+        def counting(loss, x, rows):
+            calls.append(len(rows))
+            return coefficients(loss, x, rows)
+
+        monkeypatch.setattr(type(prob.loss), "coefficients", counting)
+        res, iterates = run_with_iterates(prob, cfg)
+        assert calls == [n] * T
+        assert_same_iterates(iterates, reference_run(prob, cfg), T)
+        assert [rec.ifo for rec in res.trace] == [
+            t * n + -(-t // m) * n for t in range(1, T + 1)
+        ]
+        for got, want in zip(res.trace, corrected, strict=True):
+            got.wall_time = want.wall_time
+            assert got == want
 
 
 class TestCompactSagaTable:
