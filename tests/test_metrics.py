@@ -187,10 +187,46 @@ class TestLyapunov:
         vals = metrics.lyapunov_theta(res.trace, alpha, zeta=3.0, rho=cfg.rho)
         assert vals.shape == (len(res.trace),) and np.isfinite(vals).all()
 
+    def test_phi_values(self):
+        # stride 1: one record per step t, weighted by h[(t - 1) mod m]
+        prob, cfg, res = self.run_diag("svrg", m=5)
+        assert [rec.t for rec in res.trace] == list(range(1, cfg.T + 1))
+        h = params.svrg_h_schedule(2.0, prob.constraints, cfg.rho, cfg.M, 5, 1.0)
+        vals = metrics.lyapunov_phi(res.trace, h, 5, zeta=3.0, rho=cfg.rho)
+        assert vals.tolist() == [
+            rec.lrho + h[(rec.t - 1) % 5] * (rec.snap_sq + rec.snap_prev_sq)
+            + (3.0 / cfg.rho) * rec.dx_sq
+            for rec in res.trace
+        ]
+
+    def test_theta_values(self):
+        # alpha[t - 1] weighs step t; the lagged term is the previous
+        # record's snap_sq, zero before the first step
+        prob, cfg, res = self.run_diag("saga")
+        assert [rec.t for rec in res.trace] == list(range(1, cfg.T + 1))
+        alpha = params.saga_alpha_schedule(
+            2.0, prob.constraints, cfg.rho, n=prob.n, M=cfg.M, T=cfg.T, beta=1.0
+        )
+        vals = metrics.lyapunov_theta(res.trace, alpha, zeta=3.0, rho=cfg.rho)
+        lags = [0.0] + [rec.snap_sq for rec in res.trace[:-1]]
+        assert vals.tolist() == [
+            rec.lrho + alpha[rec.t - 1] * (rec.snap_sq + lag)
+            + (3.0 / cfg.rho) * rec.dx_sq
+            for rec, lag in zip(res.trace, lags)
+        ]
+
     def test_phi_schedule_length_checked(self):
         prob, cfg, res = self.run_diag("svrg", m=5)
         with pytest.raises(InputError):
             metrics.lyapunov_phi(res.trace, [1.0, 2.0], 5, 1.0, cfg.rho)
+
+    def test_theta_schedule_length_checked(self):
+        # the trace reads alpha_1..alpha_T; one entry fewer is refused
+        prob, cfg, res = self.run_diag("saga")
+        alpha = np.ones(cfg.T)
+        assert metrics.lyapunov_theta(res.trace, alpha, 1.0, cfg.rho).size == cfg.T
+        with pytest.raises(InputError, match="alpha schedule shorter than the trace"):
+            metrics.lyapunov_theta(res.trace, alpha[:-1], 1.0, cfg.rho)
 
 
 class TestOnePassRecord:
