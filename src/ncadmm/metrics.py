@@ -60,6 +60,15 @@ def lyapunov_psi(records, zeta, rho):
     return np.array([rec.lrho + (zeta / rho) * rec.dx_sq for rec in records])
 
 
+def _snapshot_sequence(records, weights, lags, zeta, rho):
+    """L_rho + w_t (snap_sq_t + lag_t) + (zeta/rho) ||x_t - x_{t-1}||^2 for
+    each record, with its weight w_t and lagged snapshot distance lag_t."""
+    return np.array([
+        rec.lrho + w * (rec.snap_sq + lag) + (zeta / rho) * rec.dx_sq
+        for rec, w, lag in zip(records, weights, lags)
+    ])
+
+
 def lyapunov_phi(records, h_schedule, m, zeta, rho):
     """Phi_t^s from svrg diagnostic records (stride-1 traces).
 
@@ -70,15 +79,10 @@ def lyapunov_phi(records, h_schedule, m, zeta, rho):
     h = np.asarray(h_schedule, dtype=float)
     if h.size != m:
         raise InputError("h schedule length must equal the epoch length m")
-    vals = []
-    for rec in records:
-        inner = (rec.t - 1) % m  # 0-based inner index; h_t uses h[inner]
-        vals.append(
-            rec.lrho
-            + h[inner] * (rec.snap_sq + rec.snap_prev_sq)
-            + (zeta / rho) * rec.dx_sq
-        )
-    return np.array(vals)
+    return _snapshot_sequence(
+        records, [h[(rec.t - 1) % m] for rec in records],
+        [rec.snap_prev_sq for rec in records], zeta, rho,
+    )
 
 
 def lyapunov_theta(records, alpha_schedule, zeta, rho):
@@ -90,15 +94,9 @@ def lyapunov_theta(records, alpha_schedule, zeta, rho):
     """
     _require_diag(records, "snap_sq")
     alpha = np.asarray(alpha_schedule, dtype=float)
-    vals = []
-    prev_snap = 0.0
-    for rec in records:
-        if rec.t - 1 >= alpha.size:
-            raise InputError("alpha schedule shorter than the trace")
-        vals.append(
-            rec.lrho
-            + alpha[rec.t - 1] * (rec.snap_sq + prev_snap)
-            + (zeta / rho) * rec.dx_sq
-        )
-        prev_snap = rec.snap_sq
-    return np.array(vals)
+    if any(rec.t > alpha.size for rec in records):
+        raise InputError("alpha schedule shorter than the trace")
+    return _snapshot_sequence(
+        records, [alpha[rec.t - 1] for rec in records],
+        [0.0] + [rec.snap_sq for rec in records], zeta, rho,
+    )

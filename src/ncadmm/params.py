@@ -135,6 +135,20 @@ def _interval_case(L, L_eff, constraints, eta, rho, r, phi_max_H, phi_min_H, phi
     return _Interval(False, case, math.nan, math.nan, rho_star, rho_0, delta, reason)
 
 
+def _backward(last, factor, const, size):
+    """x[0..size-1] with x[size-1] = last and x[t] = factor * x[t+1] + const.
+
+    A factor above 1 (svrg's always, saga's unless M = n) makes long
+    sequences overflow to inf; check_feasible refuses such a schedule by name.
+    """
+    x = np.empty(size)
+    x[size - 1] = last
+    with np.errstate(over="ignore"):
+        for t in range(size - 2, -1, -1):
+            x[t] = factor * x[t + 1] + const
+    return x
+
+
 def svrg_h_schedule(L, constraints, rho, M, m, beta):
     """Backward recursion h_m, ..., h_1 (returned in forward order h_1..h_m)."""
     if m < 1:
@@ -145,15 +159,8 @@ def svrg_h_schedule(L, constraints, rho, M, m, beta):
     if beta <= 0:
         raise ConfigError("beta must be > 0")
     pa = constraints.phi_min_A
-    h = np.empty(m)
-    h[m - 1] = 10.0 * L**2 / (pa * rho * M)
     step = (10.0 + pa * rho) * L**2 / (2.0 * rho * pa * M)
-    # the factor 2 + beta > 1 makes long epochs overflow to inf;
-    # check_feasible refuses such a schedule by name
-    with np.errstate(over="ignore"):
-        for t in range(m - 2, -1, -1):
-            h[t] = (2.0 + beta) * h[t + 1] + step
-    return h
+    return _backward(10.0 * L**2 / (pa * rho * M), 2.0 + beta, step, m)
 
 
 def saga_alpha_schedule(L, constraints, rho, n, M, T, beta):
@@ -168,14 +175,8 @@ def saga_alpha_schedule(L, constraints, rho, n, M, T, beta):
     pa = constraints.phi_min_A
     const = (10.0 * L**2 + pa * rho * L**2) / (2.0 * rho * pa * M)
     factor = (2.0 * n - M) / n + (n - M) * beta / n
-    alpha = np.empty(T + 1)
-    alpha[T] = 0.0
-    # factor > 1 unless M = n, so long horizons overflow to inf;
-    # check_feasible refuses such a schedule by name
-    with np.errstate(over="ignore"):
-        for t in range(T - 1, -1, -1):
-            alpha[t] = const + factor * alpha[t + 1]
-    return alpha  # alpha[t-1] is the step-t weight; alpha[T] is the zero boundary
+    # alpha[t-1] is the step-t weight; alpha[T] is the zero boundary
+    return _backward(0.0, factor, const, T + 1)
 
 
 @np.errstate(all="ignore")
@@ -272,7 +273,8 @@ def suggest_params(problem, variant, M=None, T=1000, m=None, beta=1.0):
     Starts from rho = 2*rho* (third interval case) with r at its minimum and
     falls back to a log grid over (eta, rho), each with the variant's
     `size_fallbacks`. M, m and r default as in `SolverConfig.for_problem`.
-    Raises ConfigError with the evaluated grid when nothing certifies.
+    Raises ConfigError naming the searched (eta, rho) grid, once, when
+    nothing certifies.
     """
     from . import solvers  # local import to avoid a cycle
     estimator = solvers.variant(variant)
@@ -282,21 +284,18 @@ def suggest_params(problem, variant, M=None, T=1000, m=None, beta=1.0):
     cs = problem.constraints
     n = problem.n
     rho_star_base = _rho_star(L, L + 1.0, cs.phi_min_A)
-    tried = []
-    for mult in _RHO_MULTS:
-        rho = mult * rho_star_base
-        for eta in _ETA_GRID:
-            base = solvers.SolverConfig.for_problem(problem, variant, eta, rho, T, M=M, m=m)
-            for M_try, m_try in estimator.size_fallbacks(n, base.M, base.m):
-                cfg = replace(base, M=M_try, m=m_try)
-                cert = check_feasible(
-                    cfg.variant, L, cs, eta, rho, cfg.r,
-                    n=n, M=M_try, m=m_try, T=T, beta=beta,
-                )
-                tried.append((eta, rho, cert.accepted))
-                if cert.accepted:
-                    return cfg, cert
-    grid = ", ".join(f"(eta={e:g}, rho={p:g})" for e, p, _ in tried)
+    grid = [(eta, mult * rho_star_base) for mult in _RHO_MULTS for eta in _ETA_GRID]
+    for eta, rho in grid:
+        base = solvers.SolverConfig.for_problem(problem, variant, eta, rho, T, M=M, m=m)
+        for M_try, m_try in estimator.size_fallbacks(n, base.M, base.m):
+            cfg = replace(base, M=M_try, m=m_try)
+            cert = check_feasible(
+                cfg.variant, L, cs, eta, rho, cfg.r,
+                n=n, M=M_try, m=m_try, T=T, beta=beta,
+            )
+            if cert.accepted:
+                return cfg, cert
     raise ConfigError(
-        f"no feasible (eta, rho) found for variant {estimator.name!r}; tried {grid}"
+        f"no feasible (eta, rho) found for variant {estimator.name!r}; tried "
+        + ", ".join(f"(eta={e:g}, rho={p:g})" for e, p in grid)
     )

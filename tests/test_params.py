@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -252,6 +253,16 @@ class TestSuggest:
         assert len(pairs) > 1
         assert calls == [(variant, eta, rho, M_try, m_try)
                          for eta, rho in pairs for M_try, m_try in sizes]
+
+    @pytest.mark.parametrize("variant", ["stoc", "svrg", "saga"])
+    def test_refusal_names_each_pair_once(self, variant):
+        # no (eta, rho) certifies on an edged graph; the refusal lists the
+        # 7 x 11 grid it searched once, whatever the sizes tried per pair
+        prob = make_graph_guided_problem(n=400, d=20, seed=0)
+        with pytest.raises(ConfigError, match="no feasible") as err:
+            params.suggest_params(prob, variant, M=20, T=100)
+        named = re.findall(r"\(eta=[^)]*\)", str(err.value))
+        assert len(named) == len(set(named)) == 77
 
     @pytest.mark.parametrize("m", [0, -3])
     def test_svrg_epoch_below_one_refused_before_the_search(self, monkeypatch, m):
