@@ -19,12 +19,12 @@ class StationarityReport:
     subgrad_dist_sq: float
 
 
-def subgrad_dist_sq(problem, y, lam, x, x_prev, rho):
+def subgrad_dist_sq(problem, y, lam, dx, rho):
     """dist(-lam, subdifferential of g at y)^2: the sum, in block order, of
     each block's own `subgrad_dist_sq` on its slices of v = -lam, of y and
-    of w = rho * -(A (x - x_prev))."""
+    of w = rho * -(A dx), dx = x - x_prev."""
     v = -np.asarray(lam).ravel()
-    w = rho * -np.asarray(problem.constraints.A @ (x - x_prev)).ravel()
+    w = rho * -np.asarray(problem.constraints.A @ dx).ravel()
     total = 0.0
     for blk in problem.regularizer.blocks:
         s = slice(blk.start, blk.stop)
@@ -32,16 +32,15 @@ def subgrad_dist_sq(problem, y, lam, x, x_prev, rho):
     return total
 
 
-def stationarity(problem, x, y, lam, x_prev, rho, grad):
-    """Feasibility, dual and subgradient-distance residuals at (x, y, lam);
-    grad is the full gradient at x."""
-    cs = problem.constraints
-    resid = cs.residual(x, y)
-    dual = grad - np.asarray(cs.AT @ lam).ravel()
+def stationarity(problem, resid, dx, y, lam, rho, grad):
+    """Feasibility, dual and subgradient-distance residuals at (x, y, lam),
+    from resid = A x - y - c, the step dx = x - x_prev and grad, the full
+    gradient at x."""
+    dual = grad - np.asarray(problem.constraints.AT @ lam).ravel()
     return StationarityReport(
         feasibility_sq=float(resid @ resid),
         dual_sq=float(dual @ dual),
-        subgrad_dist_sq=subgrad_dist_sq(problem, y, lam, x, x_prev, rho),
+        subgrad_dist_sq=subgrad_dist_sq(problem, y, lam, dx, rho),
     )
 
 
@@ -86,13 +85,17 @@ def lyapunov_phi(records, h_schedule, m, zeta, rho):
 
 
 def lyapunov_theta(records, alpha_schedule, zeta, rho):
-    """Theta_t from saga diagnostic records (stride-1).
+    """Theta_t from saga diagnostic records; a strided trace is refused.
 
     alpha_schedule holds alpha_1..alpha_T; snap_sq is the mean squared
     distance of x_t to the stored points at step t, the previous record
     supplies the lagged term (zero before the first step).
     """
     _require_diag(records, "snap_sq")
+    steps = np.diff([0] + [rec.t for rec in records])
+    if (steps != 1).any():
+        raise InputError("Theta's lag needs a record at every step, not a "
+                         f"trace_stride of {steps[steps != 1][0]}")
     alpha = np.asarray(alpha_schedule, dtype=float)
     if any(rec.t > alpha.size for rec in records):
         raise InputError("alpha schedule shorter than the trace")

@@ -73,10 +73,6 @@ class ConstraintSystem:
     def d(self):
         return self.A.shape[1]
 
-    def residual(self, x, y):
-        """Ax - y - c."""
-        return self.A @ x - y - self.c
-
 
 class Rows:
     """Feature and label rows of a validated index set, gathered once.

@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    ConfigError,
-    DivergenceError,
-    InputError,
-    InternalInvariantError,
-)
+from .exceptions import ConfigError, DivergenceError, InternalInvariantError
 from . import metrics, params
 
 _DIVERGENCE_NORM = 1e12
@@ -83,7 +78,6 @@ class SolverConfig:
         M = min(estimator.default_M if M is None else M, n)
         if m is None and estimator.needs_m:
             m = max(1, n // M)
-        estimator.check_m(m)
         if r is None:
             r = params.min_admissible_r(problem.constraints, eta, rho)
         config = cls(variant=variant_name, eta=eta, rho=rho, r=r, M=M, T=T, m=m,
@@ -127,25 +121,21 @@ class RunResult:
 def y_update(problem, Ax_t, lambda_t, rho):
     """argmin_y L_rho(x_t, y, lambda_t), blockwise prox; Ax_t is A x_t."""
     v = Ax_t - problem.constraints.c - lambda_t / rho
-    return problem.regularizer.prox(np.asarray(v).ravel(), 1.0 / rho)
+    return problem.regularizer.prox(v, 1.0 / rho)
 
 
 def x_update_uzawa(problem, x_t, y_new, lambda_t, g_hat, eta, rho, r, Ax_t):
     """Single inexact-Uzawa step; equals the minimizer of the linearized
     surrogate with H = rI - rho*eta*A^T A. Ax_t is A x_t.
     """
-    g_hat = np.asarray(g_hat, dtype=float)
-    if g_hat.shape != x_t.shape:
-        raise InputError("gradient estimate has the wrong dimension")
     cs = problem.constraints
     resid = Ax_t - y_new - cs.c - lambda_t / rho
     return x_t - (eta / r) * (g_hat + rho * (cs.AT @ resid))
 
 
-def lambda_update(Ax_new, y_new, lambda_t, rho, constraints):
-    """lambda_{t+1} = lambda_t - rho * (A x_{t+1} - y_{t+1} - c); Ax_new is
-    A x_{t+1}."""
-    return lambda_t - rho * (Ax_new - y_new - constraints.c)
+def lambda_update(resid, lambda_t, rho):
+    """lambda_{t+1} = lambda_t - rho * resid; resid is A x_{t+1} - y_{t+1} - c."""
+    return lambda_t - rho * resid
 
 
 def stoc_gradient(problem, x, rows):
@@ -535,7 +525,9 @@ def run(problem, config, callback=None):
     Raises DivergenceError on NaN/Inf state or runaway norms.
 
     Each iteration makes two products with A: A x_{t+1}, carried into the
-    next iteration's y- and x-steps, and A^T times the x-step residual.
+    next iteration's y- and x-steps, and A^T times the x-step residual. The
+    dual step's residual A x_{t+1} - y_{t+1} - c serves the trace record,
+    which makes two more: A^T lambda and A (x_{t+1} - x_t).
     """
     config.validate_against(problem)
     cs = problem.constraints
@@ -560,7 +552,8 @@ def run(problem, config, callback=None):
             problem, state.x, y_new, state.lam, g_hat, eta, rho, r, Ax
         )
         Ax = cs.A @ x_new
-        lam_new = lambda_update(Ax, y_new, state.lam, rho, cs)
+        resid = Ax - y_new - cs.c
+        lam_new = lambda_update(resid, state.lam, rho)
         estimator.commit(x_new)
 
         state.x_prev = state.x
@@ -574,7 +567,7 @@ def run(problem, config, callback=None):
             raise DivergenceError("primal iterate norm exceeded 1e12", t + 1)
 
         if (t + 1) % config.trace_stride == 0 or t + 1 == config.T:
-            rec = _record(problem, config, state, estimator, solver_time)
+            rec = _record(problem, config, state, estimator, solver_time, resid)
             trace.append(rec)
             if callback is not None:
                 callback(rec, state)
@@ -583,15 +576,12 @@ def run(problem, config, callback=None):
     return RunResult(trace=trace, state=state)
 
 
-def _record(problem, config, state, estimator, wall_time):
+def _record(problem, config, state, estimator, wall_time, resid):
     rho = config.rho
     f, grad = problem.loss.value_and_grad(state.x, problem.loss.all_rows)
     obj = f + problem.regularizer.value(state.y)
-    report = metrics.stationarity(
-        problem, state.x, state.y, state.lam, state.x_prev, rho, grad
-    )
-    resid = problem.constraints.residual(state.x, state.y)
     dx = state.x - state.x_prev
+    report = metrics.stationarity(problem, resid, dx, state.y, state.lam, rho, grad)
     snap_sq, snap_prev_sq = estimator.snap_sq(state.x, state.x_prev)
     return TraceRecord(
         t=state.t,
@@ -601,7 +591,7 @@ def _record(problem, config, state, estimator, wall_time):
         dual_sq=report.dual_sq,
         subgrad_dist_sq=report.subgrad_dist_sq,
         ifo=estimator.ifo,
-        lrho=obj - float(state.lam @ resid) + 0.5 * rho * float(resid @ resid),
+        lrho=obj - float(state.lam @ resid) + 0.5 * rho * report.feasibility_sq,
         dx_sq=float(dx @ dx),
         snap_sq=snap_sq,
         snap_prev_sq=snap_prev_sq,

@@ -9,7 +9,11 @@ that in the unit suite. They read `ncbench/` and change nothing there.
 import importlib.util
 import os
 
-from ncadmm import cli, params, solvers
+import numpy as np
+
+from ncadmm import cli, metrics, params, solvers
+
+from conftest import make_graph_guided_problem
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -30,7 +34,7 @@ def test_tracer_installs_and_restores():
              (solvers, "saga_gradient"), (solvers, "stoc_gradient"),
              (solvers, "y_update"), (solvers, "x_update_uzawa"),
              (solvers, "lambda_update"), (solvers, "_record"),
-             (solvers, "run")]
+             (solvers, "run"), (metrics, "stationarity")]
     before = [getattr(owner, attr) for owner, attr in names]
     with tracing.Tracer().installed():
         during = [getattr(owner, attr) for owner, attr in names]
@@ -57,8 +61,38 @@ def test_traced_run_reaches_every_layer(tmp_path):
     names = [span[0] for span in tracer.spans]
     assert {"params.certify", "params.suggest", "solvers.grad_estimate",
             "solvers.y_update", "solvers.x_step", "solvers.dual",
-            "solvers.saga_table", "solvers.record",
+            "solvers.saga_table", "solvers.record", "metrics.stationarity",
             "cli.build_problem", "cli.output"} <= set(names)
     # one table write per saga iteration: T x repetitions
     assert names.count("solvers.saga_table") == 4 * 2
+    # one record per iteration of each solver, and one stationarity call each
+    assert names.count("solvers.record") == 4 * 4 * 2
+    assert tracer.counts["metrics.stationarity_calls"] == 4 * 4 * 2
     assert tracer.counts["params.cert_attempts"] == 4
+
+
+class _CountedProducts:
+    """A matrix whose products with a vector are counted by name."""
+
+    def __init__(self, matrix, name, seen):
+        self.matrix, self.name, self.seen = matrix, name, seen
+
+    def __matmul__(self, v):
+        self.seen.append(self.name)
+        return self.matrix @ v
+
+
+def test_record_makes_two_products_with_A(monkeypatch):
+    # the dual step's residual serves the record: A^T lambda and A dx remain
+    prob = make_graph_guided_problem()
+    cs = prob.constraints
+    rng = np.random.default_rng(0)
+    x, x_prev = rng.standard_normal(prob.d), rng.standard_normal(prob.d)
+    y, lam, resid = (rng.standard_normal(cs.q) for _ in range(3))
+    state = solvers.SolverState(x=x, y=y, lam=lam, x_prev=x_prev)
+    cfg = solvers.SolverConfig("stoc", eta=1.0, rho=2.0, r=1.0, M=1, T=1)
+    seen = []
+    monkeypatch.setattr(cs, "A", _CountedProducts(cs.A, "A", seen))
+    monkeypatch.setattr(cs, "AT", _CountedProducts(cs.AT, "AT", seen))
+    solvers._record(prob, cfg, state, solvers.BatchMean(prob, 1), 0.0, resid)
+    assert sorted(seen) == ["A", "AT"]

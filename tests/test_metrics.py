@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -58,9 +60,12 @@ class TestStationarity:
         x = rng.standard_normal(gg_problem.d)
         y = rng.standard_normal(gg_problem.p)
         lam = rng.standard_normal(gg_problem.constraints.q)
-        rep = metrics.stationarity(gg_problem, x, y, lam, x, 1.0, gg_problem.grad(x))
-        resid = gg_problem.constraints.residual(x, y)
-        assert np.isclose(rep.feasibility_sq, float(resid @ resid))
+        cs = gg_problem.constraints
+        resid = cs.A @ x - y - cs.c
+        rep = metrics.stationarity(
+            gg_problem, resid, np.zeros(gg_problem.d), y, lam, 1.0, gg_problem.grad(x)
+        )
+        assert rep.feasibility_sq == float(resid @ resid)
         dual = gg_problem.grad(x) - np.asarray(
             gg_problem.constraints.A.T @ lam
         ).ravel()
@@ -84,8 +89,7 @@ class TestStationarity:
         y = rng.standard_normal(prob.p)
         lam = rng.standard_normal(cs.q)
         val = metrics.subgrad_dist_sq(
-            prob, y, lam, x=rng.standard_normal(6),
-            x_prev=rng.standard_normal(6), rho=2.0,
+            prob, y, lam, dx=rng.standard_normal(6) - rng.standard_normal(6), rho=2.0,
         )
         assert val >= 0.0
 
@@ -129,10 +133,12 @@ class TestCouplingIsMinusIdentity:
         for _ in range(5):
             x, y, lam, x_prev = self.point(prob, rng)
             resid, subgrad = self.explicit(prob, x, y, lam, x_prev, rho)
-            assert np.array_equal(prob.constraints.residual(x, y), resid)
+            cs = prob.constraints
+            # the form run() hands the dual step and the trace record
+            assert np.array_equal(cs.A @ x - y - cs.c, resid)
 
             rep = metrics.stationarity(
-                prob, x, y, lam, x_prev=x_prev, rho=rho, grad=prob.grad(x)
+                prob, resid, x - x_prev, y, lam, rho=rho, grad=prob.grad(x)
             )
             assert rep.feasibility_sq == float(resid @ resid)
             assert rep.subgrad_dist_sq == subgrad
@@ -140,7 +146,7 @@ class TestCouplingIsMinusIdentity:
             state = solvers.SolverState(x=x, y=y, lam=lam, x_prev=x_prev)
             cfg = solvers.SolverConfig("stoc", eta=1.0, rho=rho, r=1.0, M=1, T=1)
             rec = solvers._record(
-                prob, cfg, state, solvers.BatchMean(prob, 1), 0.0
+                prob, cfg, state, solvers.BatchMean(prob, 1), 0.0, resid
             )
             every = prob.loss.gather(np.arange(prob.n))
             obj = prob.loss.value(x, every) + prob.regularizer.value(y)
@@ -202,6 +208,17 @@ class TestLyapunov:
             for rec, lag in zip(res.trace, lags)
         ]
 
+    def test_theta_refuses_a_strided_trace(self):
+        # at stride 3 the previous record is three steps back, not the lag
+        prob, cfg, res = self.run_diag("saga", trace_stride=3)
+        assert [rec.t for rec in res.trace] == list(range(3, cfg.T + 1, 3))
+        with pytest.raises(InputError, match="not a trace_stride of 3"):
+            metrics.lyapunov_theta(res.trace, np.ones(cfg.T), 1.0, cfg.rho)
+        # a gap after the first steps is refused too: t = 1, 2, 3, 6, ...
+        head = [replace(res.trace[0], t=1), replace(res.trace[0], t=2)]
+        with pytest.raises(InputError, match="not a trace_stride of 3"):
+            metrics.lyapunov_theta(head + res.trace, np.ones(cfg.T), 1.0, cfg.rho)
+
     def test_phi_schedule_length_checked(self):
         prob, cfg, res = self.run_diag("svrg", m=5)
         with pytest.raises(InputError):
@@ -225,11 +242,13 @@ class TestOnePassRecord:
         cfg = solvers.SolverConfig(variant=variant, eta=eta, rho=rho, r=r, M=10, T=5)
         res = solvers.run(prob, cfg)
         rec, st = res.trace[-1], res.state
+        cs = prob.constraints
         report = metrics.stationarity(
-            prob, st.x, st.y, st.lam, x_prev=st.x_prev, rho=rho,
-            grad=prob.grad(st.x),
+            prob, cs.A @ st.x - st.y - cs.c, st.x - st.x_prev, st.y, st.lam,
+            rho=rho, grad=prob.grad(st.x),
         )
         assert rec.objective == oracles.objective(prob, st.x, st.y)
+        assert rec.feasibility_sq == report.feasibility_sq
         assert rec.dual_sq == report.dual_sq
         assert rec.subgrad_dist_sq == report.subgrad_dist_sq
 

@@ -417,12 +417,6 @@ class TestConstraintSystem:
         with pytest.raises(ConfigError, match="c has shape"):
             problems.ConstraintSystem(np.eye(2), np.zeros(3))
 
-    def test_residual(self, rng):
-        cs = problems.build_overlap_A(3, 2)
-        x = rng.standard_normal(3)
-        y = rng.standard_normal(6)
-        assert np.allclose(cs.residual(x, y), np.tile(x, 2) - y)
-
 
 def stacked(scales, k):
     """[D; ...; D] (k copies) with D = diag(scales), as csr."""

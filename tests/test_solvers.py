@@ -117,6 +117,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="M must be >= 1"):
             solvers.SolverConfig.for_problem(prob, variant, 0.5, 2.0, 10, M=M)
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_for_problem_refuses_svrg_epoch_below_one(self, m):
+        # the config's own field checks refuse it; for_problem repeats none
+        prob = make_graph_guided_problem(n=80, d=5, empty_support=True)
+        with pytest.raises(ConfigError, match="svrg requires epoch length m >= 1"):
+            solvers.SolverConfig.for_problem(prob, "svrg", 0.5, 2.0, 10, m=m)
+
 
 class TestPureUpdates:
     def test_y_update_is_prox(self, gg_problem, rng):
@@ -134,7 +141,7 @@ class TestPureUpdates:
         cs = gg_problem.constraints
 
         def lrho_y(y):
-            resid = cs.residual(x, y)
+            resid = cs.A @ x - y - cs.c
             return (
                 gg_problem.regularizer.value(y)
                 - float(lam @ resid)
@@ -165,8 +172,8 @@ class TestPureUpdates:
         x = rng.standard_normal(gg_problem.d)
         y = rng.standard_normal(gg_problem.p)
         lam = rng.standard_normal(cs.q)
-        out = solvers.lambda_update(cs.A @ x, y, lam, 1.5, cs)
-        assert np.allclose(out, lam - 1.5 * cs.residual(x, y))
+        resid = cs.A @ x - y - cs.c
+        assert np.array_equal(solvers.lambda_update(resid, lam, 1.5), lam - 1.5 * resid)
 
     def test_apply_H_over_eta_matches_dense(self, gg_problem, rng):
         cs = gg_problem.constraints
@@ -339,12 +346,14 @@ class TestFullSetInPlace:
         state, rng_batch = solvers.init_state(prob, cfg)
         dete = solvers.variant("dete").start(prob, build(prob, "dete", T=1), state.x)
         svrg = solvers.variant("svrg").start(prob, cfg, state.x)
+        cs = prob.constraints
+        resid = cs.A @ state.x - state.y - cs.c
         passes = {
             "dete step": lambda: dete.estimate(
                 state.x, solvers._draw_batch(rng_batch, prob.loss, dete.M)
             ),
             "svrg snapshot": lambda: svrg.begin(0, state.x),
-            "trace record": lambda: solvers._record(prob, cfg, state, svrg, 0.0),
+            "trace record": lambda: solvers._record(prob, cfg, state, svrg, 0.0, resid),
         }
         tracemalloc.start()
         try:
@@ -391,7 +400,7 @@ def reference_run(problem, config):
         x = solvers.x_update_uzawa(
             problem, state.x, y, state.lam, g, eta, rho, r, cs.A @ state.x
         )
-        lam = solvers.lambda_update(cs.A @ x, y, state.lam, rho, cs)
+        lam = solvers.lambda_update(cs.A @ x - y - cs.c, state.lam, rho)
         if config.variant == "saga":
             uniq = np.unique(idx)
             new = problem.grad_matrix(x, problem.loss.gather(uniq))
