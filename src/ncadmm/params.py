@@ -267,7 +267,7 @@ _ETA_GRID = [2.0, 1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 5e-3, 2e-3, 1e-3]
 _RHO_MULTS = [2.0, 3.0, 5.0, 10.0, 1.5, 20.0, 50.0]
 
 
-def suggest_params(problem, variant, M=None, T=1000, m=None, beta=1.0):
+def suggest_params(problem, variant, M=None, T=1000, m=None):
     """Search for a certified (eta, rho, r) and return it with its certificate.
 
     Starts from rho = 2*rho* (third interval case) with r at its minimum and
@@ -291,7 +291,7 @@ def suggest_params(problem, variant, M=None, T=1000, m=None, beta=1.0):
             cfg = replace(base, M=M_try, m=m_try)
             cert = check_feasible(
                 cfg.variant, L, cs, eta, rho, cfg.r,
-                n=n, M=M_try, m=m_try, T=T, beta=beta,
+                n=n, M=M_try, m=m_try, T=T,
             )
             if cert.accepted:
                 return cfg, cert

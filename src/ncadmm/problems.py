@@ -4,7 +4,6 @@ Everything here is read-only after construction, so instances can be shared
 freely between solver runs and diagnostic code.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +14,11 @@ from scipy.special import expit, logsumexp, softmax
 from .data import check_count
 from .exceptions import ConfigError, InputError, NumericalError
 
-_SCAN_CHUNK = 8192
+# sup over u of |d^2/du^2 1/(1+e^u)| = p(1-p)|1-2p|, read off a scan of
+# 200001 evenly spaced u in [-8, 8]. The scan's grid misses the true supremum
+# sqrt(3)/18, taken where p = 1/2 +- sqrt(3)/6, by 2.1e-13 from below;
+# tests/oracles.py recomputes it
+SIGMOID_CURVATURE = 0.09622504486472483
 
 
 def _as_matrix(A):
@@ -168,21 +171,6 @@ def _sigmoid_losses(scores, labels):
     return expit(-(labels * scores))
 
 
-@functools.cache
-def sigmoid_curvature_bound():
-    """The largest |d^2/du^2 1/(1+e^u)| = p(1-p)|1-2p| over 200001 evenly
-    spaced u in [-8, 8]: 0.09622504486472483, 2.1e-13 below the true
-    supremum sqrt(3)/18, taken where p = 1/2 +- sqrt(3)/6. The scan goes a
-    chunk at a time; a maximum is exact in any order, so it equals the
-    one-pass maximum."""
-    u = np.linspace(-8.0, 8.0, 200001)
-    best = 0.0
-    for start in range(0, u.size, _SCAN_CHUNK):
-        p = expit(-u[start:start + _SCAN_CHUNK])
-        best = max(best, float(np.max(p * (1.0 - p) * np.abs(1.0 - 2.0 * p))))
-    return best
-
-
 class SigmoidLoss(_LinearModelLoss):
     """Average of per-sample sigmoid losses 1 / (1 + exp(b_i a_i^T x)).
 
@@ -201,8 +189,8 @@ class SigmoidLoss(_LinearModelLoss):
 
     @staticmethod
     def lipschitz_bound(max_sq):
-        # an upper bound up to the scan's 2.2e-12 (relative) margin
-        return max_sq * sigmoid_curvature_bound()
+        # an upper bound up to the constant's 2.2e-12 (relative) margin
+        return max_sq * SIGMOID_CURVATURE
 
     @staticmethod
     def _coef_from_losses(p, labels):

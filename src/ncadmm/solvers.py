@@ -47,7 +47,8 @@ class SolverConfig:
             raise ConfigError("T must be >= 1")
         if self.M < 1:
             raise ConfigError("mini-batch size M must be >= 1")
-        estimator.check_m(self.m)
+        if estimator.needs_m and (self.m is None or self.m < 1):
+            raise ConfigError(f"{estimator.name} requires epoch length m >= 1")
         if self.trace_stride < 1:
             raise ConfigError("trace_stride must be >= 1")
 
@@ -63,7 +64,7 @@ class SolverConfig:
 
     @classmethod
     def for_problem(cls, problem, variant_name, eta, rho, T, *, r=None, M=None,
-                    m=None, seed=0, trace_stride=1):
+                    m=None, trace_stride=1):
         """A config for `problem`, checked against it, with r, M and m each
         filled in when None.
 
@@ -81,7 +82,7 @@ class SolverConfig:
         if r is None:
             r = params.min_admissible_r(problem.constraints, eta, rho)
         config = cls(variant=variant_name, eta=eta, rho=rho, r=r, M=M, T=T, m=m,
-                     seed=seed, trace_stride=trace_stride)
+                     trace_stride=trace_stride)
         config.validate_against(problem)
         return config
 
@@ -306,11 +307,6 @@ class BatchMean:
         self.problem, self.M, self.ifo = problem, M, 0
 
     @classmethod
-    def check_m(cls, m):
-        if cls.needs_m and (m is None or m < 1):
-            raise ConfigError(f"{cls.name} requires epoch length m >= 1")
-
-    @classmethod
     def start(cls, problem, config, x0):
         return cls(problem, config.M)
 
@@ -357,10 +353,10 @@ class SvrgEstimator(BatchMean):
 
     needs_m = True
 
-    def __init__(self, problem, M, m, x_snap=None, snap_grad=None):
+    def __init__(self, problem, M, m):
         super().__init__(problem, M)
         self.m = m
-        self.x_snap, self.snap_grad = x_snap, snap_grad
+        self.x_snap = self.snap_grad = None
 
     @classmethod
     def start(cls, problem, config, x0):

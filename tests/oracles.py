@@ -181,7 +181,8 @@ def variance_diagnostics(problem, variant, x, L, M=1, snapshot_x=None,
     if variant == "svrg":
         if snapshot_x is None or snapshot_grad is None:
             raise CapabilityError("svrg variance diagnostics need the snapshot")
-        estimator = solvers.SvrgEstimator(problem, M, None, snapshot_x, snapshot_grad)
+        estimator = solvers.SvrgEstimator(problem, M, None)
+        estimator.x_snap, estimator.snap_grad = snapshot_x, snapshot_grad
     elif variant == "saga":
         if point_table is None:
             raise CapabilityError("saga variance diagnostics need point_table")
