@@ -14,6 +14,7 @@ import json
 import math
 import operator
 import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import NamedTuple
 
@@ -268,12 +269,32 @@ def _write_csv_atomic(path, rows):
 def run_single(problem, evaluate, config, zeta):
     """One solver run; returns (rows, result) with CSV-ready rows.
 
+    Each record's `evaluate(x)` runs on one worker thread while the solver
+    takes the steps to the next record. At most one evaluation is in
+    flight: a record waits for the previous one before it hands on its
+    own. The worker reads the record's x, which no step writes in place,
+    and runs the same kernels on the same arrays, so the rows are bitwise
+    those of evaluating in the callback. The worker is joined before this
+    returns or raises. An evaluation's error reaches the caller, before
+    any error of the steps taken after its record.
+
     The lyapunov column is `metrics.lyapunov_psi` of the trace at zeta.
     """
     evals = []
-    result = solvers_mod.run(
-        problem, config, callback=lambda rec, state: evals.append(evaluate(state.x))
-    )
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        def hand_off(rec, state):
+            if evals:
+                evals[-1].result()
+            evals.append(worker.submit(evaluate, state.x))
+
+        try:
+            result = solvers_mod.run(problem, config, callback=hand_off)
+        finally:
+            # in the callback, the last evaluation would have run, and
+            # raised, before any later step
+            if evals:
+                evals[-1].result()
+    evals = [future.result() for future in evals]
     psi = metrics_mod.lyapunov_psi(result.trace, zeta, config.rho).tolist()
     rows = [
         [rec.t, rec.wall_time, rec.ifo, rec.objective, err, tloss,
@@ -289,7 +310,9 @@ def run_experiment(spec, out_dir, allow_uncertified=False, workers=1, echo=print
     Every solver's r is checked and every solver certified before any of
     them runs. A refusal writes summary.json with the certificates and
     returns EXIT_CONFIG. Repetitions run one after another in the calling
-    process; `workers` takes only 1.
+    process; `workers` takes only 1. Each repetition evaluates its records'
+    test split on one worker thread of its own, joined before the
+    repetition's CSV is written (`run_single`).
     """
     spec = _check_spec(spec)
     if workers != 1:

@@ -1,8 +1,9 @@
 """Dense and Monte-Carlo oracles for the paper's claims: unbiased gradient
 estimators, their variance bounds, the dual-update identity and the O(1/T)
 rate, the d x d support form of the graph-guided constraint builder, a
-test-set evaluator with one closure per loss type, and the one-pass forms
-of the sigmoid curvature scan and of the graph-guided generator.
+test-set evaluator with one closure per loss type, the CLI's rows with the
+test evaluation run in the solver's callback, and the one-pass forms of
+the sigmoid curvature scan and of the graph-guided generator.
 No run calls them; the tests check the package against them.
 """
 
@@ -11,7 +12,7 @@ import scipy.sparse as sp
 
 from scipy.special import expit
 
-from ncadmm import solvers
+from ncadmm import metrics, solvers
 from ncadmm.data import (
     _MIN_PRECISION_EIG, Dataset, PrecisionModel, _draw_rows, _substreams,
     check_count, check_dim,
@@ -136,6 +137,21 @@ def make_test_evaluator(problem, test):
             ) + test_loss.penalty_value(test_loss._as_X(x))
 
     return evaluate
+
+
+def run_single_rows(problem, evaluate, config, zeta):
+    """`cli.run_single`'s rows with each record's `evaluate(x)` called in
+    the solver's callback, on the calling thread, before the next step."""
+    evals = []
+    result = solvers.run(
+        problem, config, callback=lambda rec, state: evals.append(evaluate(state.x))
+    )
+    psi = metrics.lyapunov_psi(result.trace, zeta, config.rho).tolist()
+    return [
+        [rec.t, rec.wall_time, rec.ifo, rec.objective, err, tloss,
+         rec.feasibility_sq, rec.dual_sq, rec.subgrad_dist_sq, lyap]
+        for rec, (err, tloss), lyap in zip(result.trace, evals, psi)
+    ]
 
 
 def saga_table_from_points(problem, points):

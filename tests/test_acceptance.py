@@ -207,6 +207,24 @@ def _own_lyapunov(trace, cfg, cert):
     return metrics.lyapunov_theta(trace, cert.schedule, zeta, cfg.rho)
 
 
+@functools.lru_cache(maxsize=None)
+def quick_start_svrg_runs():
+    """The README quick-start problem, with certified svrg on it at M = 100
+    and T = 200, which both criterion 05 tests on that problem read:
+    (problem, config, certificate, the traces of seeds 0-4)."""
+    ds, _ = data.gen_overlap(n=2000, seed=0)
+    cs = problems.build_overlap_A(ds.d, 2)
+    prob = problems.CompositeProblem(
+        loss=problems.SigmoidLoss(ds.features, ds.labels),
+        regularizer=problems.BlockSeparableRegularizer.l1(cs.q, 1e-5),
+        constraints=cs,
+    )
+    cfg, cert = params.suggest_params(prob, "svrg", M=100, T=200)
+    traces = tuple(solvers.run(prob, replace(cfg, seed=seed)).trace
+                   for seed in range(5))
+    return prob, cfg, cert, traces
+
+
 def test_criterion_05_variance_reduced_descent():
     """Criterion 05 for svrg (Phi) and saga (Theta). On its instances the
     certificates reach only M = n, and m = 1 for svrg, so the runs are
@@ -227,19 +245,9 @@ def test_criterion_05_variance_reduced_descent():
             seq = _own_lyapunov(solvers.run(prob, cfg).trace, cfg, cert)
             worst_path = max(worst_path, float(np.diff(seq).max()))
 
-    ds, _ = data.gen_overlap(n=2000, seed=0)
-    cs = problems.build_overlap_A(ds.d, 2)
-    prob = problems.CompositeProblem(
-        loss=problems.SigmoidLoss(ds.features, ds.labels),
-        regularizer=problems.BlockSeparableRegularizer.l1(cs.q, 1e-5),
-        constraints=cs,
-    )
-    cfg, cert = params.suggest_params(prob, "svrg", M=100, T=200)
+    _, cfg, cert, traces = quick_start_svrg_runs()
     assert (cfg.M, cfg.m, cfg.eta) == (100, 2, 2.0)
-    mean = np.mean([
-        _own_lyapunov(solvers.run(prob, replace(cfg, seed=seed)).trace, cfg, cert)
-        for seed in range(5)
-    ], axis=0)
+    mean = np.mean([_own_lyapunov(trace, cfg, cert) for trace in traces], axis=0)
     worst_mean = float(np.diff(mean).max())
     _report(5, "certified svrg and saga runs have nonincreasing Phi and Theta",
             max(worst_path, worst_mean) <= 1e-9,
@@ -300,13 +308,7 @@ def test_criterion_05_sufficient_decrease_quick_start():
     measured 2.928 for dete, and for the svrg mean 3.048 with Gamma_t and
     3.208 with the minimum Gamma.
     """
-    ds, _ = data.gen_overlap(n=2000, seed=0)
-    cs = problems.build_overlap_A(ds.d, 2)
-    prob = problems.CompositeProblem(
-        loss=problems.SigmoidLoss(ds.features, ds.labels),
-        regularizer=problems.BlockSeparableRegularizer.l1(cs.q, 1e-5),
-        constraints=cs,
-    )
+    prob, svrg_cfg, svrg_cert, traces = quick_start_svrg_runs()
     tol = 1e-15
     cfg, cert = params.suggest_params(prob, "dete", T=200)
     trace = solvers.run(prob, cfg).trace
@@ -315,9 +317,8 @@ def test_criterion_05_sufficient_decrease_quick_start():
     dete_margin = float((psi[:-1] - psi[1:] - bound).min())
     dete_ratio = float(((psi[:-1] - psi[1:]) / bound).min())
 
-    cfg, cert = params.suggest_params(prob, "svrg", M=100, T=200)
+    cfg, cert = svrg_cfg, svrg_cert
     assert (cfg.M, cfg.m, cfg.eta) == (100, 2, 2.0)
-    traces = [solvers.run(prob, replace(cfg, seed=seed)).trace for seed in range(5)]
     phi = np.mean([_own_lyapunov(trace, cfg, cert) for trace in traces], axis=0)
     dx_sq = np.mean([[rec.dx_sq for rec in trace[1:]] for trace in traces], axis=0)
     steps = np.array([rec.t for rec in traces[0][:-1]])

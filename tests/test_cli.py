@@ -1,9 +1,12 @@
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import types
 
@@ -17,6 +20,7 @@ from ncadmm import cli, data, metrics, solvers
 from ncadmm.exceptions import ConfigError, DivergenceError
 
 import oracles
+from conftest import make_multitask_problem
 
 
 @pytest.fixture
@@ -1152,6 +1156,150 @@ class TestTestEvaluator:
         # x = 0 scores every row 0: a tie for every prediction
         for x in (np.zeros(problem.d), *rng.standard_normal((3, problem.d))):
             assert evaluate(x) == oracle(x)
+
+
+def _worker_case(kind):
+    """(problem, test evaluator, stride-1 svrg config) of a small problem."""
+    if kind == "graph_guided":
+        problem, test, _ = cli.build_problem(
+            {"kind": "graph_guided", "n": 400, "d": 10, "seed": 1}
+        )
+    else:
+        problem = make_multitask_problem()
+        test = make_multitask_problem(seed=5).loss
+    config = solvers.SolverConfig.for_problem(
+        problem, "svrg", 1.0, 1.0, 40, M=10, trace_stride=1
+    )
+    return problem, cli.make_test_evaluator(problem, test), config
+
+
+def _csv_text(rows):
+    """rows as the CSV writer writes them, wall_time_s left empty."""
+    wt = cli.CSV_COLUMNS.index("wall_time_s")
+    fh = io.StringIO()
+    csv.writer(fh).writerows([[*r[:wt], "", *r[wt + 1:]] for r in rows])
+    return fh.getvalue()
+
+
+def _stop_after(k, exc):
+    """A stand-in for `solvers.run` that takes the real steps and raises
+    exc from the callback once record k is handed on."""
+    def run(problem, config, callback=None, _orig=solvers.run):
+        def stop(rec, state):
+            callback(rec, state)
+            if rec.t == k:
+                raise exc
+        return _orig(problem, config, stop)
+    return run
+
+
+class TestEvaluationWorker:
+    """`run_single` evaluates each record's test split on one worker
+    thread, at most one at a time, and joins it before it returns."""
+
+    @pytest.mark.parametrize("kind", ["graph_guided", "multitask"])
+    def test_rows_bitwise_those_of_the_callback(self, kind):
+        problem, evaluate, config = _worker_case(kind)
+        threads = []
+
+        def on_worker(x):
+            threads.append(threading.get_ident())
+            return evaluate(x)
+
+        rows, result = cli.run_single(problem, on_worker, config, 0.5)
+        expected = oracles.run_single_rows(problem, evaluate, config, 0.5)
+        assert len(rows) == len(result.trace) == config.T
+        assert _csv_text(rows) == _csv_text(expected)
+        assert len(threads) == config.T
+        assert threading.get_ident() not in threads
+
+    def test_one_evaluation_in_flight(self, monkeypatch):
+        problem, evaluate, config = _worker_case("graph_guided")
+        lock = threading.Lock()
+        finished, outstanding = [0], []
+
+        def slow(x):
+            time.sleep(0.005)
+            out = evaluate(x)
+            with lock:
+                finished[0] += 1
+            return out
+
+        def run(problem, config, callback=None, _orig=solvers.run):
+            def count(rec, state):
+                callback(rec, state)
+                # at stride 1, t evaluations have been handed on
+                with lock:
+                    outstanding.append(rec.t - finished[0])
+            return _orig(problem, config, count)
+
+        monkeypatch.setattr(solvers, "run", run)
+        rows, _ = cli.run_single(problem, slow, config, 0.5)
+        assert len(rows) == finished[0] == config.T
+        assert max(outstanding) == 1
+
+    def test_threads_joined_on_return(self):
+        problem, evaluate, config = _worker_case("graph_guided")
+        start = threading.active_count()
+        during = []
+
+        def counted(x):
+            during.append(threading.active_count())
+            return evaluate(x)
+
+        cli.run_single(problem, counted, config, 0.5)
+        assert set(during) == {start + 1}
+        assert threading.active_count() == start
+
+    def test_evaluation_error_reaches_caller(self):
+        problem, evaluate, config = _worker_case("graph_guided")
+        start = threading.active_count()
+        boom = RuntimeError("evaluation failed")
+        threads = []
+
+        def failing(x):
+            threads.append(threading.get_ident())
+            if len(threads) == 3:
+                raise boom
+            return evaluate(x)
+
+        with pytest.raises(RuntimeError) as exc:
+            cli.run_single(problem, failing, config, 0.5)
+        assert exc.value is boom
+        assert threading.get_ident() not in threads
+        assert threading.active_count() == start
+
+    def test_evaluation_error_comes_before_a_later_step_error(self, monkeypatch):
+        # evaluating in the callback, record 1's error would stop the run
+        # before step 2 could diverge
+        problem, evaluate, config = _worker_case("graph_guided")
+        boom = RuntimeError("evaluation failed")
+
+        def failing(x):
+            raise boom
+
+        monkeypatch.setattr(solvers, "run", _stop_after(1, DivergenceError("x", 2)))
+        with pytest.raises(RuntimeError) as exc:
+            cli.run_single(problem, failing, config, 0.5)
+        assert exc.value is boom
+
+    def test_threads_joined_on_divergence(self, monkeypatch):
+        problem, evaluate, config = _worker_case("graph_guided")
+        start = threading.active_count()
+        diverged = DivergenceError("primal iterate norm exceeded 1e12", 5)
+        threads = []
+
+        def slow(x):
+            threads.append(threading.get_ident())
+            time.sleep(0.005)
+            return evaluate(x)
+
+        monkeypatch.setattr(solvers, "run", _stop_after(5, diverged))
+        with pytest.raises(DivergenceError) as exc:
+            cli.run_single(problem, slow, config, 0.5)
+        assert exc.value is diverged
+        assert len(threads) == 5 and threading.get_ident() not in threads
+        assert threading.active_count() == start
 
 
 def _aggregate_rows_loop(rep_rows):
