@@ -177,8 +177,8 @@ def build_problem(problem_spec):
     if kind == "graph_guided":
         ds, prec, _ = data_mod.gen_graph_guided(spec["n"], spec["d"], seed, order=order)
         # empty_support keeps the features and drops every edge
-        edges = np.nonzero(np.triu(prec.support & (not spec["empty_support"]), 1))
-        # Lambda and its support are d x d; neither is needed past the edges
+        edges = ([], []) if spec["empty_support"] else prec.edges
+        # Lambda is d x d and not needed past the edges
         del prec
         train, test = data_mod.split_views(ds, train_idx.size)
     elif kind == "overlap":
@@ -206,7 +206,7 @@ def build_problem(problem_spec):
         info["classes"] = m
     if kind in ("graph_guided", "libsvm"):
         cs = build_graph_guided_A(edges, ds.d)
-        info["edges"] = edges[0].size
+        info["edges"] = len(edges[0])
     if kind != "multitask":
         loss = SigmoidLoss(train.features, train.labels)
         reg = BlockSeparableRegularizer.l1(cs.q, spec["nu"])

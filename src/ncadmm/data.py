@@ -50,7 +50,7 @@ class Dataset:
 @dataclass
 class PrecisionModel:
     Lambda: np.ndarray
-    support: np.ndarray
+    edges: tuple  # (ii, jj): Lambda's off-diagonal nonzeros, i < j, row-major
     shift: float
 
 
@@ -130,8 +130,8 @@ def gen_graph_guided(n, d, seed, order=None):
     shifted so the smallest eigenvalue is at least 0.1. With `order`, a
     permutation of range(n), sample order[k] is row k.
 
-    Lambda is built in place, and every other d x d array but its support
-    and Lambda^{-1/2} is freed before the features are drawn.
+    Lambda is built in place, and every other d x d array but Lambda^{-1/2}
+    is freed before the features are drawn.
     """
     if n < 1 or d < 1:
         raise ConfigError("n and d must be >= 1")
@@ -159,8 +159,10 @@ def gen_graph_guided(n, d, seed, order=None):
     # N(0, Lam^{-1}) through the symmetric inverse square root
     inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
     del evecs
-    support = Lam != 0
-    np.fill_diagonal(support, False)
+    ii, jj = np.nonzero(Lam)
+    upper = ii < jj
+    edges = ii[upper], jj[upper]
+    del ii, jj, upper
     noise = rng_noise.uniform(0.0, 1.0, size=n)
     feats, labels = _draw_rows(rng_feat, n, d, x_star, noise, order, inv_sqrt)
     ds = Dataset(
@@ -169,7 +171,7 @@ def gen_graph_guided(n, d, seed, order=None):
         meta={"name": "graph_guided", "n": n, "d": d, "classes": 2,
               "source": "synthetic", "seed": seed},
     )
-    return ds, PrecisionModel(Lambda=Lam, support=support, shift=shift), x_star
+    return ds, PrecisionModel(Lambda=Lam, edges=edges, shift=shift), x_star
 
 
 def gen_overlap(n, seed, grid=20, order=None):

@@ -68,18 +68,16 @@ def _snapshot_sequence(records, weights, lags, zeta, rho):
     ])
 
 
-def lyapunov_phi(records, h_schedule, m, zeta, rho):
+def lyapunov_phi(records, h_schedule, zeta, rho):
     """Phi_t^s from svrg diagnostic records (stride-1 traces).
 
-    h_schedule is the forward epoch schedule h_1..h_m; records carry the
-    snapshot distances for the current and previous iterate.
+    h_schedule is the forward epoch schedule h_1..h_m, whose length is m;
+    records carry the snapshot distances for the current and previous iterate.
     """
     _require_diag(records, "snap_sq", "snap_prev_sq")
     h = np.asarray(h_schedule, dtype=float)
-    if h.size != m:
-        raise InputError("h schedule length must equal the epoch length m")
     return _snapshot_sequence(
-        records, [h[(rec.t - 1) % m] for rec in records],
+        records, [h[(rec.t - 1) % h.size] for rec in records],
         [rec.snap_prev_sq for rec in records], zeta, rho,
     )
 

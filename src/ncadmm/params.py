@@ -10,7 +10,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import check_count
 from .exceptions import ConfigError
 
 _RHO_STAR_RTOL = 1e-9
@@ -133,50 +132,6 @@ def _interval_case(L, L_eff, constraints, eta, rho, r, phi_max_H, phi_min_H, phi
             reason = f"eta={eta:g} outside ({lo:g}, {hi:g}]"
         return _Interval(ok, case, lo, hi, rho_star, rho_0, delta, reason)
     return _Interval(False, case, math.nan, math.nan, rho_star, rho_0, delta, reason)
-
-
-def _backward(last, factor, const, size):
-    """x[0..size-1] with x[size-1] = last and x[t] = factor * x[t+1] + const.
-
-    A factor above 1 (svrg's always, saga's unless M = n) makes long
-    sequences overflow to inf; check_feasible refuses such a schedule by name.
-    """
-    x = np.empty(size)
-    x[size - 1] = last
-    with np.errstate(over="ignore"):
-        for t in range(size - 2, -1, -1):
-            x[t] = factor * x[t + 1] + const
-    return x
-
-
-def svrg_h_schedule(L, constraints, rho, M, m, beta):
-    """Backward recursion h_m, ..., h_1 (returned in forward order h_1..h_m)."""
-    if m < 1:
-        raise ConfigError("epoch length m must be >= 1")
-    check_count(m, "svrg epoch length m")
-    if M < 1:
-        raise ConfigError("mini-batch size M must be >= 1")
-    if beta <= 0:
-        raise ConfigError("beta must be > 0")
-    pa = constraints.phi_min_A
-    step = (10.0 + pa * rho) * L**2 / (2.0 * rho * pa * M)
-    return _backward(10.0 * L**2 / (pa * rho * M), 2.0 + beta, step, m)
-
-
-def saga_alpha_schedule(L, constraints, rho, n, M, T, beta):
-    """Backward recursion alpha_T, ..., alpha_1 with alpha_{T+1} = 0."""
-    if T < 1:
-        raise ConfigError("T must be >= 1")
-    check_count(T + 1, "saga horizon T + 1")
-    if not 1 <= M <= n:
-        raise ConfigError("mini-batch size M must satisfy 1 <= M <= n")
-    if beta <= 0:
-        raise ConfigError("beta must be > 0")
-    pa = constraints.phi_min_A
-    const = (10.0 * L**2 + pa * rho * L**2) / (2.0 * rho * pa * M)
-    factor = (2.0 * n - M) / n + (n - M) * beta / n
-    # alpha[t-1] is the step-t weight; alpha[T] is the zero boundary
-    return _backward(0.0, factor, const, T + 1)
 
 
 @np.errstate(all="ignore")

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_count
 from .exceptions import ConfigError, DivergenceError, InternalInvariantError
 from . import metrics, params
 
@@ -347,6 +348,20 @@ class FullBatchMean(BatchMean):
         return cls(problem, problem.n)
 
 
+def _backward(last, factor, const, size):
+    """x[0..size-1] with x[size-1] = last and x[t] = factor * x[t+1] + const.
+
+    A factor above 1 (svrg's always, saga's unless M = n) makes long
+    sequences overflow to inf; check_feasible refuses such a schedule by name.
+    """
+    x = np.empty(size)
+    x[size - 1] = last
+    with np.errstate(over="ignore"):
+        for t in range(size - 2, -1, -1):
+            x[t] = factor * x[t + 1] + const
+    return x
+
+
 class SvrgEstimator(BatchMean):
     """The batch mean corrected at a snapshot, retaken every m iterations
     at a cost of n IFO."""
@@ -366,11 +381,22 @@ class SvrgEstimator(BatchMean):
 
     @staticmethod
     def shift_sequence(L, constraints, rho, n, M, m, T, beta):
+        """h_1..h_m, the epoch schedule, from the backward recursion that
+        starts at h_m; the shifts and overflow reason as `BatchMean`'s."""
         if m is None or M is None:
             raise ConfigError("svrg certificate needs m and M")
         if n is not None and not 1 <= M <= n:
             raise ConfigError("mini-batch size M must satisfy 1 <= M <= n")
-        h = params.svrg_h_schedule(L, constraints, rho, M, m, beta)
+        if m < 1:
+            raise ConfigError("epoch length m must be >= 1")
+        check_count(m, "svrg epoch length m")
+        if n is None and M < 1:
+            raise ConfigError("mini-batch size M must be >= 1")
+        if beta <= 0:
+            raise ConfigError("beta must be > 0")
+        pa = constraints.phi_min_A
+        step = (10.0 + pa * rho) * L**2 / (2.0 * rho * pa * M)
+        h = _backward(10.0 * L**2 / (pa * rho * M), 2.0 + beta, step, m)
         # (1+1/beta) h_{t+1}, and at the epoch's end h[0], the next epoch's h_1
         shifts = [(1.0 + 1.0 / beta) * h[t + 1] for t in range(m - 1)]
         return h, shifts + [float(h[0])], (
@@ -429,9 +455,23 @@ class SagaEstimator(BatchMean):
 
     @staticmethod
     def shift_sequence(L, constraints, rho, n, M, m, T, beta):
+        """alpha_1..alpha_T, the horizon's schedule, from the backward
+        recursion with alpha_{T+1} = 0; the shifts and overflow reason as
+        `BatchMean`'s."""
         if T is None or n is None or M is None:
             raise ConfigError("saga certificate needs T, n and M")
-        alpha = params.saga_alpha_schedule(L, constraints, rho, n, M, T, beta)
+        if T < 1:
+            raise ConfigError("T must be >= 1")
+        check_count(T + 1, "saga horizon T + 1")
+        if not 1 <= M <= n:
+            raise ConfigError("mini-batch size M must satisfy 1 <= M <= n")
+        if beta <= 0:
+            raise ConfigError("beta must be > 0")
+        pa = constraints.phi_min_A
+        const = (10.0 * L**2 + pa * rho * L**2) / (2.0 * rho * pa * M)
+        factor = (2.0 * n - M) / n + (n - M) * beta / n
+        # alpha[t-1] is the step-t weight; alpha[T] is the zero boundary
+        alpha = _backward(0.0, factor, const, T + 1)
         frac = (n - M) / n * (1.0 + 1.0 / beta)
         return alpha[:T], [frac * alpha[t] for t in range(1, T + 1)], (
             f"alpha schedule overflows float64 within T={T} steps: "

@@ -7,7 +7,7 @@ from ncadmm import data, problems, solvers
 
 def make_graph_guided_problem(n=120, d=8, seed=0, nu=1e-5, empty_support=False):
     ds, prec, x_star = data.gen_graph_guided(n, d, seed)
-    edges = ([], []) if empty_support else np.nonzero(np.triu(prec.support, 1))
+    edges = ([], []) if empty_support else prec.edges
     cs = problems.build_graph_guided_A(edges, d)
     loss = problems.SigmoidLoss(ds.features, ds.labels)
     reg = problems.BlockSeparableRegularizer.l1(cs.q, nu)

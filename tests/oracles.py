@@ -74,7 +74,7 @@ def gen_graph_guided(n, d, seed, order=None):
     shift = max(0.0, _MIN_PRECISION_EIG - float(evals[0]))
     Lam = Lam + shift * np.eye(d)
     evals = evals + shift
-    support = (np.abs(Lam) > 0) & ~np.eye(d, dtype=bool)
+    edges = np.nonzero(np.triu(np.abs(Lam) > 0, k=1))
 
     x_star = rng_x.standard_normal(d)
 
@@ -88,7 +88,7 @@ def gen_graph_guided(n, d, seed, order=None):
         meta={"name": "graph_guided", "n": n, "d": d, "classes": 2,
               "source": "synthetic", "seed": seed},
     )
-    return ds, PrecisionModel(Lambda=Lam, support=support, shift=shift), x_star
+    return ds, PrecisionModel(Lambda=Lam, edges=edges, shift=shift), x_star
 
 
 def smooth_value(problem, x):

@@ -203,7 +203,7 @@ def _own_lyapunov(trace, cfg, cert):
     """Phi for svrg, Theta for saga, from the certificate's schedule."""
     zeta = cert.constants.zeta
     if cfg.variant == "svrg":
-        return metrics.lyapunov_phi(trace, cert.schedule, cfg.m, zeta, cfg.rho)
+        return metrics.lyapunov_phi(trace, cert.schedule, zeta, cfg.rho)
     return metrics.lyapunov_theta(trace, cert.schedule, zeta, cfg.rho)
 
 
@@ -382,7 +382,7 @@ def test_criterion_06_rate_shapes(x_steps):
 @functools.lru_cache(maxsize=None)
 def desk_problem():
     ds, prec, _ = data.gen_graph_guided(20000, 200, seed=11)
-    cs = problems.build_graph_guided_A(np.nonzero(np.triu(prec.support, 1)), 200)
+    cs = problems.build_graph_guided_A(prec.edges, 200)
     return problems.CompositeProblem(
         loss=problems.SigmoidLoss(ds.features, ds.labels),
         regularizer=problems.BlockSeparableRegularizer.l1(cs.q, 1e-5),
@@ -470,11 +470,15 @@ def test_criterion_08_parameter_certificates():
             cfg, cert = params.suggest_params(prob, variant, M=20, T=50)
             suggest_ok &= cert.accepted
 
-    h = params.svrg_h_schedule(2.0, cs1, 10.0, M=4, m=6, beta=1.0)
-    alpha = params.saga_alpha_schedule(2.0, cs1, 10.0, n=20, M=5, T=6, beta=1.0)
+    # each schedule is its certificate's: h_1..h_m, and alpha_1..alpha_T
+    # without the zero boundary alpha_{T+1}
+    h = np.array(params.check_feasible(
+        "svrg", 2.0, cs1, 1.0, 10.0, r=11.0, M=4, m=6).schedule)
+    alpha = np.array(params.check_feasible(
+        "saga", 2.0, cs1, 1.0, 10.0, r=11.0, n=20, M=5, T=6).schedule)
     sched_ok = (
         np.all(h > 0) and np.all(np.diff(h) < 0)
-        and np.all(alpha[:-1] > 0) and np.all(np.diff(alpha) < 0)
+        and np.all(alpha > 0) and np.all(np.diff(alpha) < 0)
     )
     ok = resid_ok and quad_worst <= 1e-9 and suggest_ok and sched_ok
     _report(

@@ -32,10 +32,17 @@ class TestGraphGuided:
         evals = np.linalg.eigvalsh(prec.Lambda)
         assert evals[0] >= 0.1 - 1e-12
 
-    def test_support_excludes_diagonal(self):
+    def test_edges_are_the_off_diagonal_nonzeros_in_row_major_order(self):
         _, prec, _ = data.gen_graph_guided(10, 12, seed=3)
-        assert not prec.support.diagonal().any()
-        assert np.array_equal(prec.support, prec.support.T)
+        ii, jj = prec.edges
+        assert ii.size > 0
+        assert (ii < jj).all()
+        assert (np.diff(ii * 12 + jj) > 0).all()
+        # together with their mirror images, exactly Lambda's off-diagonal nonzeros
+        graph = np.zeros((12, 12), dtype=bool)
+        graph[ii, jj] = graph[jj, ii] = True
+        off_diagonal = ~np.eye(12, dtype=bool)
+        assert np.array_equal(graph, (prec.Lambda != 0) & off_diagonal)
 
     def test_deterministic(self):
         a = data.gen_graph_guided(30, 5, seed=9)
@@ -69,7 +76,7 @@ class TestGraphGuided:
         ref_ds, ref_prec, ref_x = oracles.gen_graph_guided(n, d, seed, order=order)
         pairs = {
             "Lambda": (prec.Lambda, ref_prec.Lambda),
-            "support": (prec.support, ref_prec.support),
+            "edges": (np.array(prec.edges), np.array(ref_prec.edges)),
             "shift": (np.float64(prec.shift), np.float64(ref_prec.shift)),
             "x_star": (x_star, ref_x),
             "features": (ds.features, ref_ds.features),

@@ -175,7 +175,7 @@ class TestLyapunov:
         # dete keeps no snapshot, so its records carry no snapshot distances
         prob, cfg, res = self.run_diag()
         with pytest.raises(CapabilityError, match="snap_sq"):
-            metrics.lyapunov_phi(res.trace, np.ones(5), 5, 1.0, cfg.rho)
+            metrics.lyapunov_phi(res.trace, np.ones(5), 1.0, cfg.rho)
         with pytest.raises(CapabilityError, match="snap_sq"):
             metrics.lyapunov_theta(res.trace, np.ones(cfg.T), 1.0, cfg.rho)
 
@@ -183,8 +183,9 @@ class TestLyapunov:
         # stride 1: one record per step t, weighted by h[(t - 1) mod m]
         prob, cfg, res = self.run_diag("svrg", m=5)
         assert [rec.t for rec in res.trace] == list(range(1, cfg.T + 1))
-        h = params.svrg_h_schedule(2.0, prob.constraints, cfg.rho, cfg.M, 5, 1.0)
-        vals = metrics.lyapunov_phi(res.trace, h, 5, zeta=3.0, rho=cfg.rho)
+        h = params.check_feasible("svrg", 2.0, prob.constraints, cfg.eta, cfg.rho,
+                                  cfg.r, M=cfg.M, m=5).schedule
+        vals = metrics.lyapunov_phi(res.trace, h, zeta=3.0, rho=cfg.rho)
         assert vals.tolist() == [
             rec.lrho + h[(rec.t - 1) % 5] * (rec.snap_sq + rec.snap_prev_sq)
             + (3.0 / cfg.rho) * rec.dx_sq
@@ -196,9 +197,10 @@ class TestLyapunov:
         # record's snap_sq, zero before the first step
         prob, cfg, res = self.run_diag("saga")
         assert [rec.t for rec in res.trace] == list(range(1, cfg.T + 1))
-        alpha = params.saga_alpha_schedule(
-            2.0, prob.constraints, cfg.rho, n=prob.n, M=cfg.M, T=cfg.T, beta=1.0
-        )
+        alpha = params.check_feasible(
+            "saga", 2.0, prob.constraints, cfg.eta, cfg.rho, cfg.r,
+            n=prob.n, M=cfg.M, T=cfg.T,
+        ).schedule
         vals = metrics.lyapunov_theta(res.trace, alpha, zeta=3.0, rho=cfg.rho)
         assert np.isfinite(vals).all()
         lags = [0.0] + [rec.snap_sq for rec in res.trace[:-1]]
@@ -218,11 +220,6 @@ class TestLyapunov:
         head = [replace(res.trace[0], t=1), replace(res.trace[0], t=2)]
         with pytest.raises(InputError, match="not a trace_stride of 3"):
             metrics.lyapunov_theta(head + res.trace, np.ones(cfg.T), 1.0, cfg.rho)
-
-    def test_phi_schedule_length_checked(self):
-        prob, cfg, res = self.run_diag("svrg", m=5)
-        with pytest.raises(InputError):
-            metrics.lyapunov_phi(res.trace, [1.0, 2.0], 5, 1.0, cfg.rho)
 
     def test_theta_schedule_length_checked(self):
         # the trace reads alpha_1..alpha_T; one entry fewer is refused

@@ -108,11 +108,17 @@ class TestConstants:
         assert bad.reasons
 
 
+def schedule(variant, L, cs, rho, **sizes):
+    """The certificate's schedule at rho; eta and r do not enter it."""
+    cert = params.check_feasible(variant, L, cs, 1.0, rho, 1.0, **sizes)
+    return np.array(cert.schedule)
+
+
 class TestSchedules:
     def test_svrg_schedule_matches_recursion(self):
         cs = identity_constraints(2)
         L, rho, M, m, beta = 2.0, 6.0, 4, 5, 1.0
-        h = params.svrg_h_schedule(L, cs, rho, M, m, beta)
+        h = schedule("svrg", L, cs, rho, M=M, m=m, beta=beta)
         pa = cs.phi_min_A
         assert np.isclose(h[-1], 10 * L**2 / (pa * rho * M))
         step = (10 + pa * rho) * L**2 / (2 * rho * pa * M)
@@ -121,22 +127,26 @@ class TestSchedules:
 
     def test_svrg_schedule_positive_decreasing(self):
         cs = identity_constraints(2)
-        h = params.svrg_h_schedule(1.0, cs, 10.0, 8, 6, 1.0)
+        h = schedule("svrg", 1.0, cs, 10.0, M=8, m=6)
         assert np.all(h > 0)
         assert np.all(np.diff(h) < 0)
 
     def test_saga_schedule_boundary_and_shape(self):
         cs = identity_constraints(2)
-        alpha = params.saga_alpha_schedule(1.0, cs, 10.0, n=20, M=5, T=6, beta=1.0)
-        assert alpha.size == 7
-        assert alpha[-1] == 0.0
-        assert np.all(alpha[:-1] > 0)
+        L, rho, n, M = 1.0, 10.0, 20, 5
+        alpha = schedule("saga", L, cs, rho, n=n, M=M, T=6)
+        # alpha_1..alpha_T; the zero boundary alpha_{T+1} leaves alpha_T the
+        # recursion's constant term
+        assert alpha.size == 6
+        pa = cs.phi_min_A
+        assert np.isclose(alpha[-1], (10 * L**2 + pa * rho * L**2) / (2 * rho * pa * M))
+        assert np.all(alpha > 0)
         assert np.all(np.diff(alpha) < 0)
 
     def test_saga_full_batch_schedule_is_linear(self):
         cs = identity_constraints(2)
         n = 10
-        alpha = params.saga_alpha_schedule(1.0, cs, 10.0, n=n, M=n, T=5, beta=1.0)
+        alpha = schedule("saga", 1.0, cs, 10.0, n=n, M=n, T=5)
         # factor collapses to 1 at M = n, so the recursion is arithmetic
         diffs = np.diff(alpha)
         assert np.allclose(diffs, diffs[0])
@@ -189,9 +199,27 @@ class TestSchedules:
     def test_invalid_arguments(self):
         cs = identity_constraints(2)
         with pytest.raises(ConfigError):
-            params.svrg_h_schedule(1.0, cs, 1.0, 4, 0, 1.0)
+            schedule("svrg", 1.0, cs, 1.0, M=4, m=0)
         with pytest.raises(ConfigError):
-            params.saga_alpha_schedule(1.0, cs, 1.0, n=5, M=9, T=3, beta=1.0)
+            schedule("saga", 1.0, cs, 1.0, n=5, M=9, T=3)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_beta_at_most_zero_refused(self, beta):
+        cs = identity_constraints(2)
+        for variant, sizes in [("svrg", dict(M=4, m=3)), ("saga", dict(n=20, M=5, T=6))]:
+            assert schedule(variant, 1.0, cs, 10.0, **sizes).size
+            with pytest.raises(ConfigError, match="beta must be > 0"):
+                schedule(variant, 1.0, cs, 10.0, beta=beta, **sizes)
+
+    @pytest.mark.parametrize("variant,sizes,steps", [
+        ("svrg", dict(M=5, m=1), 1), ("svrg", dict(M=5, m=7), 7),
+        ("saga", dict(M=5, T=1), 1), ("saga", dict(M=5, T=9), 9),
+    ])
+    def test_schedule_has_an_entry_per_step(self, variant, sizes, steps):
+        # m entries for svrg, T for saga, one per Gamma_t
+        cert = params.check_feasible(variant, 1.0, identity_constraints(2), 1.0, 10.0,
+                                     11.0, n=50, **sizes)
+        assert len(cert.schedule) == len(cert.gamma_sequence) == steps
 
 
 class TestSuggest:
